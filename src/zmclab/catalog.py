@@ -31,7 +31,7 @@ from .exprfield import (
     parse,
     to_text,
 )
-from .duality import _simpson
+from .duality import nested_simpson
 
 __all__ = [
     "CATALOG",
@@ -139,10 +139,11 @@ class PotentialField(GraphField):
     def _integral(self, x: float) -> float:
         got = self._cache.get(x)
         if got is None:
-            def integrand(ts):
+            def integrand(ts, _segs):
                 j = self._gjet(ts)
                 return np.broadcast_to(1.0 / j.gx, np.shape(ts))
-            got = _simpson(integrand, self.x_ref, x, self.quad_tol)
+            got = nested_simpson(integrand, [self.x_ref], [x],
+                                 self.quad_tol)[0]
             self._cache[x] = got
         return got
 

@@ -10,6 +10,7 @@ Outputs are deterministic: identical argv gives byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -77,6 +78,7 @@ def _add_out_flags(p, formats=("csv", "json")):
     p.add_argument("--format", choices=formats, default=formats[0])
 
 
+@functools.cache  # built on the first run and reused: parsing keeps no state
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="zmclab",
@@ -407,9 +409,8 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
-    ap = build_parser()
     try:
-        ns = ap.parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

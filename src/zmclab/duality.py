@@ -29,6 +29,7 @@ from .errors import (
     OutOfDomainError,
     QuadratureError,
     SonicPointError,
+    ZmcError,
 )
 from .exprfield import GraphField, GridField, Jet2, Rect, SampledGrid
 
@@ -51,6 +52,10 @@ QUAD_TOL = 1e-10
 #: path-independence defect beyond this multiple of the quadrature
 #: tolerance means the one-form is not closed
 NONEXACT_FACTOR = 100.0
+#: column segments dualize integrates per batch, and points per jet call;
+#: together they keep peak memory independent of the lattice size
+SEGMENT_BLOCK = 1024
+JET_POINTS = 8192
 
 
 class FlowRegime(Enum):
@@ -199,38 +204,73 @@ def one_form_curl(f: GraphField, x, y, direction: DualDirection,
 # quadrature
 # --------------------------------------------------------------------------
 
-def _simpson(g, a: float, b: float, tol: float) -> float:
-    """Composite Simpson with doubling refinement until two successive
+def _check_tol(quad_tol: float) -> None:
+    if not (math.isfinite(quad_tol) and quad_tol > 0.0):
+        raise ValueError("quad_tol must be finite and above 0")
+
+
+def nested_simpson(g, a, b, tol: float, where=lambda s: f"segment {s}"):
+    """Integrals of ``g`` over the segments [a[s], b[s]] by composite
+    Simpson with doubling refinement, each segment until two successive
     refinements differ by less than tol (relative once the integral
-    outgrows unit scale; float accumulation forbids more)."""
-    if a == b:
-        return 0.0
-    n = 2
-    ts = np.linspace(a, b, n + 1)
-    vals = g(ts)
-    h = (b - a) / n
-    prev = h / 3.0 * (vals[0] + 4.0 * vals[1] + vals[2])
-    while n <= 2 ** 18:
+    outgrows unit scale; float accumulation forbids more).
+
+    ``g(ts, segs)`` returns the integrand at the abscissae ``ts`` of the
+    segments ``segs`` (flat arrays of one length).  All segments refine
+    together; each doubling evaluates only the new midpoints of the
+    segments still open, at most JET_POINTS per call of ``g``.  Nodes and
+    sums are those of a per-segment np.linspace refinement, bit for bit.
+    A segment still open past 2^18 panels raises QuadratureError, named
+    by ``where(s)``.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = np.zeros(a.size)
+
+    def sample(ts, segs):
+        flat_ts, flat_segs = ts.ravel(), np.repeat(segs, ts.shape[1])
+        vals = np.empty(flat_ts.size)
+        for k in range(0, flat_ts.size, JET_POINTS):
+            part = slice(k, k + JET_POINTS)
+            vals[part] = g(flat_ts[part], flat_segs[part])
+        return vals.reshape(ts.shape)
+
+    segs = np.flatnonzero(a != b)
+    h = (b[segs] - a[segs]) / 2
+    ts = np.arange(3) * h[:, None] + a[segs, None]
+    ts[:, -1] = b[segs]
+    vals = sample(ts, segs)
+    groups = [(segs, vals, h / 3.0 * (vals[:, 0] + 4.0 * vals[:, 1]
+                                      + vals[:, 2]), 2)]
+    while groups:
+        segs, vals, prev, n = groups.pop()
+        if segs.size > 1 and segs.size * n > JET_POINTS:
+            # refine in halves, so that the node table stays bounded
+            half = segs.size // 2
+            groups += [(segs[half:], vals[half:], prev[half:], n),
+                       (segs[:half], vals[:half], prev[:half], n)]
+            continue
         n *= 2
-        ts = np.linspace(a, b, n + 1)
-        vals = g(ts)
-        h = (b - a) / n
-        cur = h / 3.0 * (vals[0] + vals[-1]
-                         + 4.0 * np.sum(vals[1:-1:2])
-                         + 2.0 * np.sum(vals[2:-1:2]))
-        delta = abs(cur - prev)
-        if delta < tol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    raise QuadratureError(
-        f"Simpson refinement stalled on [{a}, {b}] (last delta "
-        f"{delta:.3e} vs tol {tol:.1e})")
-
-
-def _corrected_trapezoid(g0, g1, d0, d1, h: float) -> float:
-    """Endpoint-corrected trapezoid (Euler-Maclaurin, O(h^4)); used for
-    lattice-backed sources whose jets exist only at nodes."""
-    return h * 0.5 * (g0 + g1) - h * h / 12.0 * (d1 - d0)
+        h = (b[segs] - a[segs]) / n
+        grown = np.empty((segs.size, n + 1))
+        grown[:, ::2] = vals
+        grown[:, 1::2] = sample(
+            np.arange(1, n, 2) * h[:, None] + a[segs, None], segs)
+        cur = h / 3.0 * (grown[:, 0] + grown[:, -1]
+                         + 4.0 * np.sum(grown[:, 1:-1:2], axis=1)
+                         + 2.0 * np.sum(grown[:, 2:-1:2], axis=1))
+        delta = np.abs(cur - prev)
+        done = delta < tol * np.maximum(1.0, np.abs(cur))
+        out[segs[done]] = cur[done]
+        if done.all():
+            continue
+        if n > 2 ** 18:
+            s = segs[~done][0]
+            raise QuadratureError(
+                f"Simpson refinement stalled on {where(s)}, [{a[s]}, {b[s]}] "
+                f"(last delta {delta[~done][0]:.3e} vs tol {tol:.1e})")
+        groups.append((segs[~done], grown[~done], cur[~done], n))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -297,52 +337,70 @@ class DualField(GraphField):
         return self.parent.default_tau_light()
 
 
-def _axis_segment(f, fixed: float, a: float, b: float, along_x: bool,
-                  direction, epsilon, tau, quad_tol: float) -> float:
-    """Integral of the matching one-form component over one axis segment."""
-    if a == b:
-        return 0.0
+def _segment_integrals(f, a, b, fixed, along_x: bool, *form):
+    """Integral of the matching one-form component (w1 along x, w2 along y)
+    over each axis segment from a to b at its fixed coordinate; a, b and
+    fixed broadcast together and the result takes their shape.  ``form``
+    is (direction, epsilon, tau, quad_tol)."""
+    a, b, fixed = np.broadcast_arrays(a, b, fixed)
+    shape = a.shape
+    a, b, fixed = a.ravel(), b.ravel(), fixed.ravel()
+    try:
+        return _integrals(f, a, b, fixed, along_x, *form).reshape(shape)
+    except ZmcError:
+        # the first failing segment in path order decides the error, as
+        # when the segments are integrated one at a time
+        for s in range(a.size):
+            _integrals(f, a[s:s + 1], b[s:s + 1], fixed[s:s + 1], along_x,
+                       *form)
+        raise
+
+
+def _integrals(f, a, b, fixed, along_x, direction, epsilon, tau, quad_tol):
+    """_segment_integrals on flat arrays, all segments in one batch."""
+    def points(ts, segs):
+        return (ts, fixed[segs]) if along_x else (fixed[segs], ts)
+
     if f.jet_mode == "exact":
-        if along_x:
-            def g(ts):
-                w1, _ = dual_one_form(f, ts, np.full_like(ts, fixed),
-                                      direction, epsilon, tau)
-                return np.broadcast_to(w1, ts.shape)
-        else:
-            def g(ts):
-                _, w2 = dual_one_form(f, np.full_like(ts, fixed), ts,
-                                      direction, epsilon, tau)
-                return np.broadcast_to(w2, ts.shape)
-        return _simpson(g, a, b, quad_tol)
-    # lattice-backed parent: node-anchored corrected trapezoid
-    if along_x:
-        j0 = dual_jet(f.jet2(a, fixed), direction, epsilon, tau)
-        j1 = dual_jet(f.jet2(b, fixed), direction, epsilon, tau)
-        return _corrected_trapezoid(j0.gx, j1.gx, j0.hxx, j1.hxx, b - a)
-    j0 = dual_jet(f.jet2(fixed, a), direction, epsilon, tau)
-    j1 = dual_jet(f.jet2(fixed, b), direction, epsilon, tau)
-    return _corrected_trapezoid(j0.gy, j1.gy, j0.hyy, j1.hyy, b - a)
+        def w(ts, segs):
+            return dual_one_form(f, *points(ts, segs), direction, epsilon,
+                                 tau)[0 if along_x else 1]
+        axis, other = ("x", "y") if along_x else ("y", "x")
+        return nested_simpson(
+            w, a, b, quad_tol,
+            lambda s: f"the {axis}-segment at {other} = {fixed[s]}")
 
-
-def _cumulative(f, fixed: float, start: float, stops: np.ndarray,
-                along_x: bool, direction, epsilon, tau, quad_tol):
-    """Cumulative segment integrals from ``start`` to each stop (sorted
-    ascending); integration runs through consecutive gaps only once."""
-    out = np.empty(stops.size)
-    right = np.searchsorted(stops, start)
-    acc, prev = 0.0, start
-    for k in range(right, stops.size):
-        acc += _axis_segment(f, fixed, prev, float(stops[k]), along_x,
-                             direction, epsilon, tau, quad_tol)
-        out[k] = acc
-        prev = float(stops[k])
-    acc, prev = 0.0, start
-    for k in range(right - 1, -1, -1):
-        acc += _axis_segment(f, fixed, prev, float(stops[k]), along_x,
-                             direction, epsilon, tau, quad_tol)
-        out[k] = acc
-        prev = float(stops[k])
+    # lattice-backed source, jets at nodes only: endpoint-corrected
+    # trapezoid (Euler-Maclaurin, O(h^4))
+    out = np.zeros(a.size)
+    todo = np.flatnonzero(a != b)
+    for first in range(0, todo.size, JET_POINTS):
+        segs = todo[first:first + JET_POINTS]
+        ends = []
+        for t in (a, b):  # the start nodes first, then the end nodes
+            j = dual_jet(f.jet2_grid(*points(t[segs], segs)), direction,
+                         epsilon, tau)
+            ends.append((j.gx, j.hxx) if along_x else (j.gy, j.hyy))
+        (ga, da), (gb, db) = ends
+        h = b[segs] - a[segs]
+        out[segs] = h * 0.5 * (ga + gb) - h * h / 12.0 * (db - da)
     return out
+
+
+def _runs(f, start: float, stops: np.ndarray, fixed, along_x: bool, *form):
+    """Values at the sorted ``stops`` of the runs from ``start``, one row
+    per fixed coordinate: the segment integrals rightward, then leftward,
+    summed outward from 0.0 (``form``: direction, epsilon, tau, quad_tol)."""
+    k = int(np.searchsorted(stops, start))
+    up = np.concatenate(([start], stops[k:]))
+    down = np.concatenate(([start], stops[:k][::-1]))
+    seg = _segment_integrals(f, np.concatenate((up[:-1], down[:-1])),
+                             np.concatenate((up[1:], down[1:])),
+                             np.reshape(fixed, (-1, 1)), along_x, *form)
+    zero = np.zeros((seg.shape[0], 1))
+    up = np.cumsum(np.hstack((zero, seg[:, :stops.size - k])), axis=1)
+    down = np.cumsum(np.hstack((zero, seg[:, stops.size - k:])), axis=1)
+    return np.hstack((down[:, :0:-1], up[:, 1:]))
 
 
 def dualize(f: GraphField, res: tuple, base: tuple,
@@ -355,14 +413,16 @@ def dualize(f: GraphField, res: tuple, base: tuple,
     """Recover the dual field on a lattice by integrating the dual one-form.
 
     Every node value comes from an x-first L-path from ``base``: one spine
-    integration along the base row, then per-column vertical runs (the
-    columns are independent of each other once the spine exists).  The
+    integration along the base row, then per-column vertical runs.  The
     path-independence defect is the maximum x-first vs y-first discrepancy
     over ``defect_nodes`` pseudo-random nodes (fixed seed, deterministic).
-    A defect above 100x the quadrature tolerance raises NonExactFormError:
+    The segments of all paths are integrated together, a block at a time,
+    by nested Simpson (lattice-backed sources: corrected trapezoid).  A
+    defect above 100x the quadrature tolerance raises NonExactFormError:
     the source does not solve the PDE matching the requested direction.
     """
     epsilon = _check_epsilon(epsilon)
+    _check_tol(quad_tol)
     domain = f.domain if domain is None else domain
     nx, ny = res
     if nx < 3 or ny < 3:
@@ -373,7 +433,8 @@ def dualize(f: GraphField, res: tuple, base: tuple,
     tau = f.default_tau_light()
     xs, ys = domain.lattice(nx, ny)
 
-    if f.jet_mode == "lattice":
+    lattice = f.jet_mode == "lattice"
+    if lattice:
         # node-anchored quadrature: the lattice must live on the parent nodes
         g = f.grid if isinstance(f, (GridField, DualField)) else None
         if g is None or not (np.allclose(xs, g.xs) and np.allclose(ys, g.ys)):
@@ -387,32 +448,29 @@ def dualize(f: GraphField, res: tuple, base: tuple,
     else:
         quad_eff = quad_tol
 
-    # spine along the base row, then one vertical run per column
-    spine = _cumulative(f, by, bx, xs, True, direction, epsilon, tau, quad_tol)
-    values = np.empty((nx, ny))
-    for i, xi in enumerate(xs):
-        col = _cumulative(f, float(xi), by, ys, False, direction, epsilon,
-                          tau, quad_tol)
-        values[i, :] = base_value + spine[i] + col
-
-    # two-path defect on a deterministic pseudo-random node subset
+    # the y-first paths of a deterministic pseudo-random node subset
     rng = np.random.default_rng(0)
     count = min(defect_nodes, nx * ny)
-    picks = rng.choice(nx * ny, size=count, replace=False)
-    base_col = _cumulative(f, bx, by, ys, False, direction, epsilon, tau,
-                           quad_tol)
-    defect = 0.0
-    for p in picks:
-        i, jj = divmod(int(p), ny)
-        if f.jet_mode == "lattice":
-            # stay node-by-node; long hops lose the O(h^4) correction
-            row_val = _cumulative(f, float(ys[jj]), bx, xs, True, direction,
-                                  epsilon, tau, quad_tol)[i]
-        else:
-            row_val = _cumulative(f, float(ys[jj]), bx, xs[i:i + 1], True,
-                                  direction, epsilon, tau, quad_tol)[0]
-        yfirst = base_value + base_col[jj] + row_val
-        defect = max(defect, abs(values[i, jj] - yfirst))
+    pi, pj = np.divmod(rng.choice(nx * ny, size=count, replace=False), ny)
+
+    # the spine along the base row, then the column runs a block at a
+    # time, so that no array but the values spans the lattice
+    form = (direction, epsilon, tau, quad_tol)
+    spine = base_value + _runs(f, bx, xs, [by], True, *form)[0]
+    values = np.empty((nx, ny))
+    step = max(1, SEGMENT_BLOCK // ny)
+    for i in range(0, nx, step):
+        values[i:i + step] = spine[i:i + step, None] \
+            + _runs(f, by, ys, xs[i:i + step], False, *form)
+    base_col = _runs(f, by, ys, [bx], False, *form)[0]
+    if lattice:
+        # stay node-by-node; long hops lose the O(h^4) correction
+        row_val = _runs(f, bx, xs, ys[pj], True, *form)[np.arange(count), pi]
+    else:
+        # one-segment runs
+        row_val = 0.0 + _segment_integrals(f, bx, xs[pi], ys[pj], True, *form)
+    yfirst = base_value + base_col[pj] + row_val
+    defect = max([0.0, *np.abs(values[pi, pj] - yfirst).tolist()])
 
     if defect > NONEXACT_FACTOR * quad_eff:
         raise NonExactFormError(
@@ -482,6 +540,7 @@ def divergence_probe(f: GraphField, xs, y: float,
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size == 0 or np.any(np.diff(xs) >= 0.0):
         raise ValueError("xs must be strictly decreasing")
+    _check_tol(quad_tol)
     anchor = float(xs[0]) if anchor is None else float(anchor)
     if epsilon is None:
         j = f.jet2(anchor, y)
@@ -490,12 +549,8 @@ def divergence_probe(f: GraphField, xs, y: float,
     epsilon = _check_epsilon(epsilon)
     tau = f.default_tau_light() if tau is None else float(tau)
 
-    out = np.empty(xs.size)
-    acc, prev = 0.0, anchor
-    for k, xk in enumerate(xs):
-        acc += _axis_segment(f, float(y), prev, float(xk), True,
+    path = np.concatenate(([anchor], xs))
+    seg = _segment_integrals(f, path[:-1], path[1:], float(y), True,
                              DualDirection.TO_POTENTIAL, epsilon, tau,
                              quad_tol)
-        out[k] = abs(acc)
-        prev = float(xk)
-    return out
+    return np.abs(np.cumsum(np.concatenate(([0.0], seg)))[1:])

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from zmclab import cli
 from zmclab.cli import run
 from zmclab.gridio import obj_text, read_grid_csv
 from zmclab.errors import NonFiniteValueError
@@ -255,6 +256,23 @@ def test_param_flag_binds(tmp_path):
                 "--out", str(out)]) == 0
     grid = read_grid_csv(_read(out))
     assert float(np.max(np.abs(grid.values))) < 1e-12
+
+
+def test_reused_parser_keeps_no_state(tmp_path):
+    # run builds its parser once; a flag of one call must not reach the next
+    assert run(["residual", "--field", "y + a*x", "--param", "a=2",
+                "--domain", "0,1,0,1", "--res", "5,5",
+                "--out", str(tmp_path / "a.csv")]) == 0
+    out = tmp_path / "b.csv"
+    meta = tmp_path / "b.csv.meta.json"
+    argv = ["residual", "--field", "y + 2*x", "--domain", "0,1,0,1",
+            "--res", "5,5", "--out", str(out)]
+    assert run(argv) == 0
+    reused = (out.read_bytes(), meta.read_bytes())
+    assert "param" not in json.loads(reused[1])["config"]
+    cli.build_parser.cache_clear()
+    assert run(argv) == 0
+    assert (out.read_bytes(), meta.read_bytes()) == reused
 
 
 def test_grid_json_format(tmp_path):

@@ -1,6 +1,7 @@
 """Chaplygin states, dual one-forms, dualize, involution, divergence probe."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from zmclab import (
     DegenerateDenominatorError,
     DualDirection,
     FlowRegime,
+    GridField,
     NonExactFormError,
     Rect,
     SonicPointError,
@@ -22,6 +24,9 @@ from zmclab import (
     field_from_text,
     one_form_curl,
 )
+from zmclab import duality
+from zmclab.duality import dual_jet
+from zmclab.errors import QuadratureError, ZmcError
 from zmclab.geometry import minimal_residual_of_jet, zmc_residual_of_jet
 
 SQ = Rect(-1.0, 1.0, -1.0, 1.0)
@@ -307,3 +312,196 @@ def test_probe_requires_decreasing_xs():
     f = field_from_text("0.3*x + 0.4*y", SQ)
     with pytest.raises(ValueError):
         divergence_probe(f, [0.1, 0.2], y=0.0)
+
+
+# --------------------------------------------------------------------------
+# batched L-path quadrature against the per-segment scheme
+# --------------------------------------------------------------------------
+
+def _ref_simpson(g, a, b, tol):
+    """Per-segment composite Simpson, refined on fresh np.linspace nodes."""
+    if a == b:
+        return 0.0
+    n = 2
+    vals = g(np.linspace(a, b, n + 1))
+    prev = (b - a) / n / 3.0 * (vals[0] + 4.0 * vals[1] + vals[2])
+    while n <= 2 ** 18:
+        n *= 2
+        vals = g(np.linspace(a, b, n + 1))
+        cur = (b - a) / n / 3.0 * (vals[0] + vals[-1]
+                                   + 4.0 * np.sum(vals[1:-1:2])
+                                   + 2.0 * np.sum(vals[2:-1:2]))
+        if abs(cur - prev) < tol * max(1.0, abs(cur)):
+            return cur
+        prev = cur
+    raise AssertionError("reference Simpson stalled")
+
+
+def _ref_segment(f, fixed, a, b, along_x, direction, eps, tau, tol):
+    if a == b:
+        return 0.0
+
+    def at(ts):
+        fix = np.full_like(ts, fixed)
+        return (ts, fix) if along_x else (fix, ts)
+
+    if f.jet_mode == "exact":
+        return _ref_simpson(lambda ts: np.broadcast_to(dual_one_form(
+            f, *at(ts), direction, eps, tau)[0 if along_x else 1], ts.shape),
+            a, b, tol)
+    j0, j1 = (dual_jet(f.jet2(*(float(v) for v in at(np.array(t)))),
+                       direction, eps, tau) for t in (a, b))
+    g0, g1, d0, d1 = ((j0.gx, j1.gx, j0.hxx, j1.hxx) if along_x
+                      else (j0.gy, j1.gy, j0.hyy, j1.hyy))
+    h = b - a
+    return h * 0.5 * (g0 + g1) - h * h / 12.0 * (d1 - d0)
+
+
+def _ref_cumulative(f, fixed, start, stops, along_x, *args):
+    out = np.empty(stops.size)
+    right = int(np.searchsorted(stops, start))
+    for ks in (range(right, stops.size), range(right - 1, -1, -1)):
+        acc, prev = 0.0, start
+        for k in ks:
+            acc += _ref_segment(f, fixed, prev, float(stops[k]), along_x,
+                                *args)
+            out[k] = acc
+            prev = float(stops[k])
+    return out
+
+
+def _ref_dualize(f, n, base, bv, direction, eps, tol=1e-10):
+    """Node values and defect of dualize, one segment at a time."""
+    bx, by = base
+    xs, ys = f.domain.lattice(n, n)
+    args = (direction, eps, f.default_tau_light(), tol)
+    spine = _ref_cumulative(f, by, bx, xs, True, *args)
+    values = np.array([bv + spine[i] + _ref_cumulative(f, float(x), by, ys,
+                                                       False, *args)
+                       for i, x in enumerate(xs)])
+    base_col = _ref_cumulative(f, bx, by, ys, False, *args)
+    defect = 0.0
+    for p in np.random.default_rng(0).choice(n * n, size=20, replace=False):
+        i, j = divmod(int(p), n)
+        stops = xs if f.jet_mode == "lattice" else xs[i:i + 1]
+        row = _ref_cumulative(f, float(ys[j]), bx, stops, True, *args)
+        row_val = row[i] if f.jet_mode == "lattice" else row[0]
+        defect = max(defect, abs(values[i, j] - (bv + base_col[j] + row_val)))
+    return values, defect
+
+
+@pytest.mark.parametrize("n, base", [
+    (65, (1.25, 1.5)),                     # more segments than one block
+    (17, (1.2345, 1.6789)),                # base off the nodes
+    (17, (2.0 + 1e-12, 1.0 - 1e-12)),      # search index n along x, 0 along y
+])
+def test_batched_matches_per_segment_exact(n, base):
+    phi = field_from_text(HELICOID, ANNULUS_BOX)
+    out = dualize(phi, (n, n), base, 0.25, DualDirection.TO_STREAM, 1)
+    values, defect = _ref_dualize(phi, n, out.base, 0.25,
+                                  DualDirection.TO_STREAM, 1)
+    assert np.array_equal(out.field.grid.values, values)
+    assert out.defect == defect
+
+
+@pytest.mark.parametrize("n, base", [
+    (65, (1.25, 1.5)),                     # more segments than one jet call
+    (17, (1.0, 2.0)),                      # base in a corner
+])
+def test_batched_matches_per_segment_lattice(n, base):
+    f = GridField(field_from_text(CATENOID, ANNULUS_BOX).sample(n, n))
+    out = dualize(f, (n, n), base, 0.0, DualDirection.TO_POTENTIAL, 1)
+    values, defect = _ref_dualize(f, n, base, 0.0, DualDirection.TO_POTENTIAL,
+                                  1)
+    assert np.array_equal(out.field.grid.values, values)
+    assert out.defect == defect
+    # a dual field over lattice data is itself lattice-backed
+    back = dualize(out.field, (n, n), base, 0.0, DualDirection.TO_STREAM, 1)
+    values, defect = _ref_dualize(out.field, n, base, 0.0,
+                                  DualDirection.TO_STREAM, 1)
+    assert np.array_equal(back.field.grid.values, values)
+    assert back.defect == defect
+
+
+@pytest.mark.parametrize("text, base, eps, lattice", [
+    # B = -4x^2: the paths meet wrong-sign points before the sonic line
+    ("y + x^2", (-1.0, 0.0), 1, False),
+    ("y + x^2", (0.5, 0.5), 1, False),
+    ("0.5*x^2", (0.0, 0.0), -1, False),  # sonic at the base, first
+    ("x*y", (1.0, 1.0), -1, False),
+    ("0.6*x^2", (0.0, 0.0), -1, True),
+    ("0.6*x^2", (0.0, 0.0), 1, True),
+])
+def test_error_kind_follows_path_order(text, base, eps, lattice):
+    # the first failing segment in path order names the error, as when the
+    # segments are integrated one at a time
+    f = field_from_text(text, SQ)
+    if lattice:
+        f = GridField(f.sample(9, 9))
+    with pytest.raises(ZmcError) as ref:
+        _ref_dualize(f, 9, base, 0.0, DualDirection.TO_POTENTIAL, eps)
+    with pytest.raises(type(ref.value), match=str(ref.value)):
+        dualize(f, (9, 9), base, 0.0, DualDirection.TO_POTENTIAL, eps)
+
+
+def test_nested_simpson_deep_segments_bounded_memory():
+    # 1,024 segments that refine to 256 panels: one node table for all of
+    # them would hold 2 MB, and their jets 8 MB more per level
+    a = np.linspace(0.0, 3.0, 1025)[:-1]
+    b = a + 0.01
+    seen = []
+
+    def g(ts, segs):
+        seen.append(ts.size)
+        return np.sin(200.0 * ts + segs)
+
+    tracemalloc.start()
+    try:
+        got = duality.nested_simpson(g, a, b, 1e-13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 22
+    assert max(seen) <= duality.JET_POINTS
+    for s in range(0, a.size, 7):
+        ref = _ref_simpson(lambda ts: np.sin(200.0 * ts + s), a[s], b[s],
+                           1e-13)
+        assert got[s] == ref
+
+
+def test_nested_simpson_stall_names_segment():
+    def g(ts, segs):  # integrable singularity off every node: never settles
+        return 1.0 / np.sqrt(np.abs(ts - 1.0 / 3.0))
+
+    with pytest.raises(QuadratureError,
+                       match=r"stalled on the probe, \[0\.0, 1\.0\] "
+                             r"\(last delta .* vs tol 1\.0e-10\)"):
+        duality.nested_simpson(g, [0.0, 0.0], [0.0, 1.0], 1e-10,
+                               where=lambda s: "the probe")
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+def test_bad_quad_tol_rejected(tol):
+    f = field_from_text(HELICOID, ANNULUS_BOX)
+    with pytest.raises(ValueError, match="quad_tol"):
+        dualize(f, (9, 9), (1.5, 1.5), 0.0, DualDirection.TO_STREAM, 1,
+                quad_tol=tol)
+    with pytest.raises(ValueError, match="quad_tol"):
+        double_dual_check(f, (9, 9), 1, quad_tol=tol)
+    g = field_from_text("y + x^2", Rect(5e-4, 1.0, -1.0, 1.0))
+    with pytest.raises(ValueError, match="quad_tol"):
+        divergence_probe(g, [0.1, 0.01], y=0.0, anchor=0.5, quad_tol=tol)
+
+
+def test_dualize_batches_one_form_calls(monkeypatch):
+    calls = []
+    real = duality.dual_one_form
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(duality, "dual_one_form", counted)
+    phi = field_from_text(HELICOID, ANNULUS_BOX)
+    dualize(phi, (65, 65), (1.0, 1.0), 0.0, DualDirection.TO_STREAM, 1)
+    assert 0 < len(calls) < 100
