@@ -136,22 +136,34 @@ class PotentialField(GraphField):
     def _gjet(self, x):
         return expression_jet2(self.g_expr, x, 0.0)
 
-    def _integral(self, x: float) -> float:
-        got = self._cache.get(x)
-        if got is None:
+    def _integrals(self, xs: list) -> list:
+        """Integrals of 1/g' from x_ref to each abscissa; those not yet
+        cached are integrated together in one nested Simpson batch."""
+        todo = [x for x in dict.fromkeys(xs) if x not in self._cache]
+        if todo:
             def integrand(ts, _segs):
-                j = self._gjet(ts)
-                return np.broadcast_to(1.0 / j.gx, np.shape(ts))
-            got = nested_simpson(integrand, [self.x_ref], [x],
-                                 self.quad_tol)[0]
-            self._cache[x] = got
-        return got
+                return 1.0 / self._gjet(ts).gx
+            got = nested_simpson(integrand, [self.x_ref] * len(todo), todo,
+                                 self.quad_tol,
+                                 lambda s: f"the integral to x = {todo[s]}")
+            self._cache.update(zip(todo, got.tolist()))
+        return [self._cache[x] for x in xs]
 
     def _jet2(self, x, y) -> Jet2:
         j = self._gjet(x)
         gp, gpp = j.gx, j.hxx
-        return Jet2(y - self._integral(x), -1.0 / gp, 1.0,
+        return Jet2(y - self._integrals([x])[0], -1.0 / gp, 1.0,
                     gpp / (gp * gp), 0.0, 0.0)
+
+    def _jet2_grid(self, X, Y) -> Jet2:
+        X, Y = np.broadcast_arrays(X, Y)
+        xs, inverse = np.unique(X, return_inverse=True)
+        integral = np.array(self._integrals(xs.tolist()))[inverse]
+        j = self._gjet(X)
+        gp = j.gx
+        return Jet2(Y - integral.reshape(X.shape), -1.0 / gp,
+                    np.ones_like(gp), j.hxx / (gp * gp), np.zeros_like(gp),
+                    np.zeros_like(gp))
 
 
 def entire_graph_pair(g_text: str, params: dict | None = None,

@@ -239,45 +239,41 @@ def _cmd_residual(ns) -> dict:
     return {}
 
 
-def _cmd_curvature(ns) -> dict:
+def _lattice_jet(ns):
+    """The field, its lattice, and its jets at every node."""
     f = _field_of(ns)
-    nx, ny = ns.res
-    xs, ys = f.domain.lattice(nx, ny)
-    vals = np.empty((nx, ny))
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            if ns.kind == "mean":
-                vals[i, j] = geometry.mean_curvature(f, x, y,
-                                                     tau_light=ns.tol_light)
-            else:
-                vals[i, j] = geometry.gauss_curvature_euclid(f, x, y)
-    _grid_payload(ns, xs, ys, vals, {"kind": ns.kind})
+    X, Y = f.domain.meshgrid(*ns.res)
+    tau = f.default_tau_light() if ns.tol_light is None else ns.tol_light
+    return f, X, Y, f.jet2_grid(X, Y), tau
+
+
+def _cmd_curvature(ns) -> dict:
+    f, X, Y, j, tau = _lattice_jet(ns)
+    if ns.kind == "mean":
+        vals = geometry.mean_curvature_of_jet(j, tau, X, Y)
+    else:
+        vals = geometry.gauss_curvature_of_jet(j)
+    _grid_payload(ns, *f.domain.lattice(*ns.res), vals, {"kind": ns.kind})
     return {}
 
 
 def _cmd_fluid(ns) -> dict:
-    f = _field_of(ns)
-    nx, ny = ns.res
-    xs, ys = f.domain.lattice(nx, ny)
-    rows = ["x,y,epsilon,rho,u,v,c,p,regime"]
-    states = []
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            st = duality.chaplygin_state(f, x, y, p0=ns.p0,
-                                         tau_light=ns.tol_light)
-            states.append((x, y, st))
-            rows.append(",".join([
-                repr(float(x)), repr(float(y)), str(st.epsilon),
-                repr(st.rho), repr(st.velocity[0]), repr(st.velocity[1]),
-                repr(st.sound_speed), repr(st.pressure), st.regime.value]))
+    f, X, Y, j, tau = _lattice_jet(ns)
+    parts = duality.chaplygin_of_jet(j, ns.p0, tau, X, Y)
+    states = list(zip(X.ravel().tolist(), Y.ravel().tolist(),
+                      *(np.ravel(a).tolist() for a in parts)))
+    regime = {1: duality.FlowRegime.SUBSONIC.value,
+              -1: duality.FlowRegime.SUPERSONIC.value}
     if ns.format == "json":
         payload = gridio.dump_json({"schema": 1, "states": [
-            {"x": float(x), "y": float(y), "epsilon": st.epsilon,
-             "rho": st.rho, "u": st.velocity[0], "v": st.velocity[1],
-             "c": st.sound_speed, "p": st.pressure,
-             "regime": st.regime.value} for x, y, st in states]})
+            {"x": x, "y": y, "epsilon": eps, "rho": rho, "u": u, "v": v,
+             "c": c, "p": p, "regime": regime[eps]}
+            for x, y, eps, rho, u, v, c, p in states]})
     else:
-        payload = "\n".join(rows) + "\n"
+        payload = "".join(
+            ["x,y,epsilon,rho,u,v,c,p,regime\n"]
+            + [f"{x!r},{y!r},{eps},{rho!r},{u!r},{v!r},{c!r},{p!r},"
+               f"{regime[eps]}\n" for x, y, eps, rho, u, v, c, p in states])
     _emit(ns, payload, {"p0": ns.p0})
     return {}
 

@@ -32,6 +32,7 @@ from .errors import (
     ZmcError,
 )
 from .exprfield import GraphField, GridField, Jet2, Rect, SampledGrid
+from .geometry import b_of_jet, refuse_lightlike
 
 __all__ = [
     "ChaplyginState",
@@ -87,27 +88,28 @@ class ChaplyginState:
         return math.hypot(*self.velocity)
 
 
+def chaplygin_of_jet(j: Jet2, p0: float, tau_light: float, x, y):
+    """(epsilon, rho, u, v, c, p) elementwise from source jets at the points
+    (x, y): epsilon = sign(B), rho = sqrt(eps * B), (u, v) = (psi_y,
+    -psi_x)/rho, c = 1/rho, p = p0 - 1/rho.  Raises SonicPointError at the
+    first point where |B| is inside the light-like tolerance."""
+    b = b_of_jet(j)
+    refuse_lightlike(b, tau_light, x, y, SonicPointError,
+                     "flow state undefined at sonic point")
+    eps = np.where(b > 0, 1, -1)
+    rho = np.sqrt(eps * b)
+    return eps, rho, j.gy / rho, -j.gx / rho, 1.0 / rho, p0 - 1.0 / rho
+
+
 def chaplygin_state(f: GraphField, x: float, y: float, p0: float = 0.0,
                     tau_light: float | None = None) -> ChaplyginState:
-    """Reconstruct density, velocity, sound speed and pressure at a point.
-
-    epsilon = sign(B), rho = sqrt(eps * B), velocity = (psi_y, -psi_x)/rho,
-    c = 1/rho, p = p0 - 1/rho.  Raises SonicPointError where |B| is inside
-    the light-like tolerance (rho would vanish).
-    """
+    """Reconstruct density, velocity, sound speed and pressure at a point
+    (see chaplygin_of_jet)."""
     tau_light = f.default_tau_light() if tau_light is None else tau_light
-    j = f.jet2(x, y)
-    b = 1.0 - j.gx * j.gx - j.gy * j.gy
-    if abs(b) <= tau_light:
-        raise SonicPointError(f"flow state undefined at sonic point ({x}, {y})")
-    eps = 1 if b > 0 else -1
-    rho = math.sqrt(eps * b)
+    parts = chaplygin_of_jet(f.jet2(x, y), p0, tau_light, x, y)
+    eps, rho, u, v, c, p = (np.asarray(a).item() for a in parts)
     return ChaplyginState(
-        epsilon=eps,
-        rho=rho,
-        velocity=(j.gy / rho, -j.gx / rho),
-        sound_speed=1.0 / rho,
-        pressure=p0 - 1.0 / rho,
+        epsilon=eps, rho=rho, velocity=(u, v), sound_speed=c, pressure=p,
         p0=p0,
         regime=FlowRegime.SUBSONIC if eps > 0 else FlowRegime.SUPERSONIC,
     )

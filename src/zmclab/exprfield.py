@@ -1,11 +1,11 @@
 """Scalar fields on rectangles, queryable for exact two-jets.
 
-A field is either backed by a parsed expression, differentiated with
-forward-mode AD that carries (value, dx, dy, dxx, dxy, dyy) through every
-operator, or by a uniformly sampled grid differentiated with second-order
-finite-difference stencils (central in the interior, one-sided on the
-boundary).  Everything downstream (causal classification, PDE residuals,
-duality) consumes the same ``Jet2`` record.
+A field is either backed by a parsed expression, differentiated by one
+forward pass that carries a truncated Taylor jet (value, first partials,
+second partials) through every operator, or by a uniformly sampled grid
+differentiated with second-order finite-difference stencils (central in
+the interior, one-sided on the boundary).  Everything downstream (causal
+classification, PDE residuals, duality) consumes the same ``Jet2`` record.
 
 Expression grammar (EBNF)::
 
@@ -24,9 +24,10 @@ abs), a constant (``pi``, ``e``), or a bound parameter.  Precedence is
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -338,7 +339,8 @@ def to_text(expr: Expression) -> str:
 
 
 # --------------------------------------------------------------------------
-# forward-mode jets of order two
+# forward-mode jets: one pass of order 0, 1 or 2 serves value, gradient
+# and two-jet alike
 # --------------------------------------------------------------------------
 
 @dataclass
@@ -365,421 +367,235 @@ class Jet2:
         return ((self.hxx, self.hxy), (self.hxy, self.hyy))
 
 
-class _Jet:
-    """Internal forward-AD carrier: value and partials through order two."""
-
-    __slots__ = ("v", "dx", "dy", "dxx", "dxy", "dyy")
-
-    def __init__(self, v, dx=0.0, dy=0.0, dxx=0.0, dxy=0.0, dyy=0.0):
-        self.v, self.dx, self.dy = v, dx, dy
-        self.dxx, self.dxy, self.dyy = dxx, dxy, dyy
+def _jadd(a, b):
+    return [p + q for p, q in zip(a, b)]
 
 
-def _jadd(a: _Jet, b: _Jet) -> _Jet:
-    return _Jet(a.v + b.v, a.dx + b.dx, a.dy + b.dy,
-                a.dxx + b.dxx, a.dxy + b.dxy, a.dyy + b.dyy)
+def _jsub(a, b):
+    return [p - q for p, q in zip(a, b)]
 
 
-def _jsub(a: _Jet, b: _Jet) -> _Jet:
-    return _Jet(a.v - b.v, a.dx - b.dx, a.dy - b.dy,
-                a.dxx - b.dxx, a.dxy - b.dxy, a.dyy - b.dyy)
+def _jneg(a):
+    return [-p for p in a]
 
 
-def _jneg(a: _Jet) -> _Jet:
-    return _Jet(-a.v, -a.dx, -a.dy, -a.dxx, -a.dxy, -a.dyy)
+def _jmul(a, b, first, second):
+    av, bv = a[0], b[0]
+    return [av * bv, *[a[i] * bv + av * b[i] for i in first],
+            *[(a[k] * bv + 2.0 * a[i] * b[i] if i == j
+               else a[k] * bv + a[i] * b[j] + a[j] * b[i]) + av * b[k]
+              for k, i, j in second]]
 
 
-def _jmul(a: _Jet, b: _Jet) -> _Jet:
-    return _Jet(
-        a.v * b.v,
-        a.dx * b.v + a.v * b.dx,
-        a.dy * b.v + a.v * b.dy,
-        a.dxx * b.v + 2.0 * a.dx * b.dx + a.v * b.dxx,
-        a.dxy * b.v + a.dx * b.dy + a.dy * b.dx + a.v * b.dxy,
-        a.dyy * b.v + 2.0 * a.dy * b.dy + a.v * b.dyy,
-    )
+def _chain(u, f0, f1, f2, first, second):
+    """Unary composition f(u) given f, f', f'' at the value of u."""
+    return [f0, *[f1 * u[i] for i in first],
+            *[f2 * u[i] * u[j] + f1 * u[k] for k, i, j in second]]
 
 
-def _chain(u: _Jet, f0, f1, f2) -> _Jet:
-    """Unary composition f(u) given f, f', f'' at u.v."""
-    return _Jet(
-        f0,
-        f1 * u.dx,
-        f1 * u.dy,
-        f2 * u.dx * u.dx + f1 * u.dxx,
-        f2 * u.dx * u.dy + f1 * u.dxy,
-        f2 * u.dy * u.dy + f1 * u.dyy,
-    )
-
-
-def _chain2(a: _Jet, b: _Jet, f0, fa, fb, faa, fab, fbb) -> _Jet:
+def _chain2(a, b, f0, fa, fb, faa, fab, fbb, first, second):
     """Binary composition f(a, b) given all partials of f through order two."""
-    return _Jet(
-        f0,
-        fa * a.dx + fb * b.dx,
-        fa * a.dy + fb * b.dy,
-        faa * a.dx * a.dx + 2.0 * fab * a.dx * b.dx + fbb * b.dx * b.dx
-        + fa * a.dxx + fb * b.dxx,
-        faa * a.dx * a.dy + fab * (a.dx * b.dy + a.dy * b.dx)
-        + fbb * b.dx * b.dy + fa * a.dxy + fb * b.dxy,
-        faa * a.dy * a.dy + 2.0 * fab * a.dy * b.dy + fbb * b.dy * b.dy
-        + fa * a.dyy + fb * b.dyy,
-    )
+    return [f0, *[fa * a[i] + fb * b[i] for i in first],
+            *[faa * a[i] * a[j]
+              + (2.0 * fab * a[i] * b[i] if i == j
+                 else fab * (a[i] * b[j] + a[j] * b[i]))
+              + fbb * b[i] * b[j] + fa * a[k] + fb * b[k]
+              for k, i, j in second]]
 
 
-def _refuse(cond, message: str):
-    if np.any(cond):
-        raise NonDifferentiablePointError(message)
+@functools.cache
+def _layout(n: int, order: int):
+    """Where a jet over n variables keeps its partials: the indices of the
+    first partials (the value sits at 0), and (k, i, j) for the second
+    partial at k along the variables whose first partials sit at i <= j."""
+    first = range(1, n + 1) if order else range(0)
+    pairs = [(i, j) for i in first for j in first if i <= j]
+    return first, [(n + 1 + k, i, j) for k, (i, j) in enumerate(pairs)
+                   if order == 2]
 
 
-def _jrecip(b: _Jet) -> _Jet:
-    _refuse(b.v == 0.0, "division by zero")
-    inv = 1.0 / b.v
-    return _chain(b, inv, -inv * inv, 2.0 * inv * inv * inv)
-
-
-def _jdiv(a: _Jet, b: _Jet) -> _Jet:
-    return _jmul(a, _jrecip(b))
-
-
-def _jpow_int(base: _Jet, n: int) -> _Jet:
-    if n < 0:
-        return _jrecip(_jpow_int(base, -n))
-    acc = _Jet(np.ones_like(base.v * 1.0))
-    for _ in range(n):
-        acc = _jmul(acc, base)
-    return acc
-
-
-def _jpow(base: _Jet, expo: _Jet, expo_node) -> _Jet:
-    # integer literal exponents use repeated multiplication and keep
-    # negative bases valid; everything else needs a strictly positive base
-    if isinstance(expo_node, (Num, Param)) and float(expo_node.value).is_integer():
-        return _jpow_int(base, int(expo_node.value))
-    if isinstance(expo_node, Neg) and isinstance(expo_node.arg, (Num, Param)) \
-            and float(expo_node.arg.value).is_integer():
-        return _jpow_int(base, -int(expo_node.arg.value))
-    _refuse(base.v <= 0.0, "power with non-integer exponent needs positive base")
-    if isinstance(expo_node, (Num, Param, Const)) or (
-            isinstance(expo_node, Neg) and isinstance(expo_node.arg, (Num, Param, Const))):
-        p = expo.v
-        f0 = base.v ** p
-        return _chain(base, f0, p * base.v ** (p - 1.0),
-                      p * (p - 1.0) * base.v ** (p - 2.0))
-    return _jexp(_jmul(expo, _jlog(base)))
-
-
-def _jexp(u: _Jet) -> _Jet:
-    f0 = np.exp(u.v)
-    return _chain(u, f0, f0, f0)
-
-
-def _jlog(u: _Jet) -> _Jet:
-    _refuse(u.v <= 0.0, "log needs a positive argument")
-    inv = 1.0 / u.v
-    return _chain(u, np.log(u.v), inv, -inv * inv)
-
-
-def _jsqrt(u: _Jet) -> _Jet:
-    _refuse(u.v <= 0.0, "sqrt differentiable only for positive argument")
-    r = np.sqrt(u.v)
-    return _chain(u, r, 0.5 / r, -0.25 / (r * u.v))
-
-
-def _jatan2(a: _Jet, b: _Jet) -> _Jet:
-    r2 = a.v * a.v + b.v * b.v
-    _refuse(r2 == 0.0, "atan2 undefined at the origin")
-    f0 = np.arctan2(a.v, b.v)
-    fa = b.v / r2
-    fb = -a.v / r2
+def _atan2(a, b):
+    r2 = a * a + b * b
     r4 = r2 * r2
-    faa = -2.0 * a.v * b.v / r4
-    fab = (a.v * a.v - b.v * b.v) / r4
-    fbb = 2.0 * a.v * b.v / r4
-    return _chain2(a, b, f0, fa, fb, faa, fab, fbb)
+    return (np.arctan2(a, b), b / r2, -a / r2, -2.0 * a * b / r4,
+            (a * a - b * b) / r4, 2.0 * a * b / r4)
 
 
-def _jabs(u: _Jet) -> _Jet:
-    _refuse(u.v == 0.0, "abs not differentiable at zero")
-    s = np.sign(u.v)
-    return _chain(u, np.abs(u.v), s, 0.0)
+_POSITIVE = (lambda u: u <= 0.0, "log needs a positive argument")
 
-
-def _jsin(u):
-    s, c = np.sin(u.v), np.cos(u.v)
-    return _chain(u, s, c, -s)
-
-
-def _jcos(u):
-    s, c = np.sin(u.v), np.cos(u.v)
-    return _chain(u, c, -s, -c)
-
-
-def _jtan(u):
-    t = np.tan(u.v)
-    sec2 = 1.0 + t * t
-    return _chain(u, t, sec2, 2.0 * t * sec2)
-
-
-def _jsinh(u):
-    s, c = np.sinh(u.v), np.cosh(u.v)
-    return _chain(u, s, c, s)
-
-
-def _jcosh(u):
-    s, c = np.sinh(u.v), np.cosh(u.v)
-    return _chain(u, c, s, c)
-
-
-def _jtanh(u):
-    t = np.tanh(u.v)
-    d = 1.0 - t * t
-    return _chain(u, t, d, -2.0 * t * d)
-
-
-def _jatan(u):
-    d = 1.0 / (1.0 + u.v * u.v)
-    return _chain(u, np.arctan(u.v), d, -2.0 * u.v * d * d)
-
-
-def _jasinh(u):
-    q = 1.0 + u.v * u.v
-    r = np.sqrt(q)
-    return _chain(u, np.arcsinh(u.v), 1.0 / r, -u.v / (q * r))
-
-
-def _jacosh(u):
-    _refuse(u.v <= 1.0, "acosh differentiable only for argument > 1")
-    q = u.v * u.v - 1.0
-    r = np.sqrt(q)
-    return _chain(u, np.arccosh(u.v), 1.0 / r, -u.v / (q * r))
-
-
-_UNARY_JET = {
-    "sin": _jsin, "cos": _jcos, "tan": _jtan, "exp": _jexp, "log": _jlog,
-    "sqrt": _jsqrt, "sinh": _jsinh, "cosh": _jcosh, "tanh": _jtanh,
-    "atan": _jatan, "asinh": _jasinh, "acosh": _jacosh, "abs": _jabs,
+# name: (f and its partials through order two at the arguments, the rule
+# for the value, the rule for derivatives); a rule is (where undefined,
+# message), None where every argument is fine
+_FUNCTIONS = {
+    "sin": (lambda u: ((s := np.sin(u)), np.cos(u), -s), None, None),
+    "cos": (lambda u: ((c := np.cos(u)), -np.sin(u), -c), None, None),
+    "tan": (lambda u: ((t := np.tan(u)), (d := 1.0 + t * t), 2.0 * t * d),
+            None, None),
+    "exp": (lambda u: ((f := np.exp(u)), f, f), None, None),
+    "log": (lambda u: (np.log(u), (d := 1.0 / u), -d * d),
+            _POSITIVE, _POSITIVE),
+    "sqrt": (lambda u: ((r := np.sqrt(u)), 0.5 / r, -0.25 / (r * u)),
+             (lambda u: u < 0.0, "sqrt needs a nonnegative argument"),
+             (lambda u: u <= 0.0,
+              "sqrt differentiable only for positive argument")),
+    "sinh": (lambda u: ((s := np.sinh(u)), np.cosh(u), s), None, None),
+    "cosh": (lambda u: ((c := np.cosh(u)), np.sinh(u), c), None, None),
+    "tanh": (lambda u: ((t := np.tanh(u)), (d := 1.0 - t * t), -2.0 * t * d),
+             None, None),
+    "atan": (lambda u: (np.arctan(u), (d := 1.0 / (1.0 + u * u)),
+                        -2.0 * u * d * d), None, None),
+    "atan2": (_atan2, None, (lambda a, b: a * a + b * b == 0.0,
+                             "atan2 undefined at the origin")),
+    "asinh": (lambda u: (np.arcsinh(u), 1.0 / (r := np.sqrt(q := 1.0 + u * u)),
+                         -u / (q * r)), None, None),
+    "acosh": (lambda u: (np.arccosh(u), 1.0 / (r := np.sqrt(q := u * u - 1.0)),
+                         -u / (q * r)),
+              (lambda u: u < 1.0, "acosh needs argument >= 1"),
+              (lambda u: u <= 1.0,
+               "acosh differentiable only for argument > 1")),
+    "abs": (lambda u: (np.abs(u), np.sign(u), 0.0), None,
+            (lambda u: u == 0.0, "abs not differentiable at zero")),
 }
 
+_NON_FINITE = ("expression value is non-finite",
+               "gradient has non-finite components",
+               "jet has non-finite components")
 
-def _eval_jet(expr: Expression, x, y) -> _Jet:
-    if isinstance(expr, Num):
-        return _Jet(expr.value)
-    if isinstance(expr, (Const, Param)):
-        return _Jet(expr.value)
-    if isinstance(expr, Var):
-        if expr.name == "x":
-            return _Jet(x, 1.0, 0.0)
-        if expr.name == "y":
-            return _Jet(y, 0.0, 1.0)
-        raise NonDifferentiablePointError(
-            f"two-jet evaluation knows only x and y, not {expr.name!r}")
-    if isinstance(expr, Neg):
-        return _jneg(_eval_jet(expr.arg, x, y))
-    if isinstance(expr, BinOp):
-        a = _eval_jet(expr.lhs, x, y)
-        if expr.op == "^":
-            return _jpow(a, _eval_jet(expr.rhs, x, y), expr.rhs)
-        b = _eval_jet(expr.rhs, x, y)
-        if expr.op == "+":
-            return _jadd(a, b)
-        if expr.op == "-":
-            return _jsub(a, b)
-        if expr.op == "*":
-            return _jmul(a, b)
-        return _jdiv(a, b)
-    if isinstance(expr, Call):
-        if expr.func == "atan2":
-            return _jatan2(_eval_jet(expr.args[0], x, y),
-                           _eval_jet(expr.args[1], x, y))
-        return _UNARY_JET[expr.func](_eval_jet(expr.args[0], x, y))
-    raise TypeError(f"not an expression node: {expr!r}")
+
+def _literal(node):
+    """Value of a number, parameter or constant node, possibly negated;
+    None for any other node."""
+    sign = 1.0
+    if isinstance(node, Neg):
+        node, sign = node.arg, -1.0
+    return sign * node.value if isinstance(node, (Num, Param, Const)) else None
+
+
+class _Taylor:
+    """The truncated Taylor jet of order 0, 1 or 2 of an expression at the
+    point ``env`` (variable name -> number or array), in one pass: the
+    value, one first partial per variable, then the upper-triangle second
+    partials.  Components are floats at a single point and arrays of the
+    broadcast shape otherwise.  An undefined or non-finite component raises
+    NonDifferentiablePointError naming the rule and the first failing point
+    in row-major order.  (A class, not closures: a self-referencing closure
+    would keep the point's arrays alive until the cyclic collector runs.)"""
+
+    def __init__(self, env: Mapping, order: int):
+        self.order = order
+        self.names = tuple(env)
+        self.point = [np.asarray(env[name], dtype=float) + 0.0
+                      for name in self.names]
+        self.shape = np.broadcast_shapes(*(p.shape for p in self.point))
+        self.first, self.second = _layout(len(self.names), order)
+        self.zeros = [0.0] * (len(self.first) + len(self.second))
+        self.variables = {
+            name: [p, *[float(i == k) for i in self.first],
+                   *self.zeros[len(self.first):]]
+            for k, (name, p) in enumerate(zip(self.names, self.point), 1)}
+
+    def __call__(self, expr: Expression) -> list:
+        with np.errstate(all="ignore"):
+            comps = self.walk(expr)
+        out = np.empty((len(comps),) + self.shape)
+        for k, comp in enumerate(comps):
+            out[k] = comp
+        finite = np.isfinite(out)
+        if not finite.all():
+            self.refuse(~finite.all(axis=0), _NON_FINITE[self.order])
+        return list(out) if self.shape else out.tolist()
+
+    def refuse(self, bad, message):
+        if np.any(bad):
+            k = int(np.argmax(np.broadcast_to(bad, self.shape)))
+            coords = [repr(float(np.broadcast_to(p, self.shape).flat[k]))
+                      for p in self.point]
+            raise NonDifferentiablePointError(
+                f"{message} at ({', '.join(self.names)}) = "
+                f"({', '.join(coords)})")
+
+    def call(self, func, *args):
+        partials, value_rule, rule = _FUNCTIONS[func]
+        rule = rule if self.order else value_rule
+        at = [u[0] for u in args]
+        if rule is not None:
+            self.refuse(rule[0](*at), rule[1])
+        chain = _chain if len(args) == 1 else _chain2
+        return chain(*args, *partials(*at), self.first, self.second)
+
+    def recip(self, u, message):
+        self.refuse(u[0] == 0.0, message)
+        inv = 1.0 / u[0]
+        return _chain(u, inv, -inv * inv, 2.0 * inv * inv * inv,
+                      self.first, self.second)
+
+    def power(self, a, b, expo):
+        # integer exponents multiply out and take any base; every other
+        # exponent needs a positive one
+        p = _literal(expo)
+        if p is not None and p.is_integer():
+            acc = [np.float64(1.0), *self.zeros]
+            for _ in range(abs(int(p))):
+                acc = _jmul(acc, a, self.first, self.second)
+            return acc if p >= 0 else self.recip(acc, "negative power of zero")
+        self.refuse(a[0] <= 0.0,
+                    "power with non-integer exponent needs positive base")
+        if p is None:
+            # derivatives through exp(b log a), the value from pow itself
+            jet = self.call("exp", _jmul(b, self.call("log", a), self.first,
+                                         self.second))
+            return [a[0] ** b[0], *jet[1:]]
+        p = b[0]
+        return _chain(a, a[0] ** p, p * a[0] ** (p - 1.0),
+                      p * (p - 1.0) * a[0] ** (p - 2.0),
+                      self.first, self.second)
+
+    def walk(self, e):
+        if isinstance(e, Var):
+            if e.name not in self.variables:
+                raise NonDifferentiablePointError(
+                    f"no value for variable {e.name!r}")
+            return self.variables[e.name]
+        if isinstance(e, (Num, Const, Param)):
+            return [np.float64(e.value), *self.zeros]  # no float exceptions
+        if isinstance(e, Neg):
+            return _jneg(self.walk(e.arg))
+        if isinstance(e, Call):
+            return self.call(e.func, *map(self.walk, e.args))
+        if isinstance(e, BinOp):
+            a, b = self.walk(e.lhs), self.walk(e.rhs)
+            if e.op == "+":
+                return _jadd(a, b)
+            if e.op == "-":
+                return _jsub(a, b)
+            if e.op == "*":
+                return _jmul(a, b, self.first, self.second)
+            if e.op == "/":
+                return _jmul(a, self.recip(b, "division by zero"),
+                             self.first, self.second)
+            return self.power(a, b, e.rhs)
+        raise TypeError(f"not an expression node: {e!r}")
 
 
 def expression_jet2(expr: Expression, x, y) -> Jet2:
-    """Evaluate the exact two-jet of an expression at a point or on arrays.
+    """The exact two-jet of an expression at a point or on arrays.
 
     Any NaN or infinity in any component raises NonDifferentiablePointError
     instead of propagating into downstream classification.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    scalar = x.ndim == 0 and y.ndim == 0
-    with np.errstate(all="ignore"):
-        j = _eval_jet(expr, x + 0.0, y + 0.0)
-    shape = np.broadcast_shapes(x.shape, y.shape)
-    comps = []
-    for comp in (j.v, j.dx, j.dy, j.dxx, j.dxy, j.dyy):
-        arr = np.broadcast_to(np.asarray(comp, dtype=float), shape)
-        if not np.all(np.isfinite(arr)):
-            raise NonDifferentiablePointError("jet has non-finite components")
-        comps.append(float(arr) if scalar else np.array(arr))
-    return Jet2(*comps)
+    return Jet2(*_Taylor({"x": x, "y": y}, 2)(expr))
 
-
-# --------------------------------------------------------------------------
-# value-only and first-order evaluation over arbitrary variable sets
-# (used by implicit validators and parametrized surfaces)
-# --------------------------------------------------------------------------
 
 def evaluate(expr: Expression, env: Mapping[str, float]):
     """Plain value of an expression; env maps variable names to numbers or
     arrays.  Raises NonDifferentiablePointError on undefined points."""
-    v = _eval_value(expr, env)
-    if not np.all(np.isfinite(v)):
-        raise NonDifferentiablePointError("expression value is non-finite")
-    return v
-
-
-def _eval_value(expr, env):
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, (Const, Param)):
-        return expr.value
-    if isinstance(expr, Var):
-        return np.asarray(env[expr.name], dtype=float)
-    if isinstance(expr, Neg):
-        return -_eval_value(expr.arg, env)
-    if isinstance(expr, BinOp):
-        a = _eval_value(expr.lhs, env)
-        b = _eval_value(expr.rhs, env)
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b
-        if expr.op == "*":
-            return a * b
-        if expr.op == "/":
-            _refuse(np.asarray(b) == 0.0, "division by zero")
-            return a / b
-        if isinstance(expr.rhs, (Num, Param)) and float(expr.rhs.value).is_integer():
-            return a ** int(expr.rhs.value)
-        _refuse(np.asarray(a) <= 0.0, "power needs positive base")
-        return a ** b
-    if isinstance(expr, Call):
-        args = [_eval_value(arg, env) for arg in expr.args]
-        return _VALUE_FN[expr.func](*args)
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
-def _checked(fn, bad, message):
-    def wrapped(u):
-        _refuse(bad(np.asarray(u)), message)
-        return fn(u)
-    return wrapped
-
-
-_VALUE_FN: dict[str, Callable] = {
-    "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
-    "log": _checked(np.log, lambda u: u <= 0.0, "log needs a positive argument"),
-    "sqrt": _checked(np.sqrt, lambda u: u < 0.0, "sqrt needs a nonnegative argument"),
-    "sinh": np.sinh, "cosh": np.cosh, "tanh": np.tanh,
-    "atan": np.arctan, "atan2": np.arctan2,
-    "asinh": np.arcsinh,
-    "acosh": _checked(np.arccosh, lambda u: u < 1.0, "acosh needs argument >= 1"),
-    "abs": np.abs,
-}
+    return _Taylor(env, 0)(expr)[0]
 
 
 def gradient(expr: Expression, env: Mapping[str, float]):
     """Value and first partials of an expression w.r.t. every env variable."""
-    names = tuple(env.keys())
-    v, g = _eval_grad(expr, names, env)
-    if not np.all(np.isfinite(v)) or any(not np.all(np.isfinite(p)) for p in g):
-        raise NonDifferentiablePointError("gradient has non-finite components")
-    return v, dict(zip(names, g))
-
-
-def _grad_chain(v, g, f0, f1):
-    return f0, tuple(f1 * p for p in g)
-
-
-def _eval_grad(expr, names, env):
-    zero = tuple(0.0 for _ in names)
-    if isinstance(expr, Num):
-        return expr.value, zero
-    if isinstance(expr, (Const, Param)):
-        return expr.value, zero
-    if isinstance(expr, Var):
-        v = np.asarray(env[expr.name], dtype=float)
-        return v, tuple(1.0 if n == expr.name else 0.0 for n in names)
-    if isinstance(expr, Neg):
-        v, g = _eval_grad(expr.arg, names, env)
-        return -v, tuple(-p for p in g)
-    if isinstance(expr, BinOp):
-        av, ag = _eval_grad(expr.lhs, names, env)
-        bv, bg = _eval_grad(expr.rhs, names, env)
-        if expr.op == "+":
-            return av + bv, tuple(p + q for p, q in zip(ag, bg))
-        if expr.op == "-":
-            return av - bv, tuple(p - q for p, q in zip(ag, bg))
-        if expr.op == "*":
-            return av * bv, tuple(p * bv + av * q for p, q in zip(ag, bg))
-        if expr.op == "/":
-            _refuse(np.asarray(bv) == 0.0, "division by zero")
-            return av / bv, tuple((p * bv - av * q) / (bv * bv)
-                                  for p, q in zip(ag, bg))
-        if isinstance(expr.rhs, (Num, Param)) and float(expr.rhs.value).is_integer():
-            n = int(expr.rhs.value)
-            if n < 1:
-                _refuse(np.asarray(av) == 0.0,
-                        "power derivative undefined at zero base")
-            v = av ** n
-            return v, tuple(n * av ** (n - 1) * p for p in ag)
-        _refuse(np.asarray(av) <= 0.0, "power needs positive base")
-        v = av ** bv
-        lg = np.log(av)
-        return v, tuple(v * (q * lg + bv * p / av) for p, q in zip(ag, bg))
-    if isinstance(expr, Call):
-        if expr.func == "atan2":
-            av, ag = _eval_grad(expr.args[0], names, env)
-            bv, bg = _eval_grad(expr.args[1], names, env)
-            r2 = av * av + bv * bv
-            _refuse(np.asarray(r2) == 0.0, "atan2 undefined at the origin")
-            v = np.arctan2(av, bv)
-            return v, tuple((bv * p - av * q) / r2 for p, q in zip(ag, bg))
-        uv, ug = _eval_grad(expr.args[0], names, env)
-        f0, f1 = _GRAD_FN[expr.func](uv)
-        return f0, tuple(f1 * p for p in ug)
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
-def _g_log(u):
-    _refuse(np.asarray(u) <= 0.0, "log needs a positive argument")
-    return np.log(u), 1.0 / u
-
-
-def _g_sqrt(u):
-    _refuse(np.asarray(u) <= 0.0, "sqrt differentiable only for positive argument")
-    r = np.sqrt(u)
-    return r, 0.5 / r
-
-
-def _g_acosh(u):
-    _refuse(np.asarray(u) <= 1.0, "acosh differentiable only for argument > 1")
-    return np.arccosh(u), 1.0 / np.sqrt(u * u - 1.0)
-
-
-def _g_abs(u):
-    _refuse(np.asarray(u) == 0.0, "abs not differentiable at zero")
-    return np.abs(u), np.sign(u)
-
-
-_GRAD_FN = {
-    "sin": lambda u: (np.sin(u), np.cos(u)),
-    "cos": lambda u: (np.cos(u), -np.sin(u)),
-    "tan": lambda u: (np.tan(u), 1.0 + np.tan(u) ** 2),
-    "exp": lambda u: (np.exp(u), np.exp(u)),
-    "log": _g_log,
-    "sqrt": _g_sqrt,
-    "sinh": lambda u: (np.sinh(u), np.cosh(u)),
-    "cosh": lambda u: (np.cosh(u), np.sinh(u)),
-    "tanh": lambda u: (np.tanh(u), 1.0 - np.tanh(u) ** 2),
-    "atan": lambda u: (np.arctan(u), 1.0 / (1.0 + u * u)),
-    "asinh": lambda u: (np.arcsinh(u), 1.0 / np.sqrt(1.0 + u * u)),
-    "acosh": _g_acosh,
-    "abs": _g_abs,
-}
+    value, *partials = _Taylor(env, 1)(expr)
+    return value, dict(zip(env, partials))
 
 
 # --------------------------------------------------------------------------
@@ -919,7 +735,7 @@ class GraphField:
         self.domain = domain
         self.name = name
 
-    # subclasses implement the unchecked jet
+    # subclasses implement the unchecked point and lattice jets
     def _jet2(self, x, y) -> Jet2:
         raise NotImplementedError
 
@@ -941,15 +757,7 @@ class GraphField:
         return self._jet2_grid(X, Y)
 
     def _jet2_grid(self, X, Y) -> Jet2:
-        shape = np.broadcast_shapes(X.shape, Y.shape)
-        comps = [np.empty(shape) for _ in range(6)]
-        Xb = np.broadcast_to(X, shape)
-        Yb = np.broadcast_to(Y, shape)
-        for idx in np.ndindex(shape):
-            j = self._jet2(float(Xb[idx]), float(Yb[idx]))
-            for c, val in zip(comps, (j.value, j.gx, j.gy, j.hxx, j.hxy, j.hyy)):
-                c[idx] = val
-        return Jet2(*comps)
+        raise NotImplementedError
 
     def value(self, x: float, y: float) -> float:
         return self.jet2(x, y).value

@@ -136,6 +136,36 @@ def minimal_residual_of_jet(j: Jet2):
             + (1.0 + j.gx * j.gx) * j.hyy)
 
 
+def _pow(base, p):
+    """base ** p by the C library's pow, as Python floats compute it: numpy's
+    vectorized power differs in the last bit, and lattice curvatures are to
+    match point ones exactly."""
+    return np.asarray(np.frompyfunc(pow, 2, 1)(base, p), dtype=float)
+
+
+def refuse_lightlike(b, tau_light: float, x, y, error, message: str):
+    """Raise ``error`` naming the first point, in row-major order, where
+    |B| is at or below tau_light."""
+    bad = np.abs(b) <= tau_light
+    if np.any(bad):
+        k = np.unravel_index(np.argmax(bad), np.shape(bad))
+        raise error(f"{message} ({np.asarray(x)[k]}, {np.asarray(y)[k]})")
+
+
+def mean_curvature_of_jet(j: Jet2, tau_light: float, x, y):
+    """H = zmc_residual / (2 |B|^(3/2)); raises LightLikePointError at the
+    first of the points (x, y) where |B| <= tau_light."""
+    b = b_of_jet(j)
+    refuse_lightlike(b, tau_light, x, y, LightLikePointError,
+                     "mean curvature undefined at light-like point")
+    return zmc_residual_of_jet(j) / (2.0 * _pow(abs(b), 1.5))
+
+
+def gauss_curvature_of_jet(j: Jet2):
+    det = j.hxx * j.hyy - j.hxy * j.hxy
+    return det / _pow(1.0 + j.gx * j.gx + j.gy * j.gy, 2)
+
+
 # --------------------------------------------------------------------------
 # pointwise operations
 # --------------------------------------------------------------------------
@@ -222,19 +252,12 @@ def mean_curvature(f: GraphField, x: float, y: float,
     |B| is at or below the light-like tolerance.
     """
     tau_light = f.default_tau_light() if tau_light is None else tau_light
-    j = f.jet2(x, y)
-    b = b_of_jet(j)
-    if abs(b) <= tau_light:
-        raise LightLikePointError(
-            f"mean curvature undefined at light-like point ({x}, {y})")
-    return zmc_residual_of_jet(j) / (2.0 * abs(b) ** 1.5)
+    return float(mean_curvature_of_jet(f.jet2(x, y), tau_light, x, y))
 
 
 def gauss_curvature_euclid(f: GraphField, x: float, y: float) -> float:
     """Gauss curvature of the graph w.r.t. the Euclidean metric of R^3."""
-    j = f.jet2(x, y)
-    det = j.hxx * j.hyy - j.hxy * j.hxy
-    return det / (1.0 + j.gx * j.gx + j.gy * j.gy) ** 2
+    return float(gauss_curvature_of_jet(f.jet2(x, y)))
 
 
 def lightlike_identity_check(f: GraphField, nx: int = 101,

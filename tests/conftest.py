@@ -57,8 +57,8 @@ SECOND_ORDER_RTOL = 1e-4
 def cross_check_field(text, params, domain, n=41):
     """AD jets vs central finite differences of plain field values on the
     interior of an n-by-n lattice.  Returns the worst scaled mismatch per
-    derivative order; the value evaluation is independent of the AD
-    derivative path."""
+    derivative order.  Values and derivatives come from one Taylor pass, so
+    this tests each operator's derivative formulas against its values."""
     f = field_from_text(text, domain, params)
     xs, ys = domain.lattice(n, n)
     X, Y = np.meshgrid(xs[1:-1], ys[1:-1], indexing="ij")

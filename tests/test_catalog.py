@@ -106,6 +106,25 @@ def test_potential_field_jets_are_closed_form():
     assert j.hxy == 0.0 and j.hyy == 0.0
 
 
+def test_potential_lattice_jets_equal_point_jets(monkeypatch):
+    dom = Rect(-1, 1, -1, 1)
+    X, Y = dom.meshgrid(9, 7)
+    _, phi = entire_graph_pair("sin(x) + 2*x", phi_domain=dom)
+
+    def no_point_jets(*args):
+        raise AssertionError("lattice jets must not fall back to points")
+    monkeypatch.setattr(type(phi), "_jet2", no_point_jets)
+    j = phi.jet2_grid(X, Y)
+    monkeypatch.undo()
+    _, fresh = entire_graph_pair("sin(x) + 2*x", phi_domain=dom)
+    for idx in np.ndindex(X.shape):
+        p = fresh.jet2(X[idx], Y[idx])
+        assert (p.value, p.gx, p.gy, p.hxx, p.hxy, p.hyy) == tuple(
+            float(c[idx]) for c in (j.value, j.gx, j.gy, j.hxx, j.hxy, j.hyy))
+    # the batch filled the cache that point queries then read
+    assert phi.jet2(X[3, 2], Y[3, 2]).value == float(j.value[3, 2])
+
+
 # --------------------------------------------------------------------------
 # null cylinder
 # --------------------------------------------------------------------------

@@ -112,6 +112,52 @@ def test_fluid_sonic_exit_code(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("verb, error, message", [
+    (["curvature", "--kind", "mean"], "light-like-point",
+     "mean curvature undefined at light-like point (0.0, -1.0)"),
+    (["fluid"], "sonic-point",
+     "flow state undefined at sonic point (0.0, -1.0)"),
+])
+def test_lightlike_node_named_in_row_major_order(tmp_path, capsys, verb,
+                                                 error, message):
+    # B = -4x^2 vanishes on the column x = 0; its first node is at y = -1
+    assert run([*verb, "--field", "y + x^2", "--domain=-1,1,-1,1",
+                "--res", "9,9", "--out", str(tmp_path / "o.csv")]) == 1
+    doc = json.loads(capsys.readouterr().err)
+    assert (doc["error"], doc["message"]) == (error, message)
+
+
+def test_curvature_and_fluid_match_point_queries(tmp_path):
+    # the verbs take one lattice jet; every node matches the point-query
+    # functions bit for bit, in the rows the per-point verbs wrote
+    from zmclab import Rect, field_from_text
+    from zmclab.duality import chaplygin_state
+    from zmclab.geometry import gauss_curvature_euclid, mean_curvature
+    text = "-asinh(sqrt(x^2 + y^2))"
+    f = field_from_text(text, Rect(1, 2, 1, 2))
+    xs, ys = f.domain.lattice(9, 7)
+    for kind, point in (("mean", mean_curvature),
+                        ("gauss", gauss_curvature_euclid)):
+        out = tmp_path / f"{kind}.csv"
+        assert run(["curvature", f"--field={text}", "--kind", kind,
+                    "--domain", "1,2,1,2", "--res", "9,7",
+                    "--out", str(out)]) == 0
+        got = read_grid_csv(_read(out)).values
+        assert np.array_equal(got, [[point(f, x, y) for y in ys] for x in xs])
+    out = tmp_path / "fluid.csv"
+    assert run(["fluid", f"--field={text}", "--p0", "0.5", "--domain",
+                "1,2,1,2", "--res", "9,7", "--out", str(out)]) == 0
+    rows = []
+    for x in xs:
+        for y in ys:
+            st = chaplygin_state(f, x, y, p0=0.5)
+            rows.append(",".join([
+                repr(float(x)), repr(float(y)), str(st.epsilon),
+                repr(st.rho), repr(st.velocity[0]), repr(st.velocity[1]),
+                repr(st.sound_speed), repr(st.pressure), st.regime.value]))
+    assert _read(out).splitlines()[1:] == rows
+
+
 # --------------------------------------------------------------------------
 # dualize / solve / export
 # --------------------------------------------------------------------------

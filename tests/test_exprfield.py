@@ -26,6 +26,7 @@ from zmclab.exprfield import (
     SampledGrid,
     Var,
     evaluate,
+    expression_jet2,
     gradient,
 )
 
@@ -195,6 +196,15 @@ def test_integer_power_allows_negative_base():
     j = g.jet2(2.0, 0.0)
     assert j.value == pytest.approx(0.25)
     assert j.gx == pytest.approx(-2.0 * 2.0 ** -3)
+    # value, gradient and jet agree on negative bases and on x^0 at zero
+    for text, x, value, slope in [("x^-2", -1.0, 1.0, 2.0),
+                                  ("x^(-3)", -1.0, -1.0, -3.0),
+                                  ("x^0", 0.0, 1.0, 0.0)]:
+        expr, env = parse(text), {"x": x, "y": 0.5}
+        j = field_from_text(text, Rect(-2, 2, -1, 1)).jet2(x, 0.5)
+        v, g = gradient(expr, env)
+        assert evaluate(expr, env) == v == j.value == value
+        assert g["x"] == j.gx == slope
 
 
 def test_noninteger_power_needs_positive_base():
@@ -228,6 +238,58 @@ def test_sampled_grid_validation():
     with pytest.raises(ValueError):
         SampledGrid(np.array([0.0, 0.3, 1.0]), np.array([0.0, 0.5, 1.0]),
                     np.zeros((3, 3)))
+
+
+def test_undefined_points_are_named():
+    from zmclab.geometry import classify_grid
+    f = field_from_text("atan2(y, x)", Rect(-1, 1, -1, 1))
+    with pytest.raises(NonDifferentiablePointError,
+                       match=r"^atan2 undefined at the origin at "
+                             r"\(x, y\) = \(0\.0, 0\.0\)$"):
+        classify_grid(f, *f.domain.meshgrid(5, 5))
+    # the first failing point in row-major order, for every entry point
+    expr = parse("log(x)")
+    xs = np.array([[1.0, -2.0], [0.0, 3.0]])
+    for query in (evaluate, gradient):
+        with pytest.raises(NonDifferentiablePointError,
+                           match=r"^log needs a positive argument at "
+                                 r"\(x, y\) = \(-2\.0, 0\.5\)$"):
+            query(expr, {"x": xs, "y": 0.5})
+    with pytest.raises(NonDifferentiablePointError,
+                       match=r"^jet has non-finite components at "
+                             r"\(x, y\) = \(40\.0, 0\.0\)$"):
+        field_from_text("exp(x^2)", Rect(-40, 40, -1, 1)).jet2(40.0, 0.0)
+    # sqrt and abs: defined values, undefined derivatives
+    assert evaluate(parse("sqrt(x) + abs(y)"), {"x": 0.0, "y": 0.0}) == 0.0
+    with pytest.raises(NonDifferentiablePointError, match="^sqrt"):
+        gradient(parse("sqrt(x)"), {"x": 0.0})
+    assert evaluate(parse("atan2(y, x)"), {"x": 0.0, "y": 0.0}) == 0.0
+
+
+_POINT = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+
+
+@given(st.recursive(_leaf, _node, max_leaves=12), _POINT, _POINT)
+@settings(max_examples=150, deadline=None)
+def test_value_gradient_and_jet_agree(tree, x, y):
+    env = {"x": x, "y": y}
+    outcomes = []
+    for query in (lambda: evaluate(tree, env), lambda: gradient(tree, env),
+                  lambda: expression_jet2(tree, x, y)):
+        try:
+            outcomes.append(query())
+        except NonDifferentiablePointError:
+            outcomes.append(None)
+    value, grad, jet = outcomes
+    if jet is not None:
+        assert value is not None and grad is not None
+    if value is None:
+        assert grad is None and jet is None
+    if grad is not None:
+        assert grad[0] == value
+        if jet is not None:
+            assert (jet.value, jet.gx, jet.gy) == (value, grad[1]["x"],
+                                                   grad[1]["y"])
 
 
 def test_gradient_multivar():
