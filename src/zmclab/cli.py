@@ -323,19 +323,32 @@ def _cmd_dualize(ns) -> dict:
     return {}
 
 
+def _is_list_of(value, count: int, kinds) -> bool:
+    return isinstance(value, list) and len(value) == count and all(
+        isinstance(v, kinds) and not isinstance(v, bool) for v in value)
+
+
 def _problem_from_file(path: Path) -> DirichletProblem:
+    """Read a problem JSON file.  ``tolerances.linear`` is accepted and
+    ignored: every Newton step is a direct solve."""
     doc = json.loads(Path(path).read_text())
-    domain = Rect(*doc["domain"])
+    tol = doc.get("tolerances", {}) if isinstance(doc, dict) else None
+    if not (isinstance(tol, dict)
+            and _is_list_of(doc["resolution"], 2, int)
+            and _is_list_of(doc["domain"], 4, (int, float))
+            and _is_list_of([tol.get("newton", solver.NEWTON_TOL)], 1,
+                            (int, float))):
+        raise ValueError("a problem file is a JSON object with 'resolution' "
+                         "two integers, 'domain' four numbers and "
+                         "'tolerances' an object with a numeric 'newton'")
     nx, ny = doc["resolution"]
-    tol = doc.get("tolerances", {})
     return DirichletProblem(
         equation=EquationKind(doc["equation"]),
-        domain=domain, nx=nx, ny=ny,
+        domain=Rect(*doc["domain"]), nx=nx, ny=ny,
         boundary=doc["boundary"],
         params=doc.get("params", {}),
         initial_guess=doc.get("initial_guess", "harmonic"),
         newton_tol=tol.get("newton", solver.NEWTON_TOL),
-        linear_rtol=tol.get("linear", solver.LINEAR_RTOL),
     )
 
 

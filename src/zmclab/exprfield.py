@@ -530,13 +530,17 @@ class _Taylor:
                       self.first, self.second)
 
     def power(self, a, b, expo):
-        # integer exponents multiply out and take any base; every other
-        # exponent needs a positive one
+        # integer exponents multiply out (left-to-right square-and-multiply
+        # over the bits of |p|) and take any base; every other exponent
+        # needs a positive one
         p = _literal(expo)
         if p is not None and p.is_integer():
             acc = [np.float64(1.0), *self.zeros]
-            for _ in range(abs(int(p))):
-                acc = _jmul(acc, a, self.first, self.second)
+            for k, bit in enumerate(bin(abs(int(p)))[2:]):
+                if k:
+                    acc = _jmul(acc, acc, self.first, self.second)
+                if bit == "1":
+                    acc = _jmul(acc, a, self.first, self.second)
             return acc if p >= 0 else self.recip(acc, "negative power of zero")
         self.refuse(a[0] <= 0.0,
                     "power with non-integer exponent needs positive base")

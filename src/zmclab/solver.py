@@ -8,8 +8,10 @@ with s = +1 for the minimal-surface equation and s = -1 for the maximal
 (space-like ZMC) equation.  Discretization is second-order central
 differences on a uniform rectangle, with the four-diagonal cross stencil
 for the mixed derivative.  Newton iterations use the analytic Jacobian of
-the stencil, a halving line search on the residual sup-norm, and ILU-
-preconditioned GMRES inner solves.  The maximal equation is elliptic only
+the stencil, a halving line search on the residual sup-norm, and one
+direct sparse LU solve per step.  The harmonic initial guess is one s = 0
+step through the same Jacobian: there the stencil is the linear 5-point
+Laplacian, so the step is exact.  The maximal equation is elliptic only
 while the interior stays space-like; iterates that lose B > 0 abort with
 CausalTypeViolationError.  The time-like equation is hyperbolic where
 |grad| > 1, so Dirichlet problems for it are ill-posed and not offered.
@@ -31,7 +33,7 @@ from .errors import (
     MaxIterationsError,
     SolverError,
 )
-from .exprfield import GridField, Rect, SampledGrid, parse
+from .exprfield import GridField, Rect, SampledGrid, evaluate, parse
 
 __all__ = [
     "DirichletProblem",
@@ -45,7 +47,6 @@ __all__ = [
 NEWTON_TOL = 1e-10
 MAX_NEWTON = 50
 MAX_HALVINGS = 30
-LINEAR_RTOL = 1e-10
 MIN_INTERIOR_B = 1e-8
 
 
@@ -81,7 +82,6 @@ class DirichletProblem:
     newton_tol: float = NEWTON_TOL
     max_newton: int = MAX_NEWTON
     max_halvings: int = MAX_HALVINGS
-    linear_rtol: float = LINEAR_RTOL
     min_b: float = MIN_INTERIOR_B
 
     def __post_init__(self):
@@ -91,6 +91,8 @@ class DirichletProblem:
             raise ValueError("Dirichlet lattice needs nx, ny >= 5")
         if self.initial_guess not in ("harmonic", "flat"):
             raise ValueError("initial_guess must be 'harmonic' or 'flat'")
+        if not (np.isfinite(self.newton_tol) and self.newton_tol > 0):
+            raise ValueError("newton_tol must be finite and greater than 0")
 
     def lattice(self):
         return self.domain.lattice(self.nx, self.ny)
@@ -151,7 +153,10 @@ def discrete_residual(values: np.ndarray, equation: EquationKind,
         raise ValueError("discrete residual needs a lattice of at least 5x5")
     if isinstance(equation, str):
         equation = EquationKind(equation)
-    s = equation.sigma
+    return _residual(values, equation.sigma, hx, hy)
+
+
+def _residual(values: np.ndarray, s: float, hx: float, hy: float):
     px, py, pxx, pyy, pxy = _interior_derivatives(values, hx, hy)
     return ((1.0 + s * py * py) * pxx
             - 2.0 * s * px * py * pxy
@@ -164,10 +169,9 @@ def interior_b(values: np.ndarray, hx: float, hy: float) -> np.ndarray:
     return 1.0 - px * px - py * py
 
 
-def _jacobian(values: np.ndarray, equation: EquationKind,
-              hx: float, hy: float) -> sp.csr_matrix:
+def _jacobian(values: np.ndarray, s: float,
+              hx: float, hy: float) -> sp.csc_matrix:
     """Analytic Jacobian of the stencil residual w.r.t. interior unknowns."""
-    s = equation.sigma
     nx, ny = values.shape
     mx, my = nx - 2, ny - 2
     px, py, pxx, pyy, pxy = _interior_derivatives(values, hx, hy)
@@ -195,28 +199,19 @@ def _jacobian(values: np.ndarray, equation: EquationKind,
         rows.append(row_id[keep])
         cols.append((ni * my + nj)[keep])
         vals.append(np.broadcast_to(cof, row_id.shape)[keep])
-    return sp.csr_matrix(
+    return sp.csc_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(mx * my, mx * my))
 
 
-def _iterative_solve(A: sp.csr_matrix, b: np.ndarray, rtol: float) -> np.ndarray:
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros_like(b)
+def _direct_solve(A, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b by sparse LU (SuperLU, COLAMD column ordering)."""
     try:
-        ilu = spla.spilu(sp.csc_matrix(A), drop_tol=1e-6, fill_factor=20.0)
+        x = spla.splu(sp.csc_matrix(A)).solve(b)
     except RuntimeError as exc:
-        raise LinearSolveError(f"ILU factorization failed: {exc}") from exc
-    M = spla.LinearOperator(A.shape, ilu.solve)
-    x, info = spla.gmres(A, b, rtol=rtol, atol=0.0, restart=80,
-                         maxiter=400, M=M)
-    if info != 0:
-        raise LinearSolveError(f"GMRES did not converge (info={info})")
-    rel = float(np.linalg.norm(A @ x - b)) / bnorm
-    if rel > 10.0 * rtol:
-        raise LinearSolveError(f"linear solve residual {rel:.3e} above "
-                               f"tolerance {rtol:.1e}")
+        raise LinearSolveError(f"sparse LU failed: {exc}") from exc
+    if not np.all(np.isfinite(x)):
+        raise LinearSolveError("sparse LU solve gave non-finite values")
     return x
 
 
@@ -243,7 +238,6 @@ def _boundary_values(problem: DirichletProblem) -> np.ndarray:
                 return np.vectorize(problem.boundary)(px, py).astype(float)
         else:
             expr = parse(problem.boundary, problem.params)
-            from .exprfield import evaluate
 
             def ring(px, py):
                 return np.broadcast_to(
@@ -258,43 +252,19 @@ def _boundary_values(problem: DirichletProblem) -> np.ndarray:
     return vals
 
 
-def _harmonic_extension(vals: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    """Fill the interior with the discrete harmonic extension of the ring."""
-    nx, ny = vals.shape
-    mx, my = nx - 2, ny - 2
-    ax, ay = 1.0 / hx ** 2, 1.0 / hy ** 2
-    ii, jj = np.meshgrid(np.arange(mx), np.arange(my), indexing="ij")
-    row_id = (ii * my + jj).ravel()
-    diag = np.full(mx * my, -2.0 * (ax + ay))
-    rows, cols, data = [row_id], [row_id], [diag]
-    rhs = np.zeros(mx * my)
-    for di, dj, w in ((1, 0, ax), (-1, 0, ax), (0, 1, ay), (0, -1, ay)):
-        ni, nj = ii + di, jj + dj
-        inside = (ni >= 0) & (ni < mx) & (nj >= 0) & (nj < my)
-        rows.append(row_id[inside.ravel()])
-        cols.append((ni * my + nj)[inside].ravel())
-        data.append(np.full(int(inside.sum()), w))
-        # boundary neighbours contribute to the right-hand side
-        bi, bj = ii[~inside] + 1 + di, jj[~inside] + 1 + dj
-        rhs_idx = row_id[(~inside).ravel()]
-        np.add.at(rhs, rhs_idx, -w * vals[bi, bj])
-    A = sp.csr_matrix((np.concatenate(data),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(mx * my, mx * my))
-    interior = spla.spsolve(A, rhs)
-    out = vals.copy()
-    out[1:-1, 1:-1] = interior.reshape(mx, my)
-    return out
-
-
 def _initial_guess(problem: DirichletProblem, vals: np.ndarray) -> np.ndarray:
+    out = vals.copy()
     if problem.initial_guess == "flat":
-        out = vals.copy()
         ring = vals[_boundary_mask(problem.nx, problem.ny)]
         out[1:-1, 1:-1] = float(ring.mean())
         return out
+    # the s = 0 stencil is linear, so one Newton step from vals is exact;
+    # the step is added because an array boundary keeps its interior
     hx, hy = problem.spacing()
-    return _harmonic_extension(vals, hx, hy)
+    out[1:-1, 1:-1] += _direct_solve(
+        _jacobian(vals, 0.0, hx, hy), -_residual(vals, 0.0, hx, hy).ravel()
+    ).reshape(problem.nx - 2, problem.ny - 2)
+    return out
 
 
 def _check_causal(problem: DirichletProblem, values: np.ndarray,
@@ -337,9 +307,9 @@ def solve(problem: DirichletProblem) -> GridSolution:
 
     iterations = 0
     for it in range(1, problem.max_newton + 1):
-        J = _jacobian(u, problem.equation, hx, hy)
+        J = _jacobian(u, problem.equation.sigma, hx, hy)
         try:
-            delta = _iterative_solve(J, -r.ravel(), problem.linear_rtol)
+            delta = _direct_solve(J, -r.ravel())
         except LinearSolveError as exc:
             exc.report = {"status": "failed", "error": exc.code,
                           "equation": problem.equation.value,

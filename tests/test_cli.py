@@ -205,8 +205,10 @@ def test_solve_csv_and_obj(tmp_path):
 
 
 def test_solve_problem_file(tmp_path):
+    # tolerances.linear is still accepted, and ignored
     doc = {"equation": "minimal", "domain": [1, 2, 1, 2],
-           "resolution": [9, 9], "boundary": "0.5*x - y"}
+           "resolution": [9, 9], "boundary": "0.5*x - y",
+           "tolerances": {"newton": 1e-11, "linear": 1e-6}}
     pfile = tmp_path / "problem.json"
     pfile.write_text(json.dumps(doc))
     out = tmp_path / "sol.csv"
@@ -214,6 +216,29 @@ def test_solve_problem_file(tmp_path):
     grid = read_grid_csv(_read(out))
     X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
     assert float(np.max(np.abs(grid.values - (0.5 * X - Y)))) < 1e-12
+
+
+_PROBLEM = {"equation": "minimal", "domain": [1, 2, 1, 2],
+            "resolution": [9, 9], "boundary": "x"}
+
+
+@pytest.mark.parametrize("doc", [
+    [_PROBLEM],
+    dict(_PROBLEM, resolution=5),
+    dict(_PROBLEM, resolution=[9.5, 9]),
+    dict(_PROBLEM, tolerances=5),
+    dict(_PROBLEM, tolerances={"newton": "1e-8"}),
+    dict(_PROBLEM, tolerances={"newton": 0}),
+    dict(_PROBLEM, domain=[1, 2, 1]),
+    dict(_PROBLEM, domain=[1, 2, "a", "b"]),
+], ids=["list", "resolution-int", "resolution-float", "tolerances-int",
+        "newton-string", "newton-zero", "domain-three", "domain-strings"])
+def test_malformed_problem_file_is_invalid_input(tmp_path, capsys, doc):
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps(doc))
+    assert run(["solve", "--problem", str(pfile),
+                "--out", str(tmp_path / "sol.csv")]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "invalid-input"
 
 
 def test_solve_violation_exit_code(tmp_path):

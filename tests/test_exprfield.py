@@ -207,6 +207,22 @@ def test_integer_power_allows_negative_base():
         assert g["x"] == j.gx == slope
 
 
+def test_integer_power_by_squaring(monkeypatch):
+    from zmclab import exprfield
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return jmul(*args)
+
+    jmul = exprfield._jmul
+    monkeypatch.setattr(exprfield, "_jmul", counted)
+    p = 2 ** 20 + 1
+    v, g = gradient(parse(f"x^{p}"), {"x": 1.0, "y": 0.0})
+    assert len(calls) <= 2 * 21 + 2
+    assert v == 1.0 and g["x"] == p
+
+
 def test_noninteger_power_needs_positive_base():
     f = field_from_text("x^2.5", Rect(-1, 1, -1, 1))
     with pytest.raises(NonDifferentiablePointError):

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from zmclab import (
     CausalTypeViolationError,
     DirichletProblem,
     EquationKind,
+    LinearSolveError,
     MaxIterationsError,
     Rect,
     convergence_report,
@@ -15,7 +17,8 @@ from zmclab import (
     solve,
 )
 from zmclab.geometry import minimal_residual_of_jet
-from zmclab.solver import _jacobian, interior_b
+from zmclab import solver
+from zmclab.solver import _direct_solve, _jacobian, _residual, interior_b
 
 DOM = Rect(1.0, 2.0, 1.0, 2.0)
 CATENOID = "-asinh(sqrt(x^2 + y^2))"
@@ -93,17 +96,23 @@ def test_residual_shape_guard():
 # --------------------------------------------------------------------------
 
 def test_jacobian_matches_finite_differences():
+    # sigma = 0 is the 5-point Laplacian behind the harmonic initial guess
     g = _samples(CATENOID, DOM, 7)
-    for eq in (EquationKind.MINIMAL, EquationKind.MAXIMAL):
-        J = _jacobian(g.values, eq, g.hx, g.hy).toarray()
-        base = discrete_residual(g.values, eq, g.hx, g.hy).ravel()
+    for s in (EquationKind.MINIMAL.sigma, EquationKind.MAXIMAL.sigma, 0.0):
+        J = _jacobian(g.values, s, g.hx, g.hy).toarray()
+        base = _residual(g.values, s, g.hx, g.hy).ravel()
         h = 1e-7
         for k in range(J.shape[1]):
             pert = g.values.copy()
             i, j = divmod(k, g.ny - 2)
             pert[i + 1, j + 1] += h
-            col = (discrete_residual(pert, eq, g.hx, g.hy).ravel() - base) / h
+            col = (_residual(pert, s, g.hx, g.hy).ravel() - base) / h
             assert np.allclose(J[:, k], col, rtol=1e-5, atol=1e-5)
+
+
+def test_direct_solve_refuses_singular_matrix():
+    with pytest.raises(LinearSolveError):
+        _direct_solve(sp.csc_matrix((9, 9)), np.ones(9))
 
 
 # --------------------------------------------------------------------------
@@ -171,9 +180,40 @@ def test_callable_and_array_boundary():
     assert np.allclose(sol_arr.values, sol_expr.values, atol=1e-10)
 
 
+def test_harmonic_start_ignores_array_interior():
+    # an array boundary keeps its interior in the lattice; the harmonic
+    # start must still depend on the ring alone
+    ref = solve(DirichletProblem("maximal", DOM, 17, 17, CATENOID))
+    arr = ref.values.copy()
+    arr[1:-1, 1:-1] = np.random.default_rng(4).uniform(-1, 1, (15, 15))
+    sol = solve(DirichletProblem("maximal", DOM, 17, 17, arr))
+    assert sol.iterations == ref.iterations
+    assert np.array_equal(sol.values, ref.values)
+
+
+def test_singular_newton_jacobian_reports_linear_failure(monkeypatch):
+    jacobian = solver._jacobian
+
+    def singular(values, s, hx, hy):
+        J = jacobian(values, s, hx, hy)
+        return J if s == 0.0 else sp.csc_matrix(J.shape)
+
+    monkeypatch.setattr(solver, "_jacobian", singular)
+    with pytest.raises(LinearSolveError) as err:
+        solve(DirichletProblem("maximal", DOM, 9, 9, CATENOID))
+    rep = convergence_report(err.value)
+    assert rep["status"] == "failed"
+    assert rep["error"] == "linear-solve-failure"
+    assert rep["iterations"] == 1
+    assert rep["last_residual"] > 0.0
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         DirichletProblem("minimal", DOM, 4, 9, "x")
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="newton_tol"):
+            DirichletProblem("minimal", DOM, 9, 9, "x", newton_tol=tol)
     with pytest.raises(ValueError):
         DirichletProblem("minimal", DOM, 9, 9, "x", initial_guess="zeros")
     bad = np.zeros((9, 9))
