@@ -336,10 +336,13 @@ def _problem_from_file(path: Path) -> DirichletProblem:
     if not (isinstance(tol, dict)
             and _is_list_of(doc["resolution"], 2, int)
             and _is_list_of(doc["domain"], 4, (int, float))
+            and isinstance(doc["boundary"], str)
+            and isinstance(doc.get("params", {}), dict)
             and _is_list_of([tol.get("newton", solver.NEWTON_TOL)], 1,
                             (int, float))):
         raise ValueError("a problem file is a JSON object with 'resolution' "
-                         "two integers, 'domain' four numbers and "
+                         "two integers, 'domain' four numbers, 'boundary' a "
+                         "string, 'params' (if given) an object and "
                          "'tolerances' an object with a numeric 'newton'")
     nx, ny = doc["resolution"]
     return DirichletProblem(

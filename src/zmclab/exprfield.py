@@ -544,14 +544,17 @@ class _Taylor:
             return acc if p >= 0 else self.recip(acc, "negative power of zero")
         self.refuse(a[0] <= 0.0,
                     "power with non-integer exponent needs positive base")
+        # np.float_power is the C library's pow at a point and on a lattice
+        # alike; np.power's loops round differently by memory layout
         if p is None:
             # derivatives through exp(b log a), the value from pow itself
             jet = self.call("exp", _jmul(b, self.call("log", a), self.first,
                                          self.second))
-            return [a[0] ** b[0], *jet[1:]]
+            return [np.float_power(a[0], b[0]), *jet[1:]]
         p = b[0]
-        return _chain(a, a[0] ** p, p * a[0] ** (p - 1.0),
-                      p * (p - 1.0) * a[0] ** (p - 2.0),
+        return _chain(a, np.float_power(a[0], p),
+                      p * np.float_power(a[0], p - 1.0),
+                      p * (p - 1.0) * np.float_power(a[0], p - 2.0),
                       self.first, self.second)
 
     def walk(self, e):

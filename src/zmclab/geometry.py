@@ -111,7 +111,8 @@ class IdentityReport:
 
 
 # --------------------------------------------------------------------------
-# jet-level formulas (work elementwise on scalars and arrays)
+# jet-level formulas (work elementwise on scalars and arrays; powers go
+# through np.float_power, the C library's pow on points and lattices alike)
 # --------------------------------------------------------------------------
 
 def b_of_jet(j: Jet2):
@@ -136,16 +137,16 @@ def minimal_residual_of_jet(j: Jet2):
             + (1.0 + j.gx * j.gx) * j.hyy)
 
 
-def _pow(base, p):
-    """base ** p by the C library's pow, as Python floats compute it: numpy's
-    vectorized power differs in the last bit, and lattice curvatures are to
-    match point ones exactly."""
-    return np.asarray(np.frompyfunc(pow, 2, 1)(base, p), dtype=float)
+def _check_tolerances(*taus) -> None:
+    """Light-like and gradient tolerances must be finite and above 0."""
+    if not all(math.isfinite(t) and t > 0 for t in taus):
+        raise ValueError(f"tolerances must be finite and positive, got {taus}")
 
 
 def refuse_lightlike(b, tau_light: float, x, y, error, message: str):
     """Raise ``error`` naming the first point, in row-major order, where
     |B| is at or below tau_light."""
+    _check_tolerances(tau_light)
     bad = np.abs(b) <= tau_light
     if np.any(bad):
         k = np.unravel_index(np.argmax(bad), np.shape(bad))
@@ -158,12 +159,12 @@ def mean_curvature_of_jet(j: Jet2, tau_light: float, x, y):
     b = b_of_jet(j)
     refuse_lightlike(b, tau_light, x, y, LightLikePointError,
                      "mean curvature undefined at light-like point")
-    return zmc_residual_of_jet(j) / (2.0 * _pow(abs(b), 1.5))
+    return zmc_residual_of_jet(j) / (2.0 * np.float_power(abs(b), 1.5))
 
 
 def gauss_curvature_of_jet(j: Jet2):
     det = j.hxx * j.hyy - j.hxy * j.hxy
-    return det / _pow(1.0 + j.gx * j.gx + j.gy * j.gy, 2)
+    return det / np.float_power(1.0 + j.gx * j.gx + j.gy * j.gy, 2)
 
 
 # --------------------------------------------------------------------------
@@ -201,8 +202,7 @@ def classify(f: GraphField, x: float, y: float,
     B < -tau_light, light-like otherwise, degenerate when |grad B| is below
     tau_grad as well."""
     tau_light = f.default_tau_light() if tau_light is None else tau_light
-    if tau_light <= 0 or tau_grad <= 0:
-        raise ValueError("tolerances must be positive")
+    _check_tolerances(tau_light, tau_grad)
     b, (bx, by) = causal_b(f, x, y)
     return CausalSample(float(x), float(y), b, bx, by,
                         _class_of(b, bx, by, tau_light, tau_grad))
@@ -213,20 +213,13 @@ def classify_grid(f: GraphField, X, Y,
                   tau_grad: float = DEFAULT_TAU_GRAD) -> list[CausalSample]:
     """Classify every lattice node, row-major in the x index."""
     tau_light = f.default_tau_light() if tau_light is None else tau_light
+    _check_tolerances(tau_light, tau_grad)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    b, bx, by = causal_b_grid(f, X, Y)
-    b, bx, by = np.broadcast_arrays(b, bx, by)
-    out = []
-    Xb = np.broadcast_to(X, b.shape)
-    Yb = np.broadcast_to(Y, b.shape)
-    for idx in np.ndindex(b.shape):
-        out.append(CausalSample(
-            float(Xb[idx]), float(Yb[idx]), float(b[idx]),
-            float(bx[idx]), float(by[idx]),
-            _class_of(float(b[idx]), float(bx[idx]), float(by[idx]),
-                      tau_light, tau_grad)))
-    return out
+    cols = np.broadcast_arrays(X, Y, *causal_b_grid(f, X, Y))
+    return [CausalSample(x, y, b, bx, by,
+                         _class_of(b, bx, by, tau_light, tau_grad))
+            for x, y, b, bx, by in zip(*(a.ravel().tolist() for a in cols))]
 
 
 def zmc_residual(f: GraphField, x: float, y: float) -> float:
@@ -277,48 +270,43 @@ def lightlike_identity_check(f: GraphField, nx: int = 101,
 # light-like set detection
 # --------------------------------------------------------------------------
 
-def _bisect_zero(eval_b, a: float, b: float, fa: float, fb: float,
-                 tol: float, f_tol: float) -> float:
-    """Root of B along a segment parametrized by t in [a, b].
+def _bisect_edges(f: GraphField, coords, nodes, n0, n1, comp, g_tol,
+                  tol: float):
+    """One bisection over arrays of lattice edges, each halving one lattice
+    jet at the midpoints of the edges still open.
 
-    Runs to the position tolerance, then keeps halving (bounded) until the
-    B value itself is inside f_tol, so steep crossings still classify as
-    light-like at the refined point.
+    Edge k runs along one axis from node ``n0[k]`` to node ``n1[k]``, flat
+    indices into the (x, y) rows of ``coords`` and the (B, Bx, By) rows of
+    ``nodes``.  It searches for a zero of component ``comp[k]`` of
+    (B, Bx, By), call it g: it bisects to ``tol``, then keeps halving until
+    the smallest |g| seen is within ``g_tol[k]``, stopping at float
+    resolution, an exact zero or 200 halvings.  Returns the points of the
+    smallest |g| seen and B there.
     """
-    best_t, best_f = a, abs(fa)
-    if abs(fb) < best_f:
-        best_t, best_f = b, abs(fb)
+    lo, hi = coords[:, n0], coords[:, n1]
+    g_lo, g_hi = nodes[comp, n0], nodes[comp, n1]
+    top = np.abs(g_hi) < np.abs(g_lo)
+    best, best_g = np.where(top, hi, lo), np.abs(np.where(top, g_hi, g_lo))
+    best_b = nodes[0, np.where(top, n1, n0)]
+    open_ = np.ones(len(comp), dtype=bool)
     for _ in range(200):
-        if b - a <= tol and best_f <= f_tol:
+        mid = 0.5 * (lo + hi)  # the fixed coordinate stays exact
+        open_ &= (~(((hi - lo).sum(axis=0) <= tol) & (best_g <= g_tol))
+                  & (mid > lo).any(axis=0) & (mid < hi).any(axis=0))
+        k = np.flatnonzero(open_)
+        if not k.size:
             break
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break  # float resolution exhausted
-        fm = eval_b(mid)
-        if abs(fm) < best_f:
-            best_t, best_f = mid, abs(fm)
-        if fm == 0.0:
-            break
-        if (fa < 0.0) != (fm < 0.0):
-            b = mid
-        else:
-            a, fa = mid, fm
-    return best_t
-
-
-def _bisect_extremum(eval_db, a: float, b: float, da: float, db_: float,
-                     tol: float) -> float:
-    """Zero of the directional derivative of B along a segment."""
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        dm = eval_db(mid)
-        if dm == 0.0:
-            return mid
-        if (da < 0.0) != (dm < 0.0):
-            b, db_ = mid, dm
-        else:
-            a, da = mid, dm
-    return 0.5 * (a + b)
+        t = mid[:, k]
+        bm = np.stack(causal_b_grid(f, *t))
+        g = bm[comp[k], np.arange(k.size)]
+        better = np.abs(g) < best_g[k]
+        best[:, k[better]], best_g[k[better]] = t[:, better], np.abs(g[better])
+        best_b[k[better]] = bm[0, better]
+        left = (g_lo[k] < 0.0) != (g < 0.0)
+        hi[:, k[left]] = t[:, left]
+        lo[:, k[~left]], g_lo[k[~left]] = t[:, ~left], g[~left]
+        open_[k[g == 0.0]] = False
+    return best, best_b
 
 
 def detect_lightlike_set(f: GraphField, nx: int, ny: int,
@@ -328,71 +316,40 @@ def detect_lightlike_set(f: GraphField, nx: int, ny: int,
     """All light-like points found on a lattice, refined along edges.
 
     Lattice nodes with |B| <= tau_light are collected directly.  Each
-    lattice edge is additionally searched for a sign change of B (bisection
-    on B) and for an interior extremum of B (bisection on the directional
-    derivative of B; catches lines where B only touches zero).  Refined
-    positions are accurate to ``refine_tol``.  Exact-jet fields only get
-    sub-node refinement; lattice-backed fields carry no information between
-    nodes, so only node hits are reported for them.
+    lattice edge is additionally searched for a sign change of B (a zero
+    of B) and for an interior extremum of B (a zero of the directional
+    derivative of B; catches lines where B only touches zero), all edges
+    in one bisection (``_bisect_edges``).  Refined positions are accurate
+    to ``refine_tol``; an extremum counts only where |B| <= tau_light.
+    Exact-jet fields only get sub-node refinement; lattice-backed fields
+    carry no information between nodes, so only node hits are reported
+    for them.
     """
     tau_light = f.default_tau_light() if tau_light is None else tau_light
-    xs, ys = f.domain.lattice(nx, ny)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    b, bx, by = causal_b_grid(f, X, Y)
-    b = np.broadcast_to(b, X.shape)
-    bx = np.broadcast_to(bx, X.shape)
-    by = np.broadcast_to(by, X.shape)
-
-    hits: list[tuple[float, float]] = []
-    node_mask = np.abs(b) <= tau_light
-    for i, j in np.argwhere(node_mask):
-        hits.append((float(xs[i]), float(ys[j])))
+    _check_tolerances(tau_light, tau_grad)
+    X, Y = np.meshgrid(*f.domain.lattice(nx, ny), indexing="ij")
+    nodes = np.stack(causal_b_grid(f, X, Y)).reshape(3, -1)
+    coords = np.stack([X.ravel(), Y.ravel()])
+    hits = [coords[:, np.abs(nodes[0]) <= tau_light]]
 
     if f.jet_mode == "exact":
-        def b_at(x, y):
-            return b_of_jet(f.jet2(x, y))
-
-        # horizontal edges: vary x at fixed y
-        sign_h = b[:-1, :] * b[1:, :] < 0.0
-        extr_h = bx[:-1, :] * bx[1:, :] < 0.0
-        for i, j in np.argwhere(sign_h):
-            y0 = float(ys[j])
-            x_star = _bisect_zero(lambda t: b_at(t, y0),
-                                  float(xs[i]), float(xs[i + 1]),
-                                  float(b[i, j]), float(b[i + 1, j]),
-                                  refine_tol, tau_light)
-            hits.append((x_star, y0))
-        for i, j in np.argwhere(extr_h & ~sign_h):
-            y0 = float(ys[j])
-            x_star = _bisect_extremum(
-                lambda t: gradb_of_jet(f.jet2(t, y0))[0],
-                float(xs[i]), float(xs[i + 1]),
-                float(bx[i, j]), float(bx[i + 1, j]), refine_tol)
-            if abs(b_at(x_star, y0)) <= tau_light:
-                hits.append((x_star, y0))
-
-        # vertical edges: vary y at fixed x
-        sign_v = b[:, :-1] * b[:, 1:] < 0.0
-        extr_v = by[:, :-1] * by[:, 1:] < 0.0
-        for i, j in np.argwhere(sign_v):
-            x0 = float(xs[i])
-            y_star = _bisect_zero(lambda t: b_at(x0, t),
-                                  float(ys[j]), float(ys[j + 1]),
-                                  float(b[i, j]), float(b[i, j + 1]),
-                                  refine_tol, tau_light)
-            hits.append((x0, y_star))
-        for i, j in np.argwhere(extr_v & ~sign_v):
-            x0 = float(xs[i])
-            y_star = _bisect_extremum(
-                lambda t: gradb_of_jet(f.jet2(x0, t))[1],
-                float(ys[j]), float(ys[j + 1]),
-                float(by[i, j]), float(by[i, j + 1]), refine_tol)
-            if abs(b_at(x0, y_star)) <= tau_light:
-                hits.append((x0, y_star))
+        # every edge as the flat indices of its two ends, x-edges first;
+        # g is B where B changes sign, else B's derivative along the edge
+        idx = np.arange(nx * ny).reshape(nx, ny)
+        n0 = np.concatenate([idx[:-1].ravel(), idx[:, :-1].ravel()])
+        n1 = np.concatenate([idx[1:].ravel(), idx[:, 1:].ravel()])
+        axis = np.repeat([0, 1], [(nx - 1) * ny, nx * (ny - 1)])
+        comp = np.where(nodes[0, n0] * nodes[0, n1] < 0.0, 0, 1 + axis)
+        edge = nodes[comp, n0] * nodes[comp, n1] < 0.0
+        n0, n1, comp = n0[edge], n1[edge], comp[edge]
+        pts, b_at = _bisect_edges(f, coords, nodes, n0, n1, comp,
+                                  np.where(comp == 0, tau_light, tau_grad),
+                                  refine_tol)
+        hits.append(pts[:, (comp == 0) | (np.abs(b_at) <= tau_light)])
 
     # deduplicate coincident finds (node hits vs refined edge hits land
     # within refine_tol of each other); keep deterministic order
-    hits.sort()
+    hits = sorted(zip(*np.concatenate(hits, axis=1).tolist()))
     kept: list[tuple[float, float]] = []
     for p in hits:
         dup = False
@@ -404,13 +361,9 @@ def detect_lightlike_set(f: GraphField, nx: int, ny: int,
                 break
         if not dup:
             kept.append(p)
-
-    out = []
-    for x, y in kept:
-        s = classify(f, x, y, tau_light=tau_light, tau_grad=tau_grad)
-        if s.cls.is_lightlike:
-            out.append(s)
-    return out
+    samples = classify_grid(f, *np.reshape(kept, (-1, 2)).T,
+                            tau_light=tau_light, tau_grad=tau_grad)
+    return [s for s in samples if s.cls.is_lightlike]
 
 
 # --------------------------------------------------------------------------
@@ -453,35 +406,31 @@ def verify_line_theorem(samples: list[CausalSample], f: GraphField,
     pts = np.array([[s.x, s.y] for s in pts_all])
 
     if cluster_tol is None:
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((diff ** 2).sum(axis=2))
-        np.fill_diagonal(dist, np.inf)
-        cluster_tol = 10.0 * float(np.median(dist.min(axis=1)))
+        # imported here: scipy.spatial would add ~0.1 s to `import zmclab`
+        from scipy.spatial import cKDTree
+        spacing = cKDTree(pts).query(pts, k=2)[0][:, 1]
+        cluster_tol = 10.0 * float(np.median(spacing))
 
-    unassigned = list(range(len(pts)))
+    unassigned = np.arange(len(pts))
     lines: list[LightLine] = []
-    while unassigned:
-        seed = unassigned.pop(0)
-        if not unassigned:
-            break  # singleton leftover: no line to fit
-        rest = np.array(unassigned)
+    while len(unassigned) > 1:  # a singleton leftover has no line to fit
+        seed, rest = unassigned[0], unassigned[1:]
         d = np.sqrt(((pts[rest] - pts[seed]) ** 2).sum(axis=1))
-        mate = int(rest[np.argmin(d)])
-        cluster = [seed, mate]
-        unassigned.remove(mate)
+        mate = int(np.argmin(d))
+        cluster = np.array([seed, rest[mate]])
+        unassigned = np.delete(rest, mate)
         while True:
             _, direction, _ = _tls_fit(pts[cluster])
             normal = np.array([-direction[1], direction[0]])
             centroid = pts[cluster].mean(axis=0)
-            added = []
-            for k in unassigned:
-                if abs(float((pts[k] - centroid) @ normal)) <= cluster_tol:
-                    added.append(k)
-            if not added:
+            # a dot product per row: a matrix-vector product rounds
+            # differently, and would move samples at the cluster edge
+            offset = ((pts[unassigned] - centroid)[:, None, :] @ normal)[:, 0]
+            near = np.abs(offset) <= cluster_tol
+            if not near.any():
                 break
-            cluster.extend(added)
-            for k in added:
-                unassigned.remove(k)
+            cluster = np.concatenate([cluster, unassigned[near]])
+            unassigned = unassigned[~near]
 
         centroid, direction, perp = _tls_fit(pts[cluster])
         direction = _orient(direction)

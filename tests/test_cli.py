@@ -75,6 +75,23 @@ def test_residual_grid(tmp_path):
     assert meta["max_abs"] < 1e-12
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--field", "0.3*x + 0.4*y", "--tol-light", "nan"],
+    ["classify", "--field", "0.3*x + 0.4*y", "--tol-grad", "inf"],
+    ["detect", "--field", "y + x^2", "--tol-light", "0"],
+    ["verify-lines", "--field", "y + x^2", "--tol-grad", "nan"],
+    ["curvature", "--field", "x", "--tol-light", "nan"],
+    ["fluid", "--field", "0.3*x + 0.4*y", "--tol-light", "-1"],
+], ids=["classify-nan", "classify-grad-inf", "detect-zero",
+        "verify-lines-grad-nan", "curvature-nan", "fluid-negative"])
+def test_bad_tolerance_is_invalid_input(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    assert run([*argv, "--domain=-1,1,-1,1", "--res", "9,9",
+                "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "invalid-input"
+    assert not out.exists()
+
+
 def test_curvature_errors_on_lightlike_lattice(tmp_path):
     code = run(["curvature", "--field", "y + x^2", "--kind", "mean",
                 "--domain=-1,1,-1,1", "--res", "9,9",
@@ -231,8 +248,12 @@ _PROBLEM = {"equation": "minimal", "domain": [1, 2, 1, 2],
     dict(_PROBLEM, tolerances={"newton": 0}),
     dict(_PROBLEM, domain=[1, 2, 1]),
     dict(_PROBLEM, domain=[1, 2, "a", "b"]),
+    dict(_PROBLEM, boundary=5),
+    dict(_PROBLEM, boundary=["x"]),
+    dict(_PROBLEM, params=5),
 ], ids=["list", "resolution-int", "resolution-float", "tolerances-int",
-        "newton-string", "newton-zero", "domain-three", "domain-strings"])
+        "newton-string", "newton-zero", "domain-three", "domain-strings",
+        "boundary-number", "boundary-list", "params-number"])
 def test_malformed_problem_file_is_invalid_input(tmp_path, capsys, doc):
     pfile = tmp_path / "problem.json"
     pfile.write_text(json.dumps(doc))

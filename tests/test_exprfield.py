@@ -308,6 +308,21 @@ def test_value_gradient_and_jet_agree(tree, x, y):
                                                    grad[1]["y"])
 
 
+@pytest.mark.parametrize("text, dom", [
+    ("x^2.5", Rect(0.5, 1.3, 0.5, 2.0)),
+    ("2^x", Rect(-1, 1, -1, 1)),
+    ("x^y", Rect(0.5, 2.0, 0.5, 2.0)),
+])
+def test_point_jets_equal_lattice_jets_on_real_powers(text, dom):
+    expr = parse(text)
+    X, Y = dom.meshgrid(41, 41)
+    lattice = expression_jet2(expr, X, Y)
+    for i, j in np.ndindex(X.shape):
+        point = expression_jet2(expr, float(X[i, j]), float(Y[i, j]))
+        assert all(getattr(point, c) == getattr(lattice, c)[i, j]
+                   for c in ("value", "gx", "gy", "hxx", "hxy", "hyy"))
+
+
 def test_gradient_multivar():
     expr = parse("x*y + t^2", variables=("x", "y", "t"))
     v, g = gradient(expr, {"x": 2.0, "y": 3.0, "t": -1.0})

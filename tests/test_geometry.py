@@ -1,6 +1,7 @@
 """Causal classification, residuals, curvatures, light-like lines."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from zmclab import (
     verify_line_theorem,
     zmc_residual,
 )
-from zmclab.geometry import zmc_residual_of_jet
+from zmclab.geometry import REFINE_TOL, classify_grid, zmc_residual_of_jet
 
 SQ = Rect(-1.0, 1.0, -1.0, 1.0)
 
@@ -110,6 +111,22 @@ def test_classify_rejects_bad_tolerances():
     f = field_from_text("x", SQ)
     with pytest.raises(ValueError):
         classify(f, 0.0, 0.0, tau_light=-1.0)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0, -1e-9])
+def test_tolerances_must_be_finite_and_positive(tau):
+    # a NaN tolerance made the space-like plane light-like degenerate
+    f = field_from_text("0.3*x + 0.4*y", SQ)
+    X, Y = SQ.meshgrid(5, 5)
+    for call in (lambda: classify(f, 0.0, 0.0, tau_light=tau),
+                 lambda: classify(f, 0.0, 0.0, tau_grad=tau),
+                 lambda: classify_grid(f, X, Y, tau_light=tau),
+                 lambda: classify_grid(f, X, Y, tau_grad=tau),
+                 lambda: detect_lightlike_set(f, 5, 5, tau_light=tau),
+                 lambda: detect_lightlike_set(f, 5, 5, tau_grad=tau),
+                 lambda: mean_curvature(f, 0.0, 0.0, tau_light=tau)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            call()
 
 
 # --------------------------------------------------------------------------
@@ -265,6 +282,101 @@ def test_detect_sign_change_refinement():
         r = math.hypot(s.x, s.y)
         assert abs(r - 1.0) < 1e-7
         assert s.cls is CausalClass.LIGHT_NONDEGENERATE
+
+
+def _bisect_zero(eval_b, a, b, fa, fb, tol, f_tol):
+    """The scalar per-edge bisection that batched detection replaced, kept
+    as a reference for sign-change hits."""
+    best_t, best_f = a, abs(fa)
+    if abs(fb) < best_f:
+        best_t, best_f = b, abs(fb)
+    for _ in range(200):
+        if b - a <= tol and best_f <= f_tol:
+            break
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            break
+        fm = eval_b(mid)
+        if abs(fm) < best_f:
+            best_t, best_f = mid, abs(fm)
+        if fm == 0.0:
+            break
+        if (fa < 0.0) != (fm < 0.0):
+            b = mid
+        else:
+            a, fa = mid, fm
+    return best_t
+
+
+def _sign_change_hits(f, n):
+    """One scalar bisection of B, on point jets, per lattice edge where B
+    changes sign."""
+    xs, ys = (v.tolist() for v in f.domain.lattice(n, n))
+    b = np.array([[causal_b(f, x, y)[0] for y in ys] for x in xs])
+    tau = f.default_tau_light()
+    hits = [(_bisect_zero(lambda t: causal_b(f, t, ys[j])[0], xs[i],
+                          xs[i + 1], b[i, j], b[i + 1, j], REFINE_TOL, tau),
+             ys[j]) for i, j in np.argwhere(b[:-1] * b[1:] < 0.0)]
+    hits += [(xs[i], _bisect_zero(lambda t: causal_b(f, xs[i], t)[0], ys[j],
+                                  ys[j + 1], b[i, j], b[i, j + 1],
+                                  REFINE_TOL, tau))
+             for i, j in np.argwhere(b[:, :-1] * b[:, 1:] < 0.0)]
+    return hits, {(x, y) for x in xs for y in ys}
+
+
+@pytest.mark.parametrize("text, dom", [
+    ("atan2(y, x)", Rect(0.5, 2.0, 0.5, 2.0)),
+    ("0.5*x^2 - 0.5*y^2", SQ),
+])
+def test_batched_sign_change_hits_equal_scalar_bisection(text, dom):
+    f = field_from_text(text, dom)
+    hits, nodes = _sign_change_hits(f, 41)
+    got = {(s.x, s.y) for s in detect_lightlike_set(f, 41, 41)}
+    assert len(hits) > 10
+    assert set(hits) <= got  # bit for bit
+    assert got <= set(hits) | nodes
+
+
+def test_steep_shear_extrema_are_degenerate():
+    # B = -64 cos^2(8x): extremum hits must reach |grad B| <= tau_grad
+    f = field_from_text("y + sin(8*x)", Rect(0, 2 * math.pi, -1, 1))
+    samples = detect_lightlike_set(f, 257, 65)
+    assert len(samples) == 1040
+    assert all(s.cls is CausalClass.LIGHT_DEGENERATE for s in samples)
+    lines = verify_line_theorem(samples, f)
+    zeros = (2 * np.arange(16) + 1) * math.pi / 16
+    assert len(lines) == 16
+    for ln, x0 in zip(lines, zeros):
+        assert abs(ln.base[0] - x0) <= 1e-9
+        assert ln.verified
+
+
+def test_detection_makes_no_point_jets(monkeypatch):
+    f = field_from_text("y + sin(4*x)", Rect(0, 2 * math.pi, -1, 1))
+    calls = {"jet2": 0, "jet2_grid": 0}
+    for name in calls:
+        def counted(*args, _name=name, _method=getattr(f, name)):
+            calls[_name] += 1
+            return _method(*args)
+        monkeypatch.setattr(f, name, counted)
+    assert len(detect_lightlike_set(f, 257, 129)) == 1032
+    assert calls["jet2"] == 0
+    assert 0 < calls["jet2_grid"] <= 64
+
+
+def test_verify_lines_memory_is_linear_in_samples():
+    # the plane t = x is degenerate everywhere: 1,681 samples at 41^2,
+    # whose n x n distance matrix took 113 MB
+    from scipy.spatial import cKDTree  # noqa: F401  (import outside trace)
+    f = field_from_text("x", SQ)
+    samples = detect_lightlike_set(f, 41, 41)
+    tracemalloc.start()
+    try:
+        verify_line_theorem(samples, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_verify_lines_shear_parabola():
