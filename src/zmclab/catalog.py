@@ -149,12 +149,6 @@ class PotentialField(GraphField):
             self._cache.update(zip(todo, got.tolist()))
         return [self._cache[x] for x in xs]
 
-    def _jet2(self, x, y) -> Jet2:
-        j = self._gjet(x)
-        gp, gpp = j.gx, j.hxx
-        return Jet2(y - self._integrals([x])[0], -1.0 / gp, 1.0,
-                    gpp / (gp * gp), 0.0, 0.0)
-
     def _jet2_grid(self, X, Y) -> Jet2:
         X, Y = np.broadcast_arrays(X, Y)
         xs, inverse = np.unique(X, return_inverse=True)

@@ -32,7 +32,7 @@ from .errors import (
     ZmcError,
 )
 from .exprfield import GraphField, GridField, Jet2, Rect, SampledGrid
-from .geometry import b_of_jet, refuse_lightlike
+from .geometry import _check_tolerances, b_of_jet, refuse_lightlike
 
 __all__ = [
     "ChaplyginState",
@@ -132,6 +132,7 @@ def _dual_jet_parts(j: Jet2, direction: DualDirection, epsilon: int,
 
     Returns (w1, w2, d_y w1, d_x w2, d_x w1, d_y w2).
     """
+    _check_tolerances(tau)
     eps = float(epsilon)
     if direction == DualDirection.TO_POTENTIAL:
         r2 = eps * (1.0 - j.gx * j.gx - j.gy * j.gy)
@@ -178,9 +179,7 @@ def dual_one_form(f: GraphField, x, y, direction: DualDirection,
     """
     epsilon = _check_epsilon(epsilon)
     tau = f.default_tau_light() if tau is None else tau
-    j = f.jet2_grid(np.asarray(x, dtype=float), np.asarray(y, dtype=float)) \
-        if np.ndim(x) or np.ndim(y) else f.jet2(x, y)
-    w1, w2, *_ = _dual_jet_parts(j, direction, epsilon, tau)
+    w1, w2, *_ = _dual_jet_parts(f.jet2_grid(x, y), direction, epsilon, tau)
     return w1, w2
 
 
@@ -196,9 +195,8 @@ def one_form_curl(f: GraphField, x, y, direction: DualDirection,
     """d_y w1 - d_x w2: zero exactly when the source solves its PDE."""
     epsilon = _check_epsilon(epsilon)
     tau = f.default_tau_light() if tau is None else tau
-    j = f.jet2_grid(np.asarray(x, dtype=float), np.asarray(y, dtype=float)) \
-        if np.ndim(x) or np.ndim(y) else f.jet2(x, y)
-    _, _, w1_y, w2_x, _, _ = _dual_jet_parts(j, direction, epsilon, tau)
+    _, _, w1_y, w2_x, _, _ = _dual_jet_parts(f.jet2_grid(x, y), direction,
+                                             epsilon, tau)
     return w1_y - w2_x
 
 
@@ -318,22 +316,10 @@ class DualField(GraphField):
     def jet_mode(self):  # inherits accuracy from the parent
         return self.parent.jet_mode
 
-    def _value_at(self, x, y):
-        ii = np.clip(np.rint((np.asarray(x) - self.grid.xs[0]) / self.grid.hx),
-                     0, self.grid.nx - 1).astype(int)
-        jj = np.clip(np.rint((np.asarray(y) - self.grid.ys[0]) / self.grid.hy),
-                     0, self.grid.ny - 1).astype(int)
-        return self.grid.values[ii, jj]
-
-    def _jet2(self, x, y) -> Jet2:
-        pj = self.parent.jet2(x, y)
-        return dual_jet(pj, self.direction, self.epsilon, self.tau,
-                        value=float(self._value_at(x, y)))
-
     def _jet2_grid(self, X, Y) -> Jet2:
         pj = self.parent.jet2_grid(X, Y)
         return dual_jet(pj, self.direction, self.epsilon, self.tau,
-                        value=self._value_at(X, Y))
+                        value=self.grid.values[self.grid.nearest_node(X, Y)])
 
     def default_tau_light(self) -> float:
         return self.parent.default_tau_light()
@@ -441,8 +427,7 @@ def dualize(f: GraphField, res: tuple, base: tuple,
         g = f.grid if isinstance(f, (GridField, DualField)) else None
         if g is None or not (np.allclose(xs, g.xs) and np.allclose(ys, g.ys)):
             raise ValueError("lattice-backed sources dualize on their own grid")
-        i0 = int(round((bx - xs[0]) / g.hx))
-        j0 = int(round((by - ys[0]) / g.hy))
+        i0, j0 = g.nearest_node(bx, by)
         if abs(bx - xs[i0]) > 1e-9 * g.hx or abs(by - ys[j0]) > 1e-9 * g.hy:
             raise ValueError("lattice-backed sources need the base on a node")
         bx, by = float(xs[i0]), float(ys[j0])

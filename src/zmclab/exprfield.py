@@ -623,10 +623,14 @@ class Rect:
             raise ValueError("rectangle needs x0 < x1 and y0 < y1")
 
     def contains(self, x, y) -> bool:
+        return bool(np.all(self.inside(x, y)))
+
+    def inside(self, x, y):
+        """Elementwise membership, with a relative pad of 1e-12."""
         padx = 1e-12 * (1.0 + abs(self.x0) + abs(self.x1))
         pady = 1e-12 * (1.0 + abs(self.y0) + abs(self.y1))
-        return bool(np.all((x >= self.x0 - padx) & (x <= self.x1 + padx)
-                           & (y >= self.y0 - pady) & (y <= self.y1 + pady)))
+        return ((x >= self.x0 - padx) & (x <= self.x1 + padx)
+                & (y >= self.y0 - pady) & (y <= self.y1 + pady))
 
     def lattice(self, nx: int, ny: int):
         if nx < 2 or ny < 2:
@@ -712,15 +716,12 @@ class SampledGrid:
                               _d2(v, self.hy, 1))
         return self._jets
 
-    def nearest_node(self, x: float, y: float) -> tuple[int, int]:
-        i = int(round((x - self.xs[0]) / self.hx))
-        j = int(round((y - self.ys[0]) / self.hy))
-        return min(max(i, 0), self.nx - 1), min(max(j, 0), self.ny - 1)
-
-    def jet_at_node(self, i: int, j: int) -> Jet2:
-        t = self._jet_tables()
-        return Jet2(float(t.value[i, j]), float(t.gx[i, j]), float(t.gy[i, j]),
-                    float(t.hxx[i, j]), float(t.hxy[i, j]), float(t.hyy[i, j]))
+    def nearest_node(self, x, y):
+        """Index arrays (i, j) of the nodes nearest to (x, y), clipped."""
+        i = np.rint((np.asarray(x) - self.xs[0]) / self.hx)
+        j = np.rint((np.asarray(y) - self.ys[0]) / self.hy)
+        return (np.clip(i, 0, self.nx - 1).astype(int),
+                np.clip(j, 0, self.ny - 1).astype(int))
 
 
 # --------------------------------------------------------------------------
@@ -742,27 +743,29 @@ class GraphField:
         self.domain = domain
         self.name = name
 
-    # subclasses implement the unchecked point and lattice jets
-    def _jet2(self, x, y) -> Jet2:
-        raise NotImplementedError
+    def _in_domain(self, X, Y):
+        """X and Y as float arrays; OutOfDomainError names the first point
+        outside the domain in row-major order."""
+        X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+        outside = ~self.domain.inside(X, Y)
+        if outside.any():
+            x, y = (np.broadcast_to(p, outside.shape).flat[np.argmax(outside)]
+                    for p in (X, Y))
+            d = self.domain
+            raise OutOfDomainError(f"({x}, {y}) outside domain "
+                                   f"[{d.x0}, {d.x1}] x [{d.y0}, {d.y1}]")
+        return X, Y
 
     def jet2(self, x: float, y: float) -> Jet2:
-        """Two-jet at a point; queries outside the domain are rejected."""
-        if not self.domain.contains(x, y):
-            raise OutOfDomainError(
-                f"({x}, {y}) outside domain "
-                f"[{self.domain.x0}, {self.domain.x1}] x "
-                f"[{self.domain.y0}, {self.domain.y1}]")
-        return self._jet2(float(x), float(y))
+        """Two-jet at a point: the 0-d lattice jet, with float components."""
+        j = self._jet2_grid(*self._in_domain(x, y))
+        return Jet2(*map(float, vars(j).values()))
 
     def jet2_grid(self, X: np.ndarray, Y: np.ndarray) -> Jet2:
         """Vectorized two-jets; components come back as arrays."""
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        if not self.domain.contains(X, Y):
-            raise OutOfDomainError("lattice extends outside the field domain")
-        return self._jet2_grid(X, Y)
+        return self._jet2_grid(*self._in_domain(X, Y))
 
+    # subclasses implement the unchecked jets on arrays of any shape
     def _jet2_grid(self, X, Y) -> Jet2:
         raise NotImplementedError
 
@@ -773,10 +776,9 @@ class GraphField:
         """Field values on the uniform nx-by-ny lattice of the domain."""
         if nx < 3 or ny < 3:
             raise ValueError("sample needs nx, ny >= 3")
-        X, Y = self.domain.meshgrid(nx, ny)
-        return SampledGrid(self.domain.lattice(nx, ny)[0],
-                           self.domain.lattice(nx, ny)[1],
-                           np.asarray(self.jet2_grid(X, Y).value))
+        xs, ys = self.domain.lattice(nx, ny)
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        return SampledGrid(xs, ys, np.asarray(self.jet2_grid(X, Y).value))
 
     def default_tau_light(self) -> float:
         """Light-like tolerance matched to the jet accuracy of the source."""
@@ -790,9 +792,6 @@ class ExpressionField(GraphField):
         super().__init__(domain, name or to_text(expr))
         self.expr = expr
         self.params = free_parameters(expr)
-
-    def _jet2(self, x, y) -> Jet2:
-        return expression_jet2(self.expr, x, y)
 
     def _jet2_grid(self, X, Y) -> Jet2:
         return expression_jet2(self.expr, X, Y)
@@ -816,18 +815,10 @@ class GridField(GraphField):
         super().__init__(domain, name or "sampled grid")
         self.grid = grid
 
-    def _jet2(self, x, y) -> Jet2:
-        i, j = self.grid.nearest_node(x, y)
-        return self.grid.jet_at_node(i, j)
-
     def _jet2_grid(self, X, Y) -> Jet2:
         t = self.grid._jet_tables()
-        ii = np.clip(np.rint((X - self.grid.xs[0]) / self.grid.hx), 0,
-                     self.grid.nx - 1).astype(int)
-        jj = np.clip(np.rint((Y - self.grid.ys[0]) / self.grid.hy), 0,
-                     self.grid.ny - 1).astype(int)
-        return Jet2(t.value[ii, jj], t.gx[ii, jj], t.gy[ii, jj],
-                    t.hxx[ii, jj], t.hxy[ii, jj], t.hyy[ii, jj])
+        at = self.grid.nearest_node(X, Y)
+        return Jet2(*(c[at] for c in vars(t).values()))
 
     def default_tau_light(self) -> float:
         return 10.0 * max(self.grid.hx, self.grid.hy) ** 2

@@ -412,7 +412,7 @@ def verify_line_theorem(samples: list[CausalSample], f: GraphField,
         cluster_tol = 10.0 * float(np.median(spacing))
 
     unassigned = np.arange(len(pts))
-    lines: list[LightLine] = []
+    clusters = []
     while len(unassigned) > 1:  # a singleton leftover has no line to fit
         seed, rest = unassigned[0], unassigned[1:]
         d = np.sqrt(((pts[rest] - pts[seed]) ** 2).sum(axis=1))
@@ -431,18 +431,22 @@ def verify_line_theorem(samples: list[CausalSample], f: GraphField,
                 break
             cluster = np.concatenate([cluster, unassigned[near]])
             unassigned = unassigned[~near]
+        clusters.append(cluster)
 
+    centroids = np.array([pts[cluster].mean(axis=0) for cluster in clusters])
+    j = f.jet2_grid(centroids[:, 0], centroids[:, 1])  # one jet for all lines
+    lines: list[LightLine] = []
+    for n, cluster in enumerate(clusters):
         centroid, direction, perp = _tls_fit(pts[cluster])
         direction = _orient(direction)
-        j = f.jet2(float(centroid[0]), float(centroid[1]))
-        dt = j.gx * float(direction[0]) + j.gy * float(direction[1])
+        dt = float(j.gx[n] * direction[0] + j.gy[n] * direction[1])
         defect = abs(direction[0] ** 2 + direction[1] ** 2 - dt * dt)
         order = np.argsort(pts[cluster] @ direction)
         members = [pts_all[cluster[k]] for k in order]
         lines.append(LightLine(
             base=(float(centroid[0]), float(centroid[1])),
             direction=(float(direction[0]), float(direction[1])),
-            lifted=(float(direction[0]), float(direction[1]), float(dt)),
+            lifted=(float(direction[0]), float(direction[1]), dt),
             samples=members,
             perp_residual=perp,
             lightlike_defect=float(defect)))

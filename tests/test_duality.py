@@ -493,6 +493,22 @@ def test_bad_quad_tol_rejected(tol):
         divergence_probe(g, [0.1, 0.01], y=0.0, anchor=0.5, quad_tol=tol)
 
 
+@pytest.mark.parametrize("tau", [math.nan, -1.0])
+@pytest.mark.parametrize("query", [
+    lambda f, tau: dual_one_form(f, 0.0, 0.0, DualDirection.TO_POTENTIAL,
+                                 -1, tau=tau),
+    lambda f, tau: one_form_curl(f, 0.0, 0.0, DualDirection.TO_POTENTIAL,
+                                 -1, tau=tau),
+    lambda f, tau: divergence_probe(f, [0.0], 0.0, anchor=0.5, epsilon=-1,
+                                    tau=tau),
+], ids=["dual_one_form", "one_form_curl", "divergence_probe"])
+def test_bad_tau_rejected(query, tau):
+    # at the sonic point of y + x^2 an unchecked tau divided by zero
+    f = field_from_text("y + x^2", SQ)
+    with pytest.raises(ValueError, match="tolerances"):
+        query(f, tau)
+
+
 def test_dualize_batches_one_form_calls(monkeypatch):
     calls = []
     real = duality.dual_one_form

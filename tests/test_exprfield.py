@@ -7,15 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zmclab import (
+    DualDirection,
     ExpressionSyntaxError,
     NonDifferentiablePointError,
     OutOfDomainError,
     Rect,
     UnboundParameterError,
+    dualize,
     field_from_text,
     parse,
     to_text,
 )
+from zmclab.catalog import entire_graph_pair
 from zmclab.exprfield import (
     BinOp,
     Call,
@@ -151,6 +154,19 @@ def test_grid_second_derivative_exact_on_quadratic():
     assert j.gx == pytest.approx(1.0, abs=1e-12)
 
 
+def test_grid_off_node_query_returns_nearest_node_jet():
+    src = field_from_text("sin(3*x)*y^2", Rect(0, 1, 0, 2))
+    g = GridField(src.sample(11, 21))
+    xs, ys, hx, hy = g.grid.xs, g.grid.ys, g.grid.hx, g.grid.hy
+    x, y = xs[3] + 0.4 * hx, ys[14] - 0.45 * hy
+    assert g.jet2(x, y) == g.jet2(xs[3], ys[14])
+    assert g.jet2(x, y).value == g.grid.values[3, 14]
+    X, Y = [x, xs[-1]], [y, ys[0] + 0.2 * hy]
+    i, j = g.grid.nearest_node(X, Y)
+    assert (i.tolist(), j.tolist()) == ([3, 10], [14, 0])
+    assert g.jet2_grid(X, Y).value.tolist() == g.grid.values[i, j].tolist()
+
+
 def test_grid_jets_match_ad_on_quadratics_everywhere():
     dom = Rect(-1.0, 2.0, 0.0, 1.0)
     src = field_from_text("x^2 + 0.5*x*y - y^2 + x - 3*y + 2", dom)
@@ -183,9 +199,12 @@ def test_nan_policy_raises_instead_of_propagating():
 
 def test_out_of_domain_rejected():
     f = field_from_text("x + y", Rect(0, 1, 0, 1))
-    with pytest.raises(OutOfDomainError):
+    with pytest.raises(OutOfDomainError,
+                       match=r"^\(1\.5, 0\.5\) outside domain \[0, 1\] x"):
         f.jet2(1.5, 0.5)
-    with pytest.raises(OutOfDomainError):
+    # the first node outside in row-major order is (i, j) = (3, 0)
+    with pytest.raises(OutOfDomainError,
+                       match=r"^\(1\.5, 0\.0\) outside domain \[0, 1\] x"):
         f.jet2_grid(*Rect(0, 2, 0, 1).meshgrid(5, 5))
 
 
@@ -321,6 +340,39 @@ def test_point_jets_equal_lattice_jets_on_real_powers(text, dom):
         point = expression_jet2(expr, float(X[i, j]), float(Y[i, j]))
         assert all(getattr(point, c) == getattr(lattice, c)[i, j]
                    for c in ("value", "gx", "gy", "hxx", "hxy", "hyy"))
+
+
+def _one_field_of_each_class():
+    """Every corpus expression, a grid, a potential and two duals (of an
+    exact and of a lattice parent), built afresh so that no cache is
+    shared between two calls."""
+    helicoid = field_from_text("atan2(y, x)", Rect(1, 2, 1, 2))
+    grid = GridField(helicoid.sample(9, 9))
+    _, phi = entire_graph_pair("sin(x) + 2*x", phi_domain=Rect(-1, 1, -1, 1))
+    fields = [field_from_text(t, d, p) for t, p, d in EXPRESSION_CORPUS]
+    return fields + [grid, phi] + [
+        dualize(parent, (9, 9), (1.5, 1.5), 0.0, DualDirection.TO_STREAM,
+                1).field for parent in (helicoid, grid)]
+
+
+_UNIT = st.floats(min_value=0.0, max_value=1.0)
+
+
+@given(st.lists(st.tuples(_UNIT, _UNIT), min_size=1, max_size=8))
+@settings(max_examples=20, deadline=None)
+def test_point_jets_equal_lattice_jets_on_every_field_class(units):
+    u, v = np.array(units).T
+    names = ("value", "gx", "gy", "hxx", "hxy", "hyy")
+    for f, fresh in zip(_one_field_of_each_class(),
+                        _one_field_of_each_class()):
+        d = f.domain
+        X, Y = d.x0 + u * (d.x1 - d.x0), d.y0 + v * (d.y1 - d.y0)
+        lattice = f.jet2_grid(X, Y)
+        for k in range(X.size):
+            point = fresh.jet2(X[k], Y[k])
+            assert all(type(getattr(point, c)) is float for c in names)
+            assert tuple(getattr(point, c) for c in names) == tuple(
+                getattr(lattice, c)[k] for c in names), (f, X[k], Y[k])
 
 
 def test_gradient_multivar():
