@@ -214,9 +214,9 @@ def _cmd_classify(ns) -> dict:
 def _grid_payload(ns, xs, ys, vals, meta):
     if ns.format == "json":
         payload = gridio.dump_json({
-            "schema": 1, "xs": list(map(float, xs)),
-            "ys": list(map(float, ys)),
-            "values": [[float(v) for v in row] for row in vals]})
+            "schema": 1, "xs": np.asarray(xs, dtype=float).tolist(),
+            "ys": np.asarray(ys, dtype=float).tolist(),
+            "values": np.asarray(vals, dtype=float).tolist()})
     else:
         payload = gridio.grid_csv(xs, ys, vals)
     _emit(ns, payload, meta)
@@ -372,10 +372,9 @@ def _cmd_solve(ns) -> dict:
         payload = gridio.obj_text(sol.xs, sol.ys, sol.values)
     elif ns.format == "json":
         payload = gridio.dump_json({"schema": 1, "report": report,
-                                    "xs": list(map(float, sol.xs)),
-                                    "ys": list(map(float, sol.ys)),
-                                    "values": [[float(v) for v in row]
-                                               for row in sol.values]})
+                                    "xs": sol.xs.tolist(),
+                                    "ys": sol.ys.tolist(),
+                                    "values": sol.values.tolist()})
     else:
         payload = gridio.grid_csv(sol.xs, sol.ys, sol.values)
     _emit(ns, payload, {"report": report})

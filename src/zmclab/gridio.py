@@ -2,12 +2,13 @@
 
 All writers are deterministic (shortest round-trip float formatting, fixed
 row-major node order, no timestamps) so identical inputs give byte-identical
-files.
+files.  Floats are written with ``%r`` (``repr``, the shortest round-trip
+form) from row templates; the lattice writers fill them from ``tolist()``
+of one node table, so no writer makes a numpy scalar per node.
 """
 
 from __future__ import annotations
 
-import io
 import json
 
 import numpy as np
@@ -26,20 +27,29 @@ __all__ = [
 
 GRID_HEADER = "x,y,value"
 CAUSAL_HEADER = "x,y,b,bx,by,class"
+ROWS_PER_CALL = 4096
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def _rows(template: str, table: np.ndarray) -> list[str]:
+    """``template % row`` for each row of a 2-d table, as one string per
+    ROWS_PER_CALL rows, so the Python numbers alive at once stay few."""
+    return [(template * len(part)) % tuple(part.ravel().tolist())
+            for part in np.split(table, range(ROWS_PER_CALL, len(table),
+                                              ROWS_PER_CALL))]
+
+
+def _node_table(xs, ys, values) -> np.ndarray:
+    """Rows (x, y, value) of every node, row-major (x index outermost)."""
+    X, Y = np.meshgrid(np.asarray(xs, dtype=float),
+                       np.asarray(ys, dtype=float), indexing="ij")
+    return np.stack([X, Y, np.asarray(values, dtype=float)],
+                    axis=-1).reshape(-1, 3)
 
 
 def grid_csv(xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> str:
     """Grid CSV, header ``x,y,value``; rows row-major (x index outermost)."""
-    buf = io.StringIO()
-    buf.write(GRID_HEADER + "\n")
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            buf.write(f"{_fmt(x)},{_fmt(y)},{_fmt(values[i, j])}\n")
-    return buf.getvalue()
+    return "".join([GRID_HEADER + "\n",
+                    *_rows("%r,%r,%r\n", _node_table(xs, ys, values))])
 
 
 def read_grid_csv(text: str) -> SampledGrid:
@@ -59,12 +69,12 @@ def read_grid_csv(text: str) -> SampledGrid:
 
 def causal_csv(samples: list[CausalSample]) -> str:
     """Causal-sample CSV, header ``x,y,b,bx,by,class``."""
-    buf = io.StringIO()
-    buf.write(CAUSAL_HEADER + "\n")
-    for s in samples:
-        buf.write(f"{_fmt(s.x)},{_fmt(s.y)},{_fmt(s.b)},{_fmt(s.bx)},"
-                  f"{_fmt(s.by)},{s.cls.value}\n")
-    return buf.getvalue()
+    # a sample's fields are read one by one anyway, so a tolist() table
+    # would only add copies (it measured slower on 16,705 samples)
+    row = "%r,%r,%r,%r,%r,%s\n"
+    return CAUSAL_HEADER + "\n" + "".join([
+        row % (float(s.x), float(s.y), float(s.b), float(s.bx), float(s.by),
+               s.cls.value) for s in samples])
 
 
 def lightlines_payload(lines: list[LightLine]) -> dict:
@@ -97,21 +107,12 @@ def obj_text(xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> str:
             f"refusing OBJ export: non-finite value at node "
             f"({int(bad[0])}, {int(bad[1])})")
     nx, ny = values.shape
-    buf = io.StringIO()
-    for i in range(nx):
-        for j in range(ny):
-            buf.write(f"v {_fmt(xs[i])} {_fmt(ys[j])} {_fmt(values[i, j])}\n")
-
-    def node(i, j):
-        return i * ny + j + 1  # OBJ indices are 1-based
-
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            a, b = node(i, j), node(i + 1, j)
-            c, d = node(i + 1, j + 1), node(i, j + 1)
-            buf.write(f"f {a} {b} {c}\n")
-            buf.write(f"f {a} {c} {d}\n")
-    return buf.getvalue()
+    a = (np.arange(nx - 1)[:, None] * ny
+         + np.arange(ny - 1)[None, :]).ravel() + 1  # OBJ indices are 1-based
+    b, c, d = a + ny, a + ny + 1, a + 1
+    faces = np.stack([a, b, c, a, c, d], axis=-1)
+    return "".join([*_rows("v %r %r %r\n", _node_table(xs, ys, values)),
+                    *_rows("f %d %d %d\nf %d %d %d\n", faces)])
 
 
 def dump_json(payload: dict) -> str:

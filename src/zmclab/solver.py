@@ -9,9 +9,12 @@ with s = +1 for the minimal-surface equation and s = -1 for the maximal
 differences on a uniform rectangle, with the four-diagonal cross stencil
 for the mixed derivative.  Newton iterations use the analytic Jacobian of
 the stencil, a halving line search on the residual sup-norm, and one
-direct sparse LU solve per step.  The harmonic initial guess is one s = 0
+direct sparse LU solve per step, factored in a geometric nested-dissection
+order of the interior lattice.  The harmonic initial guess is one s = 0
 step through the same Jacobian: there the stencil is the linear 5-point
-Laplacian, so the step is exact.  The maximal equation is elliptic only
+Laplacian, so the step is exact.  Iterations stop once the residual is
+below ``newton_tol`` or below the round-off floor of the stencil,
+whichever is larger.  The maximal equation is elliptic only
 while the interior stays space-like; iterates that lose B > 0 abort with
 CausalTypeViolationError.  The time-like equation is hyperbolic where
 |grad| > 1, so Dirichlet problems for it are ill-posed and not offered.
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
@@ -48,6 +52,7 @@ NEWTON_TOL = 1e-10
 MAX_NEWTON = 50
 MAX_HALVINGS = 30
 MIN_INTERIOR_B = 1e-8
+ND_LEAF = 16  # nested-dissection blocks of at most this many nodes stay whole
 
 
 class EquationKind(Enum):
@@ -116,6 +121,8 @@ class GridSolution:
     damping_history: list
     min_interior_b: float | None
     converged: bool = True
+    residual_floor: float = 0.0
+    converged_by: str = "newton_tol"
 
     def field(self, name: str = "") -> GridField:
         return GridField(SampledGrid(self.xs, self.ys, self.values),
@@ -130,6 +137,8 @@ class GridSolution:
             "final_residual": self.final_residual,
             "residual_history": list(map(float, self.residual_history)),
             "damping_history": list(map(float, self.damping_history)),
+            "residual_floor": self.residual_floor,
+            "converged_by": self.converged_by,
         }
         if self.min_interior_b is not None:
             out["min_interior_b"] = float(self.min_interior_b)
@@ -179,16 +188,17 @@ def _jacobian(values: np.ndarray, s: float,
     C = 1.0 + s * px * px
     D = -2.0 * s * px * py
 
-    cross = D / (4.0 * hx * hy)
     coeffs = {
         (0, 0): -2.0 * A / hx ** 2 - 2.0 * C / hy ** 2,
         (1, 0): A / hx ** 2 + s * (px * pyy - py * pxy) / hx,
         (-1, 0): A / hx ** 2 - s * (px * pyy - py * pxy) / hx,
         (0, 1): C / hy ** 2 + s * (py * pxx - px * pxy) / hy,
         (0, -1): C / hy ** 2 - s * (py * pxx - px * pxy) / hy,
-        (1, 1): cross, (-1, -1): cross,
-        (1, -1): -cross, (-1, 1): -cross,
     }
+    if s != 0.0:  # at s = 0 the cross stencil is all zeros: 5-point Laplacian
+        cross = D / (4.0 * hx * hy)
+        coeffs.update({(1, 1): cross, (-1, -1): cross,
+                       (1, -1): -cross, (-1, 1): -cross})
 
     ii, jj = np.meshgrid(np.arange(mx), np.arange(my), indexing="ij")
     row_id = ii * my + jj
@@ -204,15 +214,56 @@ def _jacobian(values: np.ndarray, s: float,
         shape=(mx * my, mx * my))
 
 
+@lru_cache(maxsize=8)
+def _ordering(mx: int, my: int) -> np.ndarray:
+    """Geometric nested-dissection order of the mx x my interior lattice
+    (flat index i * my + j): a block is cut by its middle grid line across
+    the longer side, both halves come first and the separator line last,
+    and blocks of at most ND_LEAF nodes keep lattice order."""
+    parts = []
+
+    def dissect(block):
+        m, n = block.shape
+        if m * n <= ND_LEAF:
+            parts.append(block.ravel())
+        elif m >= n:
+            dissect(block[:m // 2])
+            dissect(block[m // 2 + 1:])
+            parts.append(block[m // 2])
+        else:
+            dissect(block[:, :n // 2])
+            dissect(block[:, n // 2 + 1:])
+            parts.append(block[:, n // 2])
+
+    dissect(np.arange(mx * my).reshape(mx, my))
+    order = np.concatenate(parts)
+    order.flags.writeable = False
+    return order
+
+
 def _direct_solve(A, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b by sparse LU (SuperLU, COLAMD column ordering)."""
+    """Solve A x = b by sparse LU (SuperLU) in the given order of A: no
+    column reordering, so the caller orders A for low fill."""
     try:
-        x = spla.splu(sp.csc_matrix(A)).solve(b)
+        x = spla.splu(sp.csc_matrix(A), permc_spec="NATURAL").solve(b)
     except RuntimeError as exc:
         raise LinearSolveError(f"sparse LU failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise LinearSolveError("sparse LU solve gave non-finite values")
     return x
+
+
+def _newton_step(values: np.ndarray, s: float,
+                 hx: float, hy: float) -> np.ndarray:
+    """Newton step of the s-stencil residual at values, shape (nx-2, ny-2):
+    the lattice-order Jacobian is factored in nested-dissection order."""
+    mx, my = values.shape[0] - 2, values.shape[1] - 2
+    p = _ordering(mx, my)
+    J = _jacobian(values, s, hx, hy)
+    rhs = -_residual(values, s, hx, hy).ravel()
+    step = np.empty(mx * my)
+    step[p] = _direct_solve(J[p][:, p], rhs[p])
+    return step.reshape(mx, my)
 
 
 def _boundary_mask(nx: int, ny: int) -> np.ndarray:
@@ -260,10 +311,7 @@ def _initial_guess(problem: DirichletProblem, vals: np.ndarray) -> np.ndarray:
         return out
     # the s = 0 stencil is linear, so one Newton step from vals is exact;
     # the step is added because an array boundary keeps its interior
-    hx, hy = problem.spacing()
-    out[1:-1, 1:-1] += _direct_solve(
-        _jacobian(vals, 0.0, hx, hy), -_residual(vals, 0.0, hx, hy).ravel()
-    ).reshape(problem.nx - 2, problem.ny - 2)
+    out[1:-1, 1:-1] += _newton_step(vals, 0.0, *problem.spacing())
     return out
 
 
@@ -290,46 +338,50 @@ def solve(problem: DirichletProblem) -> GridSolution:
     """Damped Newton iteration on the interior unknowns.
 
     Terminates successfully when the residual sup-norm drops below
-    ``newton_tol`` (always after at least one Newton step); raises
-    MaxIterationsError on stagnation or iteration exhaustion.
+    ``newton_tol`` or the round-off floor, whichever is larger (always
+    after at least one Newton step); raises MaxIterationsError on
+    stagnation or iteration exhaustion.  The floor, eps * max|u| *
+    (2/hx^2 + 2/hy^2), estimates the residual that rounding the lattice
+    values alone produces; below it the line search stagnates on noise.
     """
     hx, hy = problem.spacing()
     xs, ys = problem.lattice()
     vals = _boundary_values(problem)
     u = _initial_guess(problem, vals)
+    floor = float(np.finfo(float).eps * np.max(np.abs(u))
+                  * (2.0 / hx ** 2 + 2.0 / hy ** 2))
+    tol = max(problem.newton_tol, floor)
 
     res_history: list[float] = []
     damping: list[float] = []
-    r = discrete_residual(u, problem.equation, hx, hy)
-    rnorm = float(np.max(np.abs(r)))
+    rnorm = float(np.max(np.abs(discrete_residual(u, problem.equation,
+                                                  hx, hy))))
     res_history.append(rnorm)
     bmin = _check_causal(problem, u, hx, hy, 0, res_history)
 
     iterations = 0
     for it in range(1, problem.max_newton + 1):
-        J = _jacobian(u, problem.equation.sigma, hx, hy)
         try:
-            delta = _direct_solve(J, -r.ravel())
+            step = _newton_step(u, problem.equation.sigma, hx, hy)
         except LinearSolveError as exc:
             exc.report = {"status": "failed", "error": exc.code,
                           "equation": problem.equation.value,
                           "iterations": it, "last_residual": rnorm}
             raise
-        step = delta.reshape(r.shape)
 
         alpha = 1.0
         accepted = False
         for _ in range(problem.max_halvings + 1):
             trial = u.copy()
             trial[1:-1, 1:-1] += alpha * step
-            r_try = discrete_residual(trial, problem.equation, hx, hy)
-            rn_try = float(np.max(np.abs(r_try)))
-            if rn_try < rnorm or rn_try < problem.newton_tol:
+            rn_try = float(np.max(np.abs(discrete_residual(
+                trial, problem.equation, hx, hy))))
+            if rn_try < rnorm or rn_try < tol:
                 accepted = True
                 break
             alpha *= 0.5
         if not accepted:
-            if rnorm < problem.newton_tol:
+            if rnorm < tol:
                 break  # stagnating at machine level: already converged
             raise MaxIterationsError(
                 f"line search stagnated after {problem.max_halvings} "
@@ -338,12 +390,12 @@ def solve(problem: DirichletProblem) -> GridSolution:
                         "equation": problem.equation.value,
                         "iterations": it, "last_residual": rnorm})
 
-        u, r, rnorm = trial, r_try, rn_try
+        u, rnorm = trial, rn_try
         iterations = it
         res_history.append(rnorm)
         damping.append(alpha)
         bmin = _check_causal(problem, u, hx, hy, it, res_history)
-        if rnorm < problem.newton_tol:
+        if rnorm < tol:
             break
     else:
         raise MaxIterationsError(
@@ -362,6 +414,9 @@ def solve(problem: DirichletProblem) -> GridSolution:
         residual_history=res_history,
         damping_history=damping,
         min_interior_b=bmin,
+        residual_floor=floor,
+        converged_by=("newton_tol" if rnorm < problem.newton_tol
+                      else "residual_floor"),
     )
 
 

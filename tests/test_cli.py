@@ -8,8 +8,9 @@ import pytest
 
 from zmclab import cli
 from zmclab.cli import run
-from zmclab.gridio import obj_text, read_grid_csv
+from zmclab.gridio import causal_csv, grid_csv, obj_text, read_grid_csv
 from zmclab.errors import NonFiniteValueError
+from zmclab.geometry import CausalClass, CausalSample
 
 
 def _read(path):
@@ -288,6 +289,55 @@ def test_obj_counts_2x2_and_nonfinite_refusal():
     assert sum(1 for ln in text.splitlines() if ln.startswith("f ")) == 2
     with pytest.raises(NonFiniteValueError):
         obj_text(xs, ys, np.array([[0.0, np.nan], [2.0, 3.0]]))
+
+
+def _ref_grid_csv(xs, ys, values):
+    """Per-node reference writer: one repr per float, x index outermost."""
+    rows = [f"{float(x)!r},{float(y)!r},{float(values[i, j])!r}\n"
+            for i, x in enumerate(xs) for j, y in enumerate(ys)]
+    return "x,y,value\n" + "".join(rows)
+
+
+def _ref_causal_csv(samples):
+    rows = [f"{float(s.x)!r},{float(s.y)!r},{float(s.b)!r},{float(s.bx)!r},"
+            f"{float(s.by)!r},{s.cls.value}\n" for s in samples]
+    return "x,y,b,bx,by,class\n" + "".join(rows)
+
+
+def _ref_obj_text(xs, ys, values):
+    nx, ny = values.shape
+    out = [f"v {float(xs[i])!r} {float(ys[j])!r} {float(values[i, j])!r}\n"
+           for i in range(nx) for j in range(ny)]
+    for i in range(nx - 1):
+        for j in range(ny - 1):
+            a, b = i * ny + j + 1, (i + 1) * ny + j + 1
+            out.append(f"f {a} {b} {b + 1}\nf {a} {b + 1} {a + 1}\n")
+    return "".join(out)
+
+
+def test_writers_match_per_node_reference():
+    xs = np.array([-0.0, 1e-300, 0.1, 1.5e17])
+    ys = np.array([-2.5, 1.0 / 3.0, 7.0])
+    values = np.array([[-0.0, 1e-300, 1.5e17],
+                       [0.1 + 0.2, -1e-5, 2.0 ** -1074],
+                       [1e16, -7.25, 123456789.0],
+                       [np.pi, -np.e, 5e-324]])
+    assert obj_text(xs, ys, values) == _ref_obj_text(xs, ys, values)
+    assert grid_csv(xs, ys, values) == _ref_grid_csv(xs, ys, values)
+    special = values.copy()
+    special[1, 1], special[2, 0], special[3, 2] = np.nan, np.inf, -np.inf
+    assert grid_csv(xs, ys, special) == _ref_grid_csv(xs, ys, special)
+    samples = [CausalSample(-0.0, 1e-300, 1.5e17, np.nan, np.inf,
+                            CausalClass.SPACE_LIKE),
+               CausalSample(np.float64(0.1), -np.inf, 0.0, -1e-5, 2.5,
+                            CausalClass.LIGHT_DEGENERATE)]
+    assert causal_csv(samples) == _ref_causal_csv(samples)
+    assert causal_csv([]) == _ref_causal_csv([])
+    # more rows than one format call takes
+    xs, ys = np.linspace(-1.0, 1.0, 70), np.linspace(0.0, 3.0, 70)
+    values = np.random.default_rng(7).normal(size=(70, 70))
+    assert obj_text(xs, ys, values) == _ref_obj_text(xs, ys, values)
+    assert grid_csv(xs, ys, values) == _ref_grid_csv(xs, ys, values)
 
 
 # --------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from zmclab import (
     CausalTypeViolationError,
@@ -18,7 +19,14 @@ from zmclab import (
 )
 from zmclab.geometry import minimal_residual_of_jet
 from zmclab import solver
-from zmclab.solver import _direct_solve, _jacobian, _residual, interior_b
+from zmclab.solver import (
+    _direct_solve,
+    _jacobian,
+    _newton_step,
+    _ordering,
+    _residual,
+    interior_b,
+)
 
 DOM = Rect(1.0, 2.0, 1.0, 2.0)
 CATENOID = "-asinh(sqrt(x^2 + y^2))"
@@ -110,6 +118,41 @@ def test_jacobian_matches_finite_differences():
             assert np.allclose(J[:, k], col, rtol=1e-5, atol=1e-5)
 
 
+def test_harmonic_jacobian_is_five_point():
+    # at sigma = 0 the cross stencil is left out, not stored as zeros:
+    # 7^2 interior nodes, each with itself and its in-lattice axis neighbours
+    g = _samples(CATENOID, DOM, 9)
+    J = _jacobian(g.values, 0.0, g.hx, g.hy)
+    assert J.nnz == 49 + 4 * 6 * 7 == 217
+    assert _jacobian(g.values, -1.0, g.hx, g.hy).nnz == 361
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3, 200), (200, 3), (127, 255)])
+def test_ordering_is_a_permutation(shape):
+    p = _ordering(*shape)
+    assert np.array_equal(np.sort(p), np.arange(shape[0] * shape[1]))
+
+
+@pytest.mark.parametrize("sigma", [-1.0, 1.0, 0.0])
+def test_newton_step_matches_unpermuted_solve(sigma):
+    g = field_from_text(CATENOID, DOM).sample(65, 129)
+    step = _newton_step(g.values, sigma, g.hx, g.hy)
+    ref = spla.spsolve(_jacobian(g.values, sigma, g.hx, g.hy),
+                       -_residual(g.values, sigma, g.hx, g.hy).ravel())
+    assert step.shape == (63, 127)
+    err = np.max(np.abs(step.ravel() - ref)) / np.max(np.abs(ref))
+    assert err <= 1e-12
+
+
+def test_nested_dissection_fill_at_129():
+    # COLAMD fills this factor to about 1.7M entries, nested dissection
+    # to about 1.1M
+    g = _samples(CATENOID, DOM, 129)
+    p = _ordering(127, 127)
+    J = _jacobian(g.values, -1.0, g.hx, g.hy)
+    assert spla.splu(J[p][:, p], permc_spec="NATURAL").nnz < 1.3e6
+
+
 def test_direct_solve_refuses_singular_matrix():
     with pytest.raises(LinearSolveError):
         _direct_solve(sp.csc_matrix((9, 9)), np.ones(9))
@@ -144,6 +187,24 @@ def test_catenoid_convergence_and_order():
         assert sol.min_interior_b > 0.5
     assert errs[33] < 5e-4
     assert 3.2 <= errs[17] / errs[33] <= 4.8
+
+
+def test_newton_tol_below_roundoff_stops_at_floor():
+    # 1e-15 lies below what rounding u alone puts into the stencil residual
+    # at 33^2 (about 1.6e-12); the solve stops at that floor and says so
+    sol = solve(DirichletProblem("maximal", DOM, 33, 33, CATENOID,
+                                 newton_tol=1e-15))
+    rep = convergence_report(sol)
+    assert rep["status"] == "converged"
+    assert rep["converged_by"] == "residual_floor"
+    assert 1e-15 < rep["final_residual"] < rep["residual_floor"] < 1e-11
+    eps = np.finfo(float).eps
+    assert rep["residual_floor"] == pytest.approx(
+        eps * np.arcsinh(np.sqrt(8.0)) * 4 * 32 ** 2, rel=1e-12)
+    default = convergence_report(
+        solve(DirichletProblem("maximal", DOM, 33, 33, CATENOID)))
+    assert default["converged_by"] == "newton_tol"
+    assert default["residual_floor"] == rep["residual_floor"]
 
 
 def test_timelike_forcing_boundary_raises():
