@@ -191,6 +191,15 @@ def _field_of(ns):
     return field_from_text(ns.field, ns.domain, _parse_params(ns.param))
 
 
+def _samples_payload(ns, samples) -> str:
+    """Causal samples as JSON or as causal-sample CSV."""
+    if ns.format == "json":
+        return gridio.dump_json({"schema": 1, "samples": [
+            {"x": s.x, "y": s.y, "b": s.b, "bx": s.bx, "by": s.by,
+             "class": s.cls.value} for s in samples]})
+    return gridio.causal_csv(samples)
+
+
 def _cmd_classify(ns) -> dict:
     f = _field_of(ns)
     nx, ny = ns.res
@@ -201,13 +210,8 @@ def _cmd_classify(ns) -> dict:
                                             tau_grad=ns.tol_grad)
     node_keys = {(s.x, s.y) for s in samples}
     samples += [s for s in refined if (s.x, s.y) not in node_keys]
-    if ns.format == "json":
-        payload = gridio.dump_json({"schema": 1, "samples": [
-            {"x": s.x, "y": s.y, "b": s.b, "bx": s.bx, "by": s.by,
-             "class": s.cls.value} for s in samples]})
-    else:
-        payload = gridio.causal_csv(samples)
-    _emit(ns, payload, {"nodes": nx * ny, "refined": len(refined)})
+    _emit(ns, _samples_payload(ns, samples),
+          {"nodes": nx * ny, "refined": len(refined)})
     return {}
 
 
@@ -283,13 +287,7 @@ def _cmd_detect(ns) -> dict:
     nx, ny = ns.res
     samples = geometry.detect_lightlike_set(f, nx, ny, tau_light=ns.tol_light,
                                             tau_grad=ns.tol_grad)
-    if ns.format == "json":
-        payload = gridio.dump_json({"schema": 1, "samples": [
-            {"x": s.x, "y": s.y, "b": s.b, "bx": s.bx, "by": s.by,
-             "class": s.cls.value} for s in samples]})
-    else:
-        payload = gridio.causal_csv(samples)
-    _emit(ns, payload, {"count": len(samples)})
+    _emit(ns, _samples_payload(ns, samples), {"count": len(samples)})
     return {}
 
 

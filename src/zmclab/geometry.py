@@ -45,6 +45,9 @@ DEFAULT_TAU_GRAD = 1e-7
 REFINE_TOL = 1e-10
 #: a verified light-like line needs residual and defect at or below this
 LINE_TOL = 1e-8
+#: samples whose predicted lines differ by at most this in angle (and by at
+#: most this times 1 + half the domain diagonal in offset) share one line
+LINE_KEY_TOL = 1e-6
 
 
 class CausalClass(Enum):
@@ -388,61 +391,57 @@ def _orient(direction: np.ndarray) -> np.ndarray:
     return direction
 
 
-def verify_line_theorem(samples: list[CausalSample], f: GraphField,
-                        cluster_tol: float | None = None) -> list[LightLine]:
-    """Cluster degenerate samples into collinear families and lift each
-    fitted line to L^3.
+def verify_line_theorem(samples: list[CausalSample],
+                        f: GraphField) -> list[LightLine]:
+    """Group degenerate samples by the line each one's jet predicts, then
+    fit each group and lift it to L^3.
 
-    Clustering is a greedy region-growing pass: a cluster absorbs every
-    remaining sample whose perpendicular distance to the current fit stays
-    within ``cluster_tol`` (default: 10x the median nearest-neighbour
-    spacing of the samples).  Since degenerate lines of a graph are
-    parallel, clusters never merge across lines.
+    At a degenerate light-like point |grad psi| = 1, and the light-like
+    line through it projects along grad psi.  A sample's key is theta, the
+    angle of grad psi mod pi, and the offset n . (p - c), with
+    n = (-sin theta, cos theta) and c the domain centre.  Sorted keys split
+    where they differ by more than LINE_KEY_TOL (in offset: times 1 + half
+    the domain diagonal); the angles are cut at their widest gap.  Groups
+    of one are dropped; groups are fitted in (x, y) order, so the order of
+    ``samples`` does not matter.
     """
-    pts_all = [s for s in samples if s.cls == CausalClass.LIGHT_DEGENERATE]
-    if len(pts_all) < 2:
-        raise InsufficientSamplesError(
-            f"need at least 2 degenerate samples, got {len(pts_all)}")
-    pts = np.array([[s.x, s.y] for s in pts_all])
+    degenerate = sorted((s for s in samples
+                         if s.cls == CausalClass.LIGHT_DEGENERATE),
+                        key=lambda s: (s.x, s.y))
+    pts = np.array([[s.x, s.y] for s in degenerate]).reshape(-1, 2)
+    j = f.jet2_grid(pts[:, 0], pts[:, 1])
+    theta = np.mod(np.arctan2(j.gy, j.gx), np.pi)
+    if theta.size:
+        # angles below the widest gap move up by pi: the seam lies there
+        ts = np.sort(theta)
+        seam = ts[(np.argmax(np.diff(ts, append=ts[0] + np.pi)) + 1) % ts.size]
+        theta = np.where(theta < seam, theta + np.pi, theta)
+    d = f.domain
+    normal = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
+    offset = ((pts - [0.5 * (d.x0 + d.x1), 0.5 * (d.y0 + d.y1)])
+              * normal).sum(axis=1)
+    order = np.argsort(theta)
+    band = np.zeros(theta.size, dtype=int)
+    band[order[1:]] = np.cumsum(np.diff(theta[order]) > LINE_KEY_TOL)
+    order = np.lexsort((offset, band))
+    cut = (np.diff(band[order]) != 0) | (
+        np.diff(offset[order])
+        > LINE_KEY_TOL * (1.0 + 0.5 * math.hypot(d.x1 - d.x0, d.y1 - d.y0)))
+    groups = [np.sort(g) for g in np.split(order, np.flatnonzero(cut) + 1)
+              if g.size > 1]
+    if not groups:
+        raise InsufficientSamplesError(f"no 2 of the {len(degenerate)} "
+                                       "degenerate samples share a line")
 
-    if cluster_tol is None:
-        # imported here: scipy.spatial would add ~0.1 s to `import zmclab`
-        from scipy.spatial import cKDTree
-        spacing = cKDTree(pts).query(pts, k=2)[0][:, 1]
-        cluster_tol = 10.0 * float(np.median(spacing))
-
-    unassigned = np.arange(len(pts))
-    clusters = []
-    while len(unassigned) > 1:  # a singleton leftover has no line to fit
-        seed, rest = unassigned[0], unassigned[1:]
-        d = np.sqrt(((pts[rest] - pts[seed]) ** 2).sum(axis=1))
-        mate = int(np.argmin(d))
-        cluster = np.array([seed, rest[mate]])
-        unassigned = np.delete(rest, mate)
-        while True:
-            _, direction, _ = _tls_fit(pts[cluster])
-            normal = np.array([-direction[1], direction[0]])
-            centroid = pts[cluster].mean(axis=0)
-            # a dot product per row: a matrix-vector product rounds
-            # differently, and would move samples at the cluster edge
-            offset = ((pts[unassigned] - centroid)[:, None, :] @ normal)[:, 0]
-            near = np.abs(offset) <= cluster_tol
-            if not near.any():
-                break
-            cluster = np.concatenate([cluster, unassigned[near]])
-            unassigned = unassigned[~near]
-        clusters.append(cluster)
-
-    centroids = np.array([pts[cluster].mean(axis=0) for cluster in clusters])
+    centroids = np.array([pts[g].mean(axis=0) for g in groups])
     j = f.jet2_grid(centroids[:, 0], centroids[:, 1])  # one jet for all lines
     lines: list[LightLine] = []
-    for n, cluster in enumerate(clusters):
-        centroid, direction, perp = _tls_fit(pts[cluster])
+    for n, g in enumerate(groups):
+        centroid, direction, perp = _tls_fit(pts[g])
         direction = _orient(direction)
         dt = float(j.gx[n] * direction[0] + j.gy[n] * direction[1])
         defect = abs(direction[0] ** 2 + direction[1] ** 2 - dt * dt)
-        order = np.argsort(pts[cluster] @ direction)
-        members = [pts_all[cluster[k]] for k in order]
+        members = [degenerate[k] for k in g[np.argsort(pts[g] @ direction)]]
         lines.append(LightLine(
             base=(float(centroid[0]), float(centroid[1])),
             direction=(float(direction[0]), float(direction[1])),

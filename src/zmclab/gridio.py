@@ -9,6 +9,7 @@ of one node table, so no writer makes a numpy scalar per node.
 
 from __future__ import annotations
 
+import io
 import json
 
 import numpy as np
@@ -53,18 +54,18 @@ def grid_csv(xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> str:
 
 
 def read_grid_csv(text: str) -> SampledGrid:
-    """Rebuild a SampledGrid from grid CSV produced by ``grid_csv``."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0].strip() != GRID_HEADER:
-        raise ValueError(f"expected header {GRID_HEADER!r}")
-    rows = np.array([[float(tok) for tok in ln.split(",")]
-                     for ln in lines[1:]])
-    xs = np.unique(rows[:, 0])
-    ys = np.unique(rows[:, 1])
-    if rows.shape[0] != xs.size * ys.size:
-        raise ValueError("rows do not form a complete lattice")
-    values = rows[:, 2].reshape(xs.size, ys.size)
-    return SampledGrid(xs, ys, values)
+    """Rebuild a SampledGrid from grid CSV produced by ``grid_csv``: rows
+    ``x,y,value`` of every node once, x index outermost."""
+    head, _, body = text.strip().partition("\n")
+    if head.strip() != GRID_HEADER or not body.strip():
+        raise ValueError(f"expected header {GRID_HEADER!r} and rows below it")
+    x, y, values = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2).T
+    xs, ys = np.unique(x), np.unique(y)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    if not (np.array_equal(x, X.ravel()) and np.array_equal(y, Y.ravel())):
+        raise ValueError("rows do not list every lattice node once with the "
+                         "x index outermost")
+    return SampledGrid(xs, ys, values.reshape(X.shape))
 
 
 def causal_csv(samples: list[CausalSample]) -> str:

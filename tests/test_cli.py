@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zmclab
 from zmclab import cli
 from zmclab.cli import run
 from zmclab.gridio import causal_csv, grid_csv, obj_text, read_grid_csv
@@ -281,6 +286,39 @@ def test_export_roundtrip(tmp_path):
     assert sum(1 for ln in text.splitlines() if ln.startswith("f ")) == 8
 
 
+def _lattice_csv(nodes):
+    return "x,y,value\n" + "".join(f"{x},{y},{x + 2 * y}\n" for x, y in nodes)
+
+
+_X_OUTER = [(x, y) for x in range(3) for y in range(3)]
+
+
+@pytest.mark.parametrize("text", [
+    "x,y,value\n",
+    "x,y,value\n0,0\n0,1\n",
+    _lattice_csv(sorted(_X_OUTER, key=lambda p: p[::-1])),  # y outermost
+    _lattice_csv(_X_OUTER[1::-1] + _X_OUTER[2:]),  # two rows swapped
+], ids=["header-only", "two-columns", "y-outermost", "rows-swapped"])
+def test_export_bad_grid_csv_is_invalid_input(tmp_path, capsys, text):
+    csv_in = tmp_path / "g.csv"
+    csv_in.write_text(text)
+    obj_out = tmp_path / "g.obj"
+    assert run(["export", "--in", str(csv_in), "--out", str(obj_out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "invalid-input"
+    assert not obj_out.exists()
+
+
+def test_read_grid_csv_round_trips_bit_for_bit():
+    rng = np.random.default_rng(3)
+    xs, ys = np.linspace(-1.0, 1.0, 17), np.linspace(0.3, 2.1, 9)
+    values = rng.standard_normal((17, 9)) * 10.0 ** rng.integers(-300, 300,
+                                                                 (17, 9))
+    grid = read_grid_csv(grid_csv(xs, ys, values))
+    assert grid.xs.tobytes() == xs.tobytes()
+    assert grid.ys.tobytes() == ys.tobytes()
+    assert grid.values.tobytes() == values.tobytes()
+
+
 def test_obj_counts_2x2_and_nonfinite_refusal():
     xs = np.array([0.0, 1.0])
     ys = np.array([0.0, 1.0])
@@ -444,3 +482,18 @@ def test_verify_lines_insufficient_samples(tmp_path, capsys):
                 "--out", str(tmp_path / "x.json")])
     assert code == 1
     assert json.loads(capsys.readouterr().err)["error"] == "insufficient-samples"
+
+
+def test_verify_lines_imports_no_scipy_spatial(tmp_path):
+    # a fresh interpreter: scipy.spatial costs about 0.75 s cold to import
+    code = ("import sys; from zmclab.cli import run; "
+            "assert run(sys.argv[1:]) == 0; "
+            "assert 'scipy.spatial' not in sys.modules, 'scipy.spatial'")
+    env = dict(os.environ, PYTHONPATH=str(Path(zmclab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "verify-lines", "--field", "y + sin(x)",
+         "--domain", "0,6.283185307179586,-1,1", "--res", "129,33",
+         "--out", str(tmp_path / "lines.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads((tmp_path / "lines.json").read_text())["lines"]) == 2

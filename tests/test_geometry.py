@@ -367,7 +367,6 @@ def test_detection_makes_no_point_jets(monkeypatch):
 def test_verify_lines_memory_is_linear_in_samples():
     # the plane t = x is degenerate everywhere: 1,681 samples at 41^2,
     # whose n x n distance matrix took 113 MB
-    from scipy.spatial import cKDTree  # noqa: F401  (import outside trace)
     f = field_from_text("x", SQ)
     samples = detect_lightlike_set(f, 41, 41)
     tracemalloc.start()
@@ -415,6 +414,53 @@ def test_verify_lines_needs_two_samples():
     f = field_from_text("y + x^2", SQ)
     with pytest.raises(InsufficientSamplesError):
         verify_line_theorem([], f)
+
+
+@pytest.mark.parametrize("k, dom, nx, ny", [
+    (3, Rect(0, 2 * math.pi, -1.5, 0.5), 101, 17),
+    (2, Rect(0, 2 * math.pi, -1, 1), 65, 9),
+])
+def test_shear_lines_on_coarse_lattices_stay_apart(k, dom, nx, ny):
+    # lines pi/k apart, samples along them further apart than that
+    f = field_from_text(f"y + sin({k}*x)", dom)
+    lines = verify_line_theorem(detect_lightlike_set(f, nx, ny), f)
+    zeros = (2 * np.arange(2 * k) + 1) * math.pi / (2 * k)  # zeros of g'
+    assert len(lines) == zeros.size
+    for ln, x0 in zip(lines, zeros):
+        assert abs(ln.base[0] - x0) <= 1e-9
+        assert len(ln.samples) == ny
+        assert ln.verified
+
+
+@pytest.mark.parametrize("n", [31, 41])
+def test_plane_gives_one_line_per_lattice_row(n):
+    f = field_from_text("x", SQ)
+    lines = verify_line_theorem(detect_lightlike_set(f, n, n), f)
+    ys = f.domain.lattice(n, n)[1]
+    assert [ln.base[1] for ln in lines] == pytest.approx(ys, abs=1e-12)
+    for ln in lines:
+        assert ln.direction == (1.0, 0.0)
+        assert len(ln.samples) == n
+        assert ln.verified
+
+
+def test_lines_do_not_depend_on_sample_order():
+    f = field_from_text("x", SQ)
+    samples = detect_lightlike_set(f, 31, 31)
+    ref = verify_line_theorem(samples, f)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        shuffled = [samples[k] for k in rng.permutation(len(samples))]
+        assert verify_line_theorem(shuffled, f) == ref  # bit for bit
+
+
+def test_no_two_samples_on_one_line_is_insufficient():
+    f = field_from_text("y + sin(8*x)", Rect(0, 2 * math.pi, -1, 1))
+    lines = verify_line_theorem(detect_lightlike_set(f, 257, 65), f)
+    one_per_line = [ln.samples[0] for ln in lines]
+    assert len(one_per_line) == 16
+    with pytest.raises(InsufficientSamplesError):
+        verify_line_theorem(one_per_line, f)
 
 
 # --------------------------------------------------------------------------
