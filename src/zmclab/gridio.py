@@ -31,10 +31,15 @@ CAUSAL_HEADER = "x,y,b,bx,by,class"
 ROWS_PER_CALL = 4096
 
 
+def _fill(template: str, part: np.ndarray) -> str:
+    """``template % row`` for each row of a 2-d table, as one string."""
+    return (template * len(part)) % tuple(part.ravel().tolist())
+
+
 def _rows(template: str, table: np.ndarray) -> list[str]:
-    """``template % row`` for each row of a 2-d table, as one string per
-    ROWS_PER_CALL rows, so the Python numbers alive at once stay few."""
-    return [(template * len(part)) % tuple(part.ravel().tolist())
+    """``_fill`` of a table, as one string per ROWS_PER_CALL rows, so the
+    Python numbers alive at once stay few."""
+    return [_fill(template, part)
             for part in np.split(table, range(ROWS_PER_CALL, len(table),
                                               ROWS_PER_CALL))]
 
@@ -108,12 +113,16 @@ def obj_text(xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> str:
             f"refusing OBJ export: non-finite value at node "
             f"({int(bad[0])}, {int(bad[1])})")
     nx, ny = values.shape
-    a = (np.arange(nx - 1)[:, None] * ny
-         + np.arange(ny - 1)[None, :]).ravel() + 1  # OBJ indices are 1-based
-    b, c, d = a + ny, a + ny + 1, a + 1
-    faces = np.stack([a, b, c, a, c, d], axis=-1)
+    cells = (nx - 1) * (ny - 1)
+    faces = []
+    for start in range(0, cells, ROWS_PER_CALL):  # one chunk's table at a time
+        k = np.arange(start, min(start + ROWS_PER_CALL, cells))
+        # cell k = i * (ny - 1) + j has its corner at node i * ny + j = k + i
+        a = k + k // (ny - 1) + 1  # OBJ indices are 1-based
+        faces.append(_fill("f %d %d %d\nf %d %d %d\n", np.stack(
+            [a, a + ny, a + ny + 1, a, a + ny + 1, a + 1], axis=-1)))
     return "".join([*_rows("v %r %r %r\n", _node_table(xs, ys, values)),
-                    *_rows("f %d %d %d\nf %d %d %d\n", faces)])
+                    *faces])
 
 
 def dump_json(payload: dict) -> str:

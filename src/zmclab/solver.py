@@ -10,11 +10,14 @@ differences on a uniform rectangle, with the four-diagonal cross stencil
 for the mixed derivative.  Newton iterations use the analytic Jacobian of
 the stencil, a halving line search on the residual sup-norm, and one
 direct sparse LU solve per step, factored in a geometric nested-dissection
-order of the interior lattice.  The harmonic initial guess is one s = 0
-step through the same Jacobian: there the stencil is the linear 5-point
-Laplacian, so the step is exact.  Iterations stop once the residual is
-below ``newton_tol`` or below the round-off floor of the stencil,
-whichever is larger.  The maximal equation is elliptic only
+order of the interior lattice.  The harmonic initial guess is the s = 0
+case, where the stencil is the linear 5-point Laplacian: a sine transform
+along each axis diagonalizes it on the rectangle, so the guess takes four
+real FFT passes and no factorization, and a solve factors one LU per
+Newton iteration.  scipy is imported only when a Jacobian is built or
+factored, so loading this module loads numpy alone.  Iterations stop once
+the residual is below ``newton_tol`` or below the round-off floor of the
+stencil, whichever is larger.  The maximal equation is elliptic only
 while the interior stays space-like; iterates that lose B > 0 abort with
 CausalTypeViolationError.  The time-like equation is hyperbolic where
 |grad| > 1, so Dirichlet problems for it are ill-posed and not offered.
@@ -28,8 +31,6 @@ from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
     CausalTypeViolationError,
@@ -178,9 +179,11 @@ def interior_b(values: np.ndarray, hx: float, hy: float) -> np.ndarray:
     return 1.0 - px * px - py * py
 
 
-def _jacobian(values: np.ndarray, s: float,
-              hx: float, hy: float) -> sp.csc_matrix:
-    """Analytic Jacobian of the stencil residual w.r.t. interior unknowns."""
+def _jacobian(values: np.ndarray, s: float, hx: float, hy: float):
+    """Analytic Jacobian of the stencil residual w.r.t. interior unknowns,
+    as a CSC matrix in lattice order."""
+    import scipy.sparse as sp
+
     nx, ny = values.shape
     mx, my = nx - 2, ny - 2
     px, py, pxx, pyy, pxy = _interior_derivatives(values, hx, hy)
@@ -244,6 +247,9 @@ def _ordering(mx: int, my: int) -> np.ndarray:
 def _direct_solve(A, b: np.ndarray) -> np.ndarray:
     """Solve A x = b by sparse LU (SuperLU) in the given order of A: no
     column reordering, so the caller orders A for low fill."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     try:
         x = spla.splu(sp.csc_matrix(A), permc_spec="NATURAL").solve(b)
     except RuntimeError as exc:
@@ -253,17 +259,45 @@ def _direct_solve(A, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _newton_step(values: np.ndarray, s: float,
-                 hx: float, hy: float) -> np.ndarray:
-    """Newton step of the s-stencil residual at values, shape (nx-2, ny-2):
-    the lattice-order Jacobian is factored in nested-dissection order."""
+def _newton_step(values: np.ndarray, s: float, hx: float, hy: float,
+                 res: np.ndarray) -> np.ndarray:
+    """Newton step of the s-stencil residual res = _residual(values, s,
+    hx, hy), shape (nx-2, ny-2): the lattice-order Jacobian is factored in
+    nested-dissection order."""
     mx, my = values.shape[0] - 2, values.shape[1] - 2
     p = _ordering(mx, my)
     J = _jacobian(values, s, hx, hy)
-    rhs = -_residual(values, s, hx, hy).ravel()
+    rhs = -res.ravel()
     step = np.empty(mx * my)
     step[p] = _direct_solve(J[p][:, p], rhs[p])
     return step.reshape(mx, my)
+
+
+def _dst1(a: np.ndarray, axis: int) -> np.ndarray:
+    """Unnormalized DST-I along axis, sum_n a_n sin(pi k n / (m + 1)) for
+    k, n = 1..m, from the rfft of the odd extension (0, a, 0, -a reversed);
+    applied twice it gives (m + 1) / 2 times a."""
+    a = np.moveaxis(a, axis, -1)
+    pad = np.zeros(a.shape[:-1] + (1,))
+    odd = np.concatenate([pad, a, pad, -a[..., ::-1]], axis=-1)
+    out = -0.5 * np.fft.rfft(odd, axis=-1)[..., 1:a.shape[-1] + 1].imag
+    return np.moveaxis(out, -1, axis)
+
+
+def _harmonic_interior(vals: np.ndarray, hx: float, hy: float) -> np.ndarray:
+    """Interior of the discrete harmonic extension of the boundary ring of
+    vals (its interior is ignored), shape (nx-2, ny-2).  The 5-point
+    Laplacian with zero Dirichlet ring is diagonal in the sine basis, with
+    eigenvalues -(4/hx^2) sin^2(pi k / 2(mx+1)) - (4/hy^2) sin^2(pi l /
+    2(my+1)), so one sine transform each way solves for the interior."""
+    ring = vals.copy()
+    ring[1:-1, 1:-1] = 0.0
+    res = _residual(ring, 0.0, hx, hy)  # the ring's pull on the interior
+    mx, my = res.shape
+    ex = (2.0 / hx * np.sin(np.pi * np.arange(1, mx + 1) / (2 * mx + 2))) ** 2
+    ey = (2.0 / hy * np.sin(np.pi * np.arange(1, my + 1) / (2 * my + 2))) ** 2
+    coef = _dst1(_dst1(res, 0), 1) / (ex[:, None] + ey[None, :])
+    return _dst1(_dst1(coef, 0), 1) * (4.0 / ((mx + 1) * (my + 1)))
 
 
 def _boundary_mask(nx: int, ny: int) -> np.ndarray:
@@ -309,9 +343,7 @@ def _initial_guess(problem: DirichletProblem, vals: np.ndarray) -> np.ndarray:
         ring = vals[_boundary_mask(problem.nx, problem.ny)]
         out[1:-1, 1:-1] = float(ring.mean())
         return out
-    # the s = 0 stencil is linear, so one Newton step from vals is exact;
-    # the step is added because an array boundary keeps its interior
-    out[1:-1, 1:-1] += _newton_step(vals, 0.0, *problem.spacing())
+    out[1:-1, 1:-1] = _harmonic_interior(vals, *problem.spacing())
     return out
 
 
@@ -352,17 +384,18 @@ def solve(problem: DirichletProblem) -> GridSolution:
                   * (2.0 / hx ** 2 + 2.0 / hy ** 2))
     tol = max(problem.newton_tol, floor)
 
+    sigma = problem.equation.sigma
     res_history: list[float] = []
     damping: list[float] = []
-    rnorm = float(np.max(np.abs(discrete_residual(u, problem.equation,
-                                                  hx, hy))))
+    res = _residual(u, sigma, hx, hy)
+    rnorm = float(np.max(np.abs(res)))
     res_history.append(rnorm)
     bmin = _check_causal(problem, u, hx, hy, 0, res_history)
 
     iterations = 0
     for it in range(1, problem.max_newton + 1):
         try:
-            step = _newton_step(u, problem.equation.sigma, hx, hy)
+            step = _newton_step(u, sigma, hx, hy, res)
         except LinearSolveError as exc:
             exc.report = {"status": "failed", "error": exc.code,
                           "equation": problem.equation.value,
@@ -374,8 +407,8 @@ def solve(problem: DirichletProblem) -> GridSolution:
         for _ in range(problem.max_halvings + 1):
             trial = u.copy()
             trial[1:-1, 1:-1] += alpha * step
-            rn_try = float(np.max(np.abs(discrete_residual(
-                trial, problem.equation, hx, hy))))
+            res_try = _residual(trial, sigma, hx, hy)
+            rn_try = float(np.max(np.abs(res_try)))
             if rn_try < rnorm or rn_try < tol:
                 accepted = True
                 break
@@ -390,7 +423,7 @@ def solve(problem: DirichletProblem) -> GridSolution:
                         "equation": problem.equation.value,
                         "iterations": it, "last_residual": rnorm})
 
-        u, rnorm = trial, rn_try
+        u, res, rnorm = trial, res_try, rn_try
         iterations = it
         res_history.append(rnorm)
         damping.append(alpha)

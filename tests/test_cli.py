@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -286,6 +287,42 @@ def test_export_roundtrip(tmp_path):
     assert sum(1 for ln in text.splitlines() if ln.startswith("f ")) == 8
 
 
+def test_only_solve_imports_scipy(tmp_path):
+    # a fresh interpreter: scipy.sparse.linalg costs about 0.45 s cold to
+    # import, and only a solve needs it
+    code = """import sys
+import zmclab
+from zmclab.cli import run
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy."))
+
+out = sys.argv[1]
+assert not scipy_loaded(), scipy_loaded()
+for args in (
+        ["classify", "--field", "y + sin(x)", "--domain", "0,6.4,-1,1",
+         "--res", "33,9", "--out", out + "/c.csv"],
+        ["dualize", "--field", "atan2(y,x)", "--epsilon", "+1",
+         "--domain", "1,2,1,2", "--res", "9,9", "--base", "1,1",
+         "--out", out + "/d.csv"],
+        ["curvature", "--field=-asinh(sqrt(x^2+y^2))", "--kind", "mean",
+         "--domain", "1,2,1,2", "--res", "9,9", "--out", out + "/h.csv"],
+        ["export", "--in", out + "/d.csv", "--out", out + "/d.obj"]):
+    assert run(args) == 0, args
+    assert not scipy_loaded(), (args[0], scipy_loaded())
+assert run(["solve", "--equation", "maximal",
+            "--boundary=-asinh(sqrt(x^2+y^2))", "--domain", "1,2,1,2",
+            "--res", "9,9", "--out", out + "/s.csv"]) == 0
+assert "scipy.sparse.linalg" in sys.modules
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(zmclab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _lattice_csv(nodes):
     return "x,y,value\n" + "".join(f"{x},{y},{x + 2 * y}\n" for x, y in nodes)
 
@@ -376,6 +413,20 @@ def test_writers_match_per_node_reference():
     values = np.random.default_rng(7).normal(size=(70, 70))
     assert obj_text(xs, ys, values) == _ref_obj_text(xs, ys, values)
     assert grid_csv(xs, ys, values) == _ref_grid_csv(xs, ys, values)
+
+
+def test_obj_text_memory_is_bounded_by_its_output():
+    # the output chunks and the joined text are about twice the output; a
+    # face table for the whole lattice next to them took about three times
+    xs, ys = np.linspace(1.0, 2.0, 257), np.linspace(1.0, 2.0, 257)
+    values = np.random.default_rng(1).normal(size=(257, 257))
+    tracemalloc.start()
+    try:
+        text = obj_text(xs, ys, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * len(text)
 
 
 # --------------------------------------------------------------------------

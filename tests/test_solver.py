@@ -136,7 +136,8 @@ def test_ordering_is_a_permutation(shape):
 @pytest.mark.parametrize("sigma", [-1.0, 1.0, 0.0])
 def test_newton_step_matches_unpermuted_solve(sigma):
     g = field_from_text(CATENOID, DOM).sample(65, 129)
-    step = _newton_step(g.values, sigma, g.hx, g.hy)
+    step = _newton_step(g.values, sigma, g.hx, g.hy,
+                        _residual(g.values, sigma, g.hx, g.hy))
     ref = spla.spsolve(_jacobian(g.values, sigma, g.hx, g.hy),
                        -_residual(g.values, sigma, g.hx, g.hy).ravel())
     assert step.shape == (63, 127)
@@ -250,6 +251,35 @@ def test_harmonic_start_ignores_array_interior():
     sol = solve(DirichletProblem("maximal", DOM, 17, 17, arr))
     assert sol.iterations == ref.iterations
     assert np.array_equal(sol.values, ref.values)
+
+
+def test_sine_transform_start_matches_lu_step():
+    # non-square lattice with hx = 4 hy, so a mixed-up axis shows
+    prob = DirichletProblem("maximal", Rect(1.0, 3.0, 1.0, 2.0), 65, 129,
+                            CATENOID)
+    hx, hy = prob.spacing()
+    vals = solver._boundary_values(prob)
+    start = solver._initial_guess(prob, vals)
+    ref = _newton_step(vals, 0.0, hx, hy, _residual(vals, 0.0, hx, hy))
+    ring = solver._boundary_mask(65, 129)
+    assert np.array_equal(start[ring], vals[ring])
+    err = np.max(np.abs(start[1:-1, 1:-1] - ref)) / np.max(np.abs(ref))
+    assert err <= 1e-12
+
+
+def test_solve_factors_one_lu_per_newton_iteration(monkeypatch):
+    # the harmonic start takes no LU
+    calls = []
+    direct_solve = solver._direct_solve
+
+    def counted(A, b):
+        calls.append(b.size)
+        return direct_solve(A, b)
+
+    monkeypatch.setattr(solver, "_direct_solve", counted)
+    sol = solve(DirichletProblem("maximal", DOM, 33, 33, CATENOID))
+    assert sol.iterations >= 2
+    assert len(calls) == sol.iterations
 
 
 def test_singular_newton_jacobian_reports_linear_failure(monkeypatch):
