@@ -264,20 +264,18 @@ def _cmd_curvature(ns) -> dict:
 def _cmd_fluid(ns) -> dict:
     f, X, Y, j, tau = _lattice_jet(ns)
     parts = duality.chaplygin_of_jet(j, ns.p0, tau, X, Y)
-    states = list(zip(X.ravel().tolist(), Y.ravel().tolist(),
-                      *(np.ravel(a).tolist() for a in parts)))
     regime = {1: duality.FlowRegime.SUBSONIC.value,
               -1: duality.FlowRegime.SUPERSONIC.value}
     if ns.format == "json":
+        states = zip(X.ravel().tolist(), Y.ravel().tolist(),
+                     *(np.ravel(a).tolist() for a in parts))
         payload = gridio.dump_json({"schema": 1, "states": [
             {"x": x, "y": y, "epsilon": eps, "rho": rho, "u": u, "v": v,
              "c": c, "p": p, "regime": regime[eps]}
             for x, y, eps, rho, u, v, c, p in states]})
     else:
-        payload = "".join(
-            ["x,y,epsilon,rho,u,v,c,p,regime\n"]
-            + [f"{x!r},{y!r},{eps},{rho!r},{u!r},{v!r},{c!r},{p!r},"
-               f"{regime[eps]}\n" for x, y, eps, rho, u, v, c, p in states])
+        payload = gridio.fluid_csv(*f.domain.lattice(*ns.res), parts, np.where(
+            parts[0] > 0, regime[1], regime[-1]))
     _emit(ns, payload, {"p0": ns.p0})
     return {}
 

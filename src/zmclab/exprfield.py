@@ -720,8 +720,8 @@ class SampledGrid:
         """Index arrays (i, j) of the nodes nearest to (x, y), clipped."""
         i = np.rint((np.asarray(x) - self.xs[0]) / self.hx)
         j = np.rint((np.asarray(y) - self.ys[0]) / self.hy)
-        return (np.clip(i, 0, self.nx - 1).astype(int),
-                np.clip(j, 0, self.ny - 1).astype(int))
+        return (np.minimum(np.maximum(i, 0), self.nx - 1).astype(int),
+                np.minimum(np.maximum(j, 0), self.ny - 1).astype(int))
 
 
 # --------------------------------------------------------------------------

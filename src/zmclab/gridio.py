@@ -1,10 +1,10 @@
-"""Serialization: grid CSV, causal-sample CSV, light-line JSON, OBJ meshes.
+"""Serialization: grid, fluid and causal CSV, light-line JSON, OBJ meshes.
 
 All writers are deterministic (shortest round-trip float formatting, fixed
 row-major node order, no timestamps) so identical inputs give byte-identical
 files.  Floats are written with ``%r`` (``repr``, the shortest round-trip
-form) from row templates; the lattice writers fill them from ``tolist()``
-of one node table, so no writer makes a numpy scalar per node.
+form) from row templates; each lattice x-line's template holds every
+coordinate written once, filled from ``tolist()`` of that line's values.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .geometry import CausalSample, LightLine
 
 __all__ = [
     "grid_csv",
+    "fluid_csv",
     "causal_csv",
     "lightlines_payload",
     "obj_text",
@@ -28,34 +29,38 @@ __all__ = [
 
 GRID_HEADER = "x,y,value"
 CAUSAL_HEADER = "x,y,b,bx,by,class"
-ROWS_PER_CALL = 4096
 
 
-def _fill(template: str, part: np.ndarray) -> str:
-    """``template % row`` for each row of a 2-d table, as one string."""
-    return (template * len(part)) % tuple(part.ravel().tolist())
-
-
-def _rows(template: str, table: np.ndarray) -> list[str]:
-    """``_fill`` of a table, as one string per ROWS_PER_CALL rows, so the
-    Python numbers alive at once stay few."""
-    return [_fill(template, part)
-            for part in np.split(table, range(ROWS_PER_CALL, len(table),
-                                              ROWS_PER_CALL))]
-
-
-def _node_table(xs, ys, values) -> np.ndarray:
-    """Rows (x, y, value) of every node, row-major (x index outermost)."""
-    X, Y = np.meshgrid(np.asarray(xs, dtype=float),
-                       np.asarray(ys, dtype=float), indexing="ij")
-    return np.stack([X, Y, np.asarray(values, dtype=float)],
-                    axis=-1).reshape(-1, 3)
+def _line_rows(head: str, tail: str, xs, ys, *columns) -> list[str]:
+    """One string per x-line (x index outermost) of the rows ``head +
+    repr(x) + tail``; ``tail``'s first slot takes y, its ``%%`` slots the
+    node's entries of ``columns`` (nx-by-ny arrays).  Each coordinate is
+    formatted once, as a float (numpy 2 reprs ``np.float64(...)``)."""
+    xs, ys = (np.asarray(a, dtype=float).tolist() for a in (xs, ys))
+    # a float's repr holds no %, so the filled y parts need no escaping
+    pieces = [head, *[tail % y + head for y in ys]]
+    pieces[-1] = pieces[-1].removesuffix(head)
+    k, out = len(columns), []
+    row = [None] * (k * len(ys))
+    for x, *line in zip(xs, *columns, strict=True):
+        for at, part in enumerate(line):  # the columns interleaved per node
+            row[at::k] = part.tolist()
+        out.append(repr(x).join(pieces) % tuple(row))
+    return out
 
 
 def grid_csv(xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> str:
     """Grid CSV, header ``x,y,value``; rows row-major (x index outermost)."""
-    return "".join([GRID_HEADER + "\n",
-                    *_rows("%r,%r,%r\n", _node_table(xs, ys, values))])
+    return "".join([GRID_HEADER + "\n", *_line_rows(
+        "", ",%r,%%r\n", xs, ys, np.asarray(values, dtype=float))])
+
+
+def fluid_csv(xs: np.ndarray, ys: np.ndarray, parts, regimes) -> str:
+    """Chaplygin-state CSV, header ``x,y,epsilon,rho,u,v,c,p,regime``, rows
+    row-major: ``parts`` are the (epsilon, rho, u, v, c, p) arrays and
+    ``regimes`` the regime names, all of shape (nx, ny)."""
+    return "".join(["x,y,epsilon,rho,u,v,c,p,regime\n", *_line_rows(
+        "", ",%r,%%s,%%r,%%r,%%r,%%r,%%r,%%s\n", xs, ys, *parts, regimes)])
 
 
 def read_grid_csv(text: str) -> SampledGrid:
@@ -113,16 +118,13 @@ def obj_text(xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> str:
             f"refusing OBJ export: non-finite value at node "
             f"({int(bad[0])}, {int(bad[1])})")
     nx, ny = values.shape
-    cells = (nx - 1) * (ny - 1)
     faces = []
-    for start in range(0, cells, ROWS_PER_CALL):  # one chunk's table at a time
-        k = np.arange(start, min(start + ROWS_PER_CALL, cells))
-        # cell k = i * (ny - 1) + j has its corner at node i * ny + j = k + i
-        a = k + k // (ny - 1) + 1  # OBJ indices are 1-based
-        faces.append(_fill("f %d %d %d\nf %d %d %d\n", np.stack(
-            [a, a + ny, a + ny + 1, a, a + ny + 1, a + 1], axis=-1)))
-    return "".join([*_rows("v %r %r %r\n", _node_table(xs, ys, values)),
-                    *faces])
+    for i in range(nx - 1):  # the two triangles of each cell of x-line i
+        a = np.arange(i * ny + 1, (i + 1) * ny)  # OBJ indices are 1-based
+        faces.append("f %d %d %d\nf %d %d %d\n" * (ny - 1) % tuple(np.stack(
+            [a, a + ny, a + ny + 1, a, a + ny + 1, a + 1],
+            axis=-1).ravel().tolist()))
+    return "".join([*_line_rows("v ", " %r %%r\n", xs, ys, values), *faces])
 
 
 def dump_json(payload: dict) -> str:

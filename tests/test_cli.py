@@ -10,11 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zmclab
 from zmclab import cli
 from zmclab.cli import run
-from zmclab.gridio import causal_csv, grid_csv, obj_text, read_grid_csv
+from zmclab.gridio import (causal_csv, fluid_csv, grid_csv, obj_text,
+                           read_grid_csv)
 from zmclab.errors import NonFiniteValueError
 from zmclab.geometry import CausalClass, CausalSample
 
@@ -390,6 +392,15 @@ def _ref_obj_text(xs, ys, values):
     return "".join(out)
 
 
+def _ref_fluid_csv(xs, ys, parts, regimes):
+    eps, *rest = parts
+    rows = [f"{float(x)!r},{float(y)!r},{int(eps[i, j])},"
+            + "".join(f"{float(a[i, j])!r}," for a in rest)
+            + f"{regimes[i, j]}\n"
+            for i, x in enumerate(xs) for j, y in enumerate(ys)]
+    return "x,y,epsilon,rho,u,v,c,p,regime\n" + "".join(rows)
+
+
 def test_writers_match_per_node_reference():
     xs = np.array([-0.0, 1e-300, 0.1, 1.5e17])
     ys = np.array([-2.5, 1.0 / 3.0, 7.0])
@@ -413,6 +424,111 @@ def test_writers_match_per_node_reference():
     values = np.random.default_rng(7).normal(size=(70, 70))
     assert obj_text(xs, ys, values) == _ref_obj_text(xs, ys, values)
     assert grid_csv(xs, ys, values) == _ref_grid_csv(xs, ys, values)
+
+
+# finite coordinates, not evenly spaced, with both zeros, subnormals and
+# magnitudes of 1e300 and more; values may also be nan or infinite
+_FINITE = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-310, 1e300,
+                     -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+_VALUE = st.one_of(_FINITE, st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+@st.composite
+def _lattices(draw):
+    nx, ny = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+
+    def table(elements, shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(elements, min_size=size,
+                                      max_size=size))).reshape(shape)
+
+    return (table(_FINITE, nx), table(_FINITE, ny), table(_FINITE, (nx, ny)),
+            table(_VALUE, (nx, ny)), table(st.sampled_from([1, -1]), (nx, ny)),
+            table(_VALUE, (5, nx, ny)))
+
+
+@given(_lattices())
+@settings(max_examples=100, deadline=None)
+def test_writers_match_per_node_reference_on_random_lattices(lattice):
+    xs, ys, finite, values, eps, floats = lattice
+    assert obj_text(xs, ys, finite) == _ref_obj_text(xs, ys, finite)
+    assert grid_csv(xs, ys, values) == _ref_grid_csv(xs, ys, values)
+    parts, regimes = [eps, *floats], np.where(eps > 0, "sub", "super")
+    assert (fluid_csv(xs, ys, parts, regimes)
+            == _ref_fluid_csv(xs, ys, parts, regimes))
+
+
+_GRID_VERBS = {
+    "residual": ["--field", "x*y - 0.3*x^2 + sin(y)"],
+    "curvature": ["--field=-asinh(sqrt(x^2+y^2))"],
+    "dualize": ["--field", "atan2(y,x)", "--direction", "to-stream",
+                "--base", "1,1"],
+    "solve": ["--equation", "maximal", "--boundary=-asinh(sqrt(x^2+y^2))"],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_GRID_VERBS))
+def test_verb_files_match_per_node_reference(tmp_path, verb):
+    # the arrays come from the verb's JSON output; its CSV, the OBJ that
+    # export makes from that CSV, and solve's OBJ must equal the per-node
+    # reference writers applied to them
+    argv = [verb, *_GRID_VERBS[verb], "--domain", "1,2,1,2", "--res", "9,9",
+            "--out"]
+    out = {fmt: tmp_path / f"g.{fmt}" for fmt in ("json", "csv", "obj")}
+    assert run(argv + [str(out["json"]), "--format", "json"]) == 0
+    doc = json.loads(_read(out["json"]))
+    xs, ys, values = (np.array(doc[k], dtype=float)
+                      for k in ("xs", "ys", "values"))
+    assert run(argv + [str(out["csv"])]) == 0
+    assert _read(out["csv"]) == _ref_grid_csv(xs, ys, values)
+    assert run(["export", "--in", str(out["csv"]),
+                "--out", str(out["obj"])]) == 0
+    assert _read(out["obj"]) == _ref_obj_text(xs, ys, values)
+    if verb == "solve":
+        out["obj"].unlink()
+        assert run(argv + [str(out["obj"]), "--format", "obj"]) == 0
+        assert _read(out["obj"]) == _ref_obj_text(xs, ys, values)
+
+
+def test_fluid_file_matches_per_node_reference(tmp_path):
+    # sub-sonic for |x| < 1 and super-sonic beyond, no node on |x| = 1
+    argv = ["fluid", "--field", "0.5*x^2 + 0.1*y", "--domain=-1.9,2.1,0,1",
+            "--res", "9,9", "--out"]
+    assert run(argv + [str(tmp_path / "f.json"), "--format", "json"]) == 0
+    states = json.loads(_read(tmp_path / "f.json"))["states"]
+    table = {k: np.array([s[k] for s in states]).reshape(9, 9)
+             for k in states[0]}
+    assert set(table["regime"].ravel()) == {"sub-sonic", "super-sonic"}
+    parts = [table[k] for k in ("epsilon", "rho", "u", "v", "c", "p")]
+    assert run(argv + [str(tmp_path / "f.csv")]) == 0
+    assert _read(tmp_path / "f.csv") == _ref_fluid_csv(
+        table["x"][:, 0], table["y"][0], parts, table["regime"])
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (5, 4), (4, 3), (4, 5)])
+def test_writers_refuse_values_off_the_lattice(shape):
+    xs, ys, values = np.arange(4.0), np.arange(4.0), np.zeros(shape)
+    for write in (grid_csv, obj_text):
+        with pytest.raises((ValueError, TypeError)):
+            write(xs, ys, values)
+    with pytest.raises((ValueError, TypeError)):
+        fluid_csv(xs, ys, [values.astype(int), *[values] * 5],
+                  np.full(shape, "sub"))
+
+
+def test_grid_csv_memory_is_bounded_by_its_output():
+    # the per-line strings and the joined text are about twice the output
+    xs, ys = np.linspace(1.0, 2.0, 257), np.linspace(1.0, 2.0, 257)
+    values = np.random.default_rng(1).normal(size=(257, 257))
+    tracemalloc.start()
+    try:
+        text = grid_csv(xs, ys, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * len(text)
 
 
 def test_obj_text_memory_is_bounded_by_its_output():

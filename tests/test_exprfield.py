@@ -167,6 +167,24 @@ def test_grid_off_node_query_returns_nearest_node_jet():
     assert g.jet2_grid(X, Y).value.tolist() == g.grid.values[i, j].tolist()
 
 
+def test_nearest_node_clips_points_beyond_each_edge():
+    grid = field_from_text("x*y", Rect(0, 1, 0, 2)).sample(11, 21)
+    X = np.array([-5.0, -0.06, 0.5, 1.07, 7.0, 0.3])
+    Y = np.array([-3.0, 1.0, -0.05, 2.07, 9.0, 1e300])
+    expected = ([0, 0, 5, 10, 10, 3], [0, 10, 0, 20, 20, 20])
+    # the snapping rule keeps np.clip's indices
+    clipped = (np.clip(np.rint(X / grid.hx), 0, 10).astype(int),
+               np.clip(np.rint(Y / grid.hy), 0, 20).astype(int))
+    assert tuple(a.tolist() for a in clipped) == expected
+    i, j = grid.nearest_node(X, Y)
+    assert (i.dtype.kind, j.dtype.kind) == ("i", "i")
+    assert (i.tolist(), j.tolist()) == expected
+    for x, y, ei, ej in zip(X.tolist(), Y.tolist(), *expected):
+        si, sj = grid.nearest_node(x, y)
+        assert (np.ndim(si), np.ndim(sj)) == (0, 0)
+        assert (int(si), int(sj)) == (ei, ej)
+
+
 def test_grid_jets_match_ad_on_quadratics_everywhere():
     dom = Rect(-1.0, 2.0, 0.0, 1.0)
     src = field_from_text("x^2 + 0.5*x*y - y^2 + x - 3*y + 2", dom)
