@@ -326,7 +326,7 @@ def _is_list_of(value, count: int, kinds) -> bool:
 
 def _problem_from_file(path: Path) -> DirichletProblem:
     """Read a problem JSON file.  ``tolerances.linear`` is accepted and
-    ignored: every Newton step is a direct solve."""
+    ignored: the Krylov tolerance of a Newton step is a fixed constant."""
     doc = json.loads(Path(path).read_text())
     tol = doc.get("tolerances", {}) if isinstance(doc, dict) else None
     if not (isinstance(tol, dict)

@@ -8,26 +8,26 @@ with s = +1 for the minimal-surface equation and s = -1 for the maximal
 (space-like ZMC) equation.  Discretization is second-order central
 differences on a uniform rectangle, with the four-diagonal cross stencil
 for the mixed derivative.  Newton iterations use the analytic Jacobian of
-the stencil, a halving line search on the residual sup-norm, and one
-direct sparse LU solve per step, factored in a geometric nested-dissection
-order of the interior lattice.  The harmonic initial guess is the s = 0
-case, where the stencil is the linear 5-point Laplacian: a sine transform
-along each axis diagonalizes it on the rectangle, so the guess takes four
-real FFT passes and no factorization, and a solve factors one LU per
-Newton iteration.  scipy is imported only when a Jacobian is built or
-factored, so loading this module loads numpy alone.  Iterations stop once
-the residual is below ``newton_tol`` or below the round-off floor of the
-stencil, whichever is larger.  The maximal equation is elliptic only
-while the interior stays space-like; iterates that lose B > 0 abort with
-CausalTypeViolationError.  The time-like equation is hyperbolic where
-|grad| > 1, so Dirichlet problems for it are ill-posed and not offered.
+the stencil, never assembled: nine coefficients per node act on a lattice
+by shifted products.  Each step is solved by restarted GMRES to a relative
+residual of KRYLOV_TOL, right-preconditioned by the constant-coefficient
+operator A pxx + C pyy at the Jacobian's mean A and C.  A sine transform
+along each axis diagonalizes that operator on the rectangle, so each
+preconditioner solve takes four real FFT passes; the harmonic initial
+guess is the same solve at A = C = 1.  A halving line search on the
+residual sup-norm damps each step, and only numpy is used.  Iterations
+stop once the residual is below ``newton_tol`` or below the round-off
+floor of the stencil, whichever is larger.  The maximal equation is
+elliptic only while the interior stays space-like; iterates that lose
+B > 0 abort with CausalTypeViolationError.  The time-like equation is
+hyperbolic where |grad| > 1, so Dirichlet problems for it are ill-posed
+and not offered.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
@@ -53,7 +53,9 @@ NEWTON_TOL = 1e-10
 MAX_NEWTON = 50
 MAX_HALVINGS = 30
 MIN_INTERIOR_B = 1e-8
-ND_LEAF = 16  # nested-dissection blocks of at most this many nodes stay whole
+KRYLOV_RESTART = 30
+KRYLOV_TOL = 1e-10  # relative 2-norm of the true residual of a Newton step
+KRYLOV_MAX_ITER = 300
 
 
 class EquationKind(Enum):
@@ -181,96 +183,29 @@ def interior_b(values: np.ndarray, hx: float, hy: float) -> np.ndarray:
 
 def _jacobian(values: np.ndarray, s: float, hx: float, hy: float):
     """Analytic Jacobian of the stencil residual w.r.t. interior unknowns,
-    as a CSC matrix in lattice order."""
-    import scipy.sparse as sp
-
-    nx, ny = values.shape
-    mx, my = nx - 2, ny - 2
+    as stencil coefficients of shape (nx-2, ny-2): centre, x+1, x-1, y+1,
+    y-1 and cross (+cross at the (1, 1) and (-1, -1) corners, -cross at
+    the other two), with the means of A = 1 + s py^2 and C = 1 + s px^2."""
     px, py, pxx, pyy, pxy = _interior_derivatives(values, hx, hy)
     A = 1.0 + s * py * py
     C = 1.0 + s * px * px
-    D = -2.0 * s * px * py
-
-    coeffs = {
-        (0, 0): -2.0 * A / hx ** 2 - 2.0 * C / hy ** 2,
-        (1, 0): A / hx ** 2 + s * (px * pyy - py * pxy) / hx,
-        (-1, 0): A / hx ** 2 - s * (px * pyy - py * pxy) / hx,
-        (0, 1): C / hy ** 2 + s * (py * pxx - px * pxy) / hy,
-        (0, -1): C / hy ** 2 - s * (py * pxx - px * pxy) / hy,
-    }
-    if s != 0.0:  # at s = 0 the cross stencil is all zeros: 5-point Laplacian
-        cross = D / (4.0 * hx * hy)
-        coeffs.update({(1, 1): cross, (-1, -1): cross,
-                       (1, -1): -cross, (-1, 1): -cross})
-
-    ii, jj = np.meshgrid(np.arange(mx), np.arange(my), indexing="ij")
-    row_id = ii * my + jj
-    rows, cols, vals = [], [], []
-    for (di, dj), cof in coeffs.items():
-        ni, nj = ii + di, jj + dj
-        keep = (ni >= 0) & (ni < mx) & (nj >= 0) & (nj < my)
-        rows.append(row_id[keep])
-        cols.append((ni * my + nj)[keep])
-        vals.append(np.broadcast_to(cof, row_id.shape)[keep])
-    return sp.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mx * my, mx * my))
+    gx = s * (px * pyy - py * pxy) / hx
+    gy = s * (py * pxx - px * pxy) / hy
+    coeffs = (-2.0 * A / hx ** 2 - 2.0 * C / hy ** 2,
+              A / hx ** 2 + gx, A / hx ** 2 - gx,
+              C / hy ** 2 + gy, C / hy ** 2 - gy,
+              -2.0 * s * px * py / (4.0 * hx * hy))
+    return coeffs, float(np.mean(A)), float(np.mean(C))
 
 
-@lru_cache(maxsize=8)
-def _ordering(mx: int, my: int) -> np.ndarray:
-    """Geometric nested-dissection order of the mx x my interior lattice
-    (flat index i * my + j): a block is cut by its middle grid line across
-    the longer side, both halves come first and the separator line last,
-    and blocks of at most ND_LEAF nodes keep lattice order."""
-    parts = []
-
-    def dissect(block):
-        m, n = block.shape
-        if m * n <= ND_LEAF:
-            parts.append(block.ravel())
-        elif m >= n:
-            dissect(block[:m // 2])
-            dissect(block[m // 2 + 1:])
-            parts.append(block[m // 2])
-        else:
-            dissect(block[:, :n // 2])
-            dissect(block[:, n // 2 + 1:])
-            parts.append(block[:, n // 2])
-
-    dissect(np.arange(mx * my).reshape(mx, my))
-    order = np.concatenate(parts)
-    order.flags.writeable = False
-    return order
-
-
-def _direct_solve(A, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b by sparse LU (SuperLU) in the given order of A: no
-    column reordering, so the caller orders A for low fill."""
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    try:
-        x = spla.splu(sp.csc_matrix(A), permc_spec="NATURAL").solve(b)
-    except RuntimeError as exc:
-        raise LinearSolveError(f"sparse LU failed: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise LinearSolveError("sparse LU solve gave non-finite values")
-    return x
-
-
-def _newton_step(values: np.ndarray, s: float, hx: float, hy: float,
-                 res: np.ndarray) -> np.ndarray:
-    """Newton step of the s-stencil residual res = _residual(values, s,
-    hx, hy), shape (nx-2, ny-2): the lattice-order Jacobian is factored in
-    nested-dissection order."""
-    mx, my = values.shape[0] - 2, values.shape[1] - 2
-    p = _ordering(mx, my)
-    J = _jacobian(values, s, hx, hy)
-    rhs = -res.ravel()
-    step = np.empty(mx * my)
-    step[p] = _direct_solve(J[p][:, p], rhs[p])
-    return step.reshape(mx, my)
+def _apply(coeffs, v: np.ndarray) -> np.ndarray:
+    """The stencil coeffs of _jacobian applied to interior values v, with
+    zeros on the ring: the Jacobian times v."""
+    centre, xp, xm, yp, ym, cross = coeffs
+    p = np.pad(v, 1)
+    return (centre * v + xp * p[2:, 1:-1] + xm * p[:-2, 1:-1]
+            + yp * p[1:-1, 2:] + ym * p[1:-1, :-2]
+            + cross * (p[2:, 2:] + p[:-2, :-2] - p[2:, :-2] - p[:-2, 2:]))
 
 
 def _dst1(a: np.ndarray, axis: int) -> np.ndarray:
@@ -284,20 +219,75 @@ def _dst1(a: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(out, -1, axis)
 
 
-def _harmonic_interior(vals: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    """Interior of the discrete harmonic extension of the boundary ring of
-    vals (its interior is ignored), shape (nx-2, ny-2).  The 5-point
-    Laplacian with zero Dirichlet ring is diagonal in the sine basis, with
-    eigenvalues -(4/hx^2) sin^2(pi k / 2(mx+1)) - (4/hy^2) sin^2(pi l /
-    2(my+1)), so one sine transform each way solves for the interior."""
-    ring = vals.copy()
-    ring[1:-1, 1:-1] = 0.0
-    res = _residual(ring, 0.0, hx, hy)  # the ring's pull on the interior
-    mx, my = res.shape
+def _model_solve(r: np.ndarray, a: float, c: float,
+                 hx: float, hy: float) -> np.ndarray:
+    """Interior u, zero on the ring, with a uxx + c uyy = r in 5-point
+    differences.  That operator is diagonal in the sine basis, with
+    eigenvalues -a (4/hx^2) sin^2(pi k / 2(mx+1)) - c (4/hy^2) sin^2(pi l /
+    2(my+1)), so one sine transform each way solves it."""
+    mx, my = r.shape
     ex = (2.0 / hx * np.sin(np.pi * np.arange(1, mx + 1) / (2 * mx + 2))) ** 2
     ey = (2.0 / hy * np.sin(np.pi * np.arange(1, my + 1) / (2 * my + 2))) ** 2
-    coef = _dst1(_dst1(res, 0), 1) / (ex[:, None] + ey[None, :])
-    return _dst1(_dst1(coef, 0), 1) * (4.0 / ((mx + 1) * (my + 1)))
+    coef = _dst1(_dst1(r, 0), 1) / (a * ex[:, None] + c * ey[None, :])
+    return _dst1(_dst1(coef, 0), 1) * (-4.0 / ((mx + 1) * (my + 1)))
+
+
+def _gmres(op: Callable[[np.ndarray], np.ndarray],
+           b: np.ndarray) -> np.ndarray:
+    """Restarted GMRES(KRYLOV_RESTART) for op(y) = b on flat vectors: y
+    with |b - op(y)| <= KRYLOV_TOL |b| (2-norm), checked on the true
+    residual at each restart.  Raises LinearSolveError at KRYLOV_MAX_ITER
+    iterations or on non-finite values."""
+    y, r = np.zeros(b.size), b
+    bnorm = beta = float(np.linalg.norm(b))
+    V = np.empty((KRYLOV_RESTART + 1, b.size))
+    its = 0
+    while not beta <= KRYLOV_TOL * bnorm:
+        if its >= KRYLOV_MAX_ITER or not np.isfinite(beta):
+            raise LinearSolveError(
+                f"GMRES stopped at iteration {its} with relative residual "
+                f"{beta / bnorm:.3e}", report={"krylov_residual": beta / bnorm})
+        H = np.zeros((KRYLOV_RESTART + 1, KRYLOV_RESTART))
+        g = np.zeros(KRYLOV_RESTART + 1)
+        g[0] = beta
+        V[0] = r / beta
+        for k in range(1, KRYLOV_RESTART + 1):
+            its += 1
+            w = op(V[k - 1])
+            for _ in range(2):  # classical Gram-Schmidt, twice
+                h = V[:k] @ w
+                w -= h @ V[:k]
+                H[:k, k - 1] += h
+            H[k, k - 1] = np.linalg.norm(w)
+            # a non-finite column ends the cycle, and the check above raises
+            z = (np.linalg.lstsq(H[:k + 1, :k], g[:k + 1], rcond=None)[0]
+                 if np.isfinite(H[k, k - 1]) else np.full(k, np.nan))
+            est = np.linalg.norm(H[:k + 1, :k] @ z - g[:k + 1])
+            if not est > KRYLOV_TOL * bnorm or its >= KRYLOV_MAX_ITER:
+                break
+            V[k] = w / H[k, k - 1]
+        y = y + z @ V[:k]
+        r = b - op(y)
+        beta = float(np.linalg.norm(r))
+    return y
+
+
+def _newton_step(values: np.ndarray, s: float, hx: float, hy: float,
+                 res: np.ndarray) -> np.ndarray:
+    """Newton step of the s-stencil residual res = _residual(values, s,
+    hx, hy), shape (nx-2, ny-2): GMRES on the Jacobian, right-preconditioned
+    by the sine-transform solve at the Jacobian's mean A and C."""
+    coeffs, a, c = _jacobian(values, s, hx, hy)
+
+    def op(v):
+        return _apply(coeffs, _model_solve(v.reshape(res.shape), a, c,
+                                           hx, hy)).ravel()
+
+    # a singular operator shows up as non-finite values, which _gmres
+    # reports as LinearSolveError; numpy need not warn about them too
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = _gmres(op, -res.ravel())
+    return _model_solve(y.reshape(res.shape), a, c, hx, hy)
 
 
 def _boundary_mask(nx: int, ny: int) -> np.ndarray:
@@ -343,7 +333,12 @@ def _initial_guess(problem: DirichletProblem, vals: np.ndarray) -> np.ndarray:
         ring = vals[_boundary_mask(problem.nx, problem.ny)]
         out[1:-1, 1:-1] = float(ring.mean())
         return out
-    out[1:-1, 1:-1] = _harmonic_interior(vals, *problem.spacing())
+    # harmonic extension of the ring alone: the model solve at A = C = 1
+    ring = vals.copy()
+    ring[1:-1, 1:-1] = 0.0
+    hx, hy = problem.spacing()
+    out[1:-1, 1:-1] = -_model_solve(_residual(ring, 0.0, hx, hy), 1.0, 1.0,
+                                    hx, hy)
     return out
 
 
@@ -372,19 +367,22 @@ def solve(problem: DirichletProblem) -> GridSolution:
     Terminates successfully when the residual sup-norm drops below
     ``newton_tol`` or the round-off floor, whichever is larger (always
     after at least one Newton step); raises MaxIterationsError on
-    stagnation or iteration exhaustion.  The floor, eps * max|u| *
-    (2/hx^2 + 2/hy^2), estimates the residual that rounding the lattice
-    values alone produces; below it the line search stagnates on noise.
+    stagnation or iteration exhaustion.  The floor, eps * max|u| times
+    the largest |centre| + 4 |cross| of the Jacobian stencil at the start
+    (at least 2/hx^2 + 2/hy^2), estimates the residual that rounding the
+    lattice values alone produces; below it the line search stagnates.
     """
     hx, hy = problem.spacing()
     xs, ys = problem.lattice()
     vals = _boundary_values(problem)
     u = _initial_guess(problem, vals)
-    floor = float(np.finfo(float).eps * np.max(np.abs(u))
-                  * (2.0 / hx ** 2 + 2.0 / hy ** 2))
+    sigma = problem.equation.sigma
+    (centre, *_, cross), _, _ = _jacobian(u, sigma, hx, hy)
+    floor = float(np.finfo(float).eps * np.max(np.abs(u)) * max(
+        2.0 / hx ** 2 + 2.0 / hy ** 2,
+        np.max(np.abs(centre) + 4.0 * np.abs(cross))))
     tol = max(problem.newton_tol, floor)
 
-    sigma = problem.equation.sigma
     res_history: list[float] = []
     damping: list[float] = []
     res = _residual(u, sigma, hx, hy)
@@ -399,7 +397,8 @@ def solve(problem: DirichletProblem) -> GridSolution:
         except LinearSolveError as exc:
             exc.report = {"status": "failed", "error": exc.code,
                           "equation": problem.equation.value,
-                          "iterations": it, "last_residual": rnorm}
+                          "iterations": it, "last_residual": rnorm,
+                          **exc.report}
             raise
 
         alpha = 1.0

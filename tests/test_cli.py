@@ -244,6 +244,18 @@ def test_solve_problem_file(tmp_path):
     assert float(np.max(np.abs(grid.values - (0.5 * X - Y)))) < 1e-12
 
 
+def test_steep_minimal_solve_stops_at_floor(tmp_path):
+    # 1e-10 lies below what rounding puts into this residual; the floor
+    # weighs the coefficients 1 + p^2 and the solve stops there
+    out = tmp_path / "steep.csv"
+    assert run(["solve", "--equation", "minimal", "--boundary",
+                "10*x + sin(y)", "--domain", "0,1,0,1", "--res", "33,33",
+                "--out", str(out)]) == 0
+    report = json.loads(_read(tmp_path / "steep.csv.meta.json"))["report"]
+    assert report["converged_by"] == "residual_floor"
+    assert report["final_residual"] < report["residual_floor"]
+
+
 _PROBLEM = {"equation": "minimal", "domain": [1, 2, 1, 2],
             "resolution": [9, 9], "boundary": "x"}
 
@@ -289,19 +301,14 @@ def test_export_roundtrip(tmp_path):
     assert sum(1 for ln in text.splitlines() if ln.startswith("f ")) == 8
 
 
-def test_only_solve_imports_scipy(tmp_path):
-    # a fresh interpreter: scipy.sparse.linalg costs about 0.45 s cold to
-    # import, and only a solve needs it
+def test_package_runs_without_scipy(tmp_path):
+    # a fresh interpreter where any scipy import fails
     code = """import sys
+sys.modules["scipy"] = None
 import zmclab
 from zmclab.cli import run
 
-def scipy_loaded():
-    return sorted(m for m in sys.modules
-                  if m == "scipy" or m.startswith("scipy."))
-
 out = sys.argv[1]
-assert not scipy_loaded(), scipy_loaded()
 for args in (
         ["classify", "--field", "y + sin(x)", "--domain", "0,6.4,-1,1",
          "--res", "33,9", "--out", out + "/c.csv"],
@@ -310,13 +317,11 @@ for args in (
          "--out", out + "/d.csv"],
         ["curvature", "--field=-asinh(sqrt(x^2+y^2))", "--kind", "mean",
          "--domain", "1,2,1,2", "--res", "9,9", "--out", out + "/h.csv"],
-        ["export", "--in", out + "/d.csv", "--out", out + "/d.obj"]):
+        ["export", "--in", out + "/d.csv", "--out", out + "/d.obj"],
+        ["solve", "--equation", "maximal",
+         "--boundary=-asinh(sqrt(x^2+y^2))", "--domain", "1,2,1,2",
+         "--res", "9,9", "--out", out + "/s.csv"]):
     assert run(args) == 0, args
-    assert not scipy_loaded(), (args[0], scipy_loaded())
-assert run(["solve", "--equation", "maximal",
-            "--boundary=-asinh(sqrt(x^2+y^2))", "--domain", "1,2,1,2",
-            "--res", "9,9", "--out", out + "/s.csv"]) == 0
-assert "scipy.sparse.linalg" in sys.modules
 """
     env = dict(os.environ, PYTHONPATH=str(Path(zmclab.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
@@ -652,10 +657,9 @@ def test_verify_lines_insufficient_samples(tmp_path, capsys):
 
 
 def test_verify_lines_imports_no_scipy_spatial(tmp_path):
-    # a fresh interpreter: scipy.spatial costs about 0.75 s cold to import
-    code = ("import sys; from zmclab.cli import run; "
-            "assert run(sys.argv[1:]) == 0; "
-            "assert 'scipy.spatial' not in sys.modules, 'scipy.spatial'")
+    # a fresh interpreter where any scipy import fails
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from zmclab.cli import run; assert run(sys.argv[1:]) == 0")
     env = dict(os.environ, PYTHONPATH=str(Path(zmclab.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", code, "verify-lines", "--field", "y + sin(x)",

@@ -1,9 +1,9 @@
 """Discrete residual, Jacobian, Newton solve, convergence reporting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from zmclab import (
     CausalTypeViolationError,
@@ -20,10 +20,9 @@ from zmclab import (
 from zmclab.geometry import minimal_residual_of_jet
 from zmclab import solver
 from zmclab.solver import (
-    _direct_solve,
+    _apply,
     _jacobian,
     _newton_step,
-    _ordering,
     _residual,
     interior_b,
 )
@@ -34,6 +33,12 @@ CATENOID = "-asinh(sqrt(x^2 + y^2))"
 
 def _samples(text, dom, n):
     return field_from_text(text, dom).sample(n, n)
+
+
+def _dense(coeffs, mx, my):
+    """The Jacobian as a dense matrix: columns of _apply on unit vectors."""
+    units = np.eye(mx * my).reshape(mx * my, mx, my)
+    return np.stack([_apply(coeffs, e).ravel() for e in units], axis=1)
 
 
 def _loop_residual(values, sigma, hx, hy):
@@ -107,7 +112,7 @@ def test_jacobian_matches_finite_differences():
     # sigma = 0 is the 5-point Laplacian behind the harmonic initial guess
     g = _samples(CATENOID, DOM, 7)
     for s in (EquationKind.MINIMAL.sigma, EquationKind.MAXIMAL.sigma, 0.0):
-        J = _jacobian(g.values, s, g.hx, g.hy).toarray()
+        J = _dense(_jacobian(g.values, s, g.hx, g.hy)[0], 5, 5)
         base = _residual(g.values, s, g.hx, g.hy).ravel()
         h = 1e-7
         for k in range(J.shape[1]):
@@ -119,44 +124,44 @@ def test_jacobian_matches_finite_differences():
 
 
 def test_harmonic_jacobian_is_five_point():
-    # at sigma = 0 the cross stencil is left out, not stored as zeros:
-    # 7^2 interior nodes, each with itself and its in-lattice axis neighbours
-    g = _samples(CATENOID, DOM, 9)
-    J = _jacobian(g.values, 0.0, g.hx, g.hy)
-    assert J.nnz == 49 + 4 * 6 * 7 == 217
-    assert _jacobian(g.values, -1.0, g.hx, g.hy).nnz == 361
+    # hx != hy, so a mixed-up axis shows; the stencil acts on unit vectors
+    # with its coefficients unrounded, so the match is exact
+    g = field_from_text(CATENOID, DOM).sample(9, 7)
+    coeffs, a, c = _jacobian(g.values, 0.0, g.hx, g.hy)
+    assert not np.any(coeffs[-1]) and a == c == 1.0
 
+    def second(m, h):
+        return (np.eye(m, k=1) + np.eye(m, k=-1) - 2.0 * np.eye(m)) / h ** 2
 
-@pytest.mark.parametrize("shape", [(3, 3), (3, 200), (200, 3), (127, 255)])
-def test_ordering_is_a_permutation(shape):
-    p = _ordering(*shape)
-    assert np.array_equal(np.sort(p), np.arange(shape[0] * shape[1]))
+    five = (np.kron(second(7, g.hx), np.eye(5))
+            + np.kron(np.eye(7), second(5, g.hy)))
+    assert np.array_equal(_dense(coeffs, 7, 5), five)
 
 
 @pytest.mark.parametrize("sigma", [-1.0, 1.0, 0.0])
 def test_newton_step_matches_unpermuted_solve(sigma):
-    g = field_from_text(CATENOID, DOM).sample(65, 129)
-    step = _newton_step(g.values, sigma, g.hx, g.hy,
-                        _residual(g.values, sigma, g.hx, g.hy))
-    ref = spla.spsolve(_jacobian(g.values, sigma, g.hx, g.hy),
-                       -_residual(g.values, sigma, g.hx, g.hy).ravel())
-    assert step.shape == (63, 127)
-    err = np.max(np.abs(step.ravel() - ref)) / np.max(np.abs(ref))
-    assert err <= 1e-12
+    # the GMRES step against a dense solve of the same stencil Jacobian
+    for shape in ((17, 17), (33, 17)):
+        g = field_from_text(CATENOID, DOM).sample(*shape)
+        res = _residual(g.values, sigma, g.hx, g.hy)
+        step = _newton_step(g.values, sigma, g.hx, g.hy, res)
+        J = _dense(_jacobian(g.values, sigma, g.hx, g.hy)[0], *res.shape)
+        ref = np.linalg.solve(J, -res.ravel())
+        assert step.shape == res.shape
+        err = np.max(np.abs(step.ravel() - ref)) / np.max(np.abs(ref))
+        assert err <= 1e-9
 
 
-def test_nested_dissection_fill_at_129():
-    # COLAMD fills this factor to about 1.7M entries, nested dissection
-    # to about 1.1M
-    g = _samples(CATENOID, DOM, 129)
-    p = _ordering(127, 127)
-    J = _jacobian(g.values, -1.0, g.hx, g.hy)
-    assert spla.splu(J[p][:, p], permc_spec="NATURAL").nnz < 1.3e6
-
-
-def test_direct_solve_refuses_singular_matrix():
-    with pytest.raises(LinearSolveError):
-        _direct_solve(sp.csc_matrix((9, 9)), np.ones(9))
+def test_maximal_solve_memory_at_257():
+    # no matrix is assembled: the Krylov basis (31 vectors of 255^2, about
+    # 16 MB) dominates a traced peak near 28 MB
+    tracemalloc.start()
+    try:
+        solve(DirichletProblem("maximal", DOM, 257, 257, CATENOID))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 # --------------------------------------------------------------------------
@@ -253,7 +258,7 @@ def test_harmonic_start_ignores_array_interior():
     assert np.array_equal(sol.values, ref.values)
 
 
-def test_sine_transform_start_matches_lu_step():
+def test_sine_transform_start_matches_newton_step():
     # non-square lattice with hx = 4 hy, so a mixed-up axis shows
     prob = DirichletProblem("maximal", Rect(1.0, 3.0, 1.0, 2.0), 65, 129,
                             CATENOID)
@@ -267,36 +272,54 @@ def test_sine_transform_start_matches_lu_step():
     assert err <= 1e-12
 
 
-def test_solve_factors_one_lu_per_newton_iteration(monkeypatch):
-    # the harmonic start takes no LU
+def test_solve_takes_one_newton_step_per_iteration(monkeypatch):
+    # the harmonic start is a sine-transform solve, not a Newton step
     calls = []
-    direct_solve = solver._direct_solve
+    newton_step = solver._newton_step
 
-    def counted(A, b):
-        calls.append(b.size)
-        return direct_solve(A, b)
+    def counted(values, s, hx, hy, res):
+        calls.append(s)
+        return newton_step(values, s, hx, hy, res)
 
-    monkeypatch.setattr(solver, "_direct_solve", counted)
+    monkeypatch.setattr(solver, "_newton_step", counted)
     sol = solve(DirichletProblem("maximal", DOM, 33, 33, CATENOID))
     assert sol.iterations >= 2
-    assert len(calls) == sol.iterations
+    assert calls == [-1.0] * sol.iterations
 
 
 def test_singular_newton_jacobian_reports_linear_failure(monkeypatch):
-    jacobian = solver._jacobian
+    # all-zero linearization: the preconditioner divides by zero
+    def zero(values, s, hx, hy):
+        shape = (values.shape[0] - 2, values.shape[1] - 2)
+        return (np.zeros(shape),) * 6, 0.0, 0.0
 
-    def singular(values, s, hx, hy):
-        J = jacobian(values, s, hx, hy)
-        return J if s == 0.0 else sp.csc_matrix(J.shape)
-
-    monkeypatch.setattr(solver, "_jacobian", singular)
-    with pytest.raises(LinearSolveError) as err:
-        solve(DirichletProblem("maximal", DOM, 9, 9, CATENOID))
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_jacobian", zero)
+        with pytest.raises(LinearSolveError, match="GMRES stopped at "
+                           "iteration 1 with relative residual nan"):
+            solve(DirichletProblem("maximal", DOM, 9, 9, CATENOID))
+    # a Krylov cap below the 10 or so iterations a catenoid step takes
+    monkeypatch.setattr(solver, "KRYLOV_MAX_ITER", 3)
+    with pytest.raises(LinearSolveError,
+                       match="GMRES stopped at iteration 3") as err:
+        solve(DirichletProblem("maximal", DOM, 33, 33, CATENOID))
     rep = convergence_report(err.value)
     assert rep["status"] == "failed"
     assert rep["error"] == "linear-solve-failure"
     assert rep["iterations"] == 1
     assert rep["last_residual"] > 0.0
+    assert 1e-10 < rep["krylov_residual"] < 1.0
+
+
+def test_steep_minimal_data_converges_at_65():
+    # the round-off floor weighs the stencil coefficients 1 + p^2, which
+    # grow past 1 where the minimal data is steep
+    dom = Rect(1.05, 2.0, 0.0, 1.0)
+    for text in ("3*x*y", "acosh(sqrt(x^2+y^2))"):
+        rep = convergence_report(
+            solve(DirichletProblem("minimal", dom, 65, 65, text)))
+        assert rep["status"] == "converged"
+        assert rep["final_residual"] < max(1e-10, rep["residual_floor"])
 
 
 def test_problem_validation():
