@@ -21,6 +21,7 @@ from zmclab.geometry import minimal_residual_of_jet
 from zmclab import solver
 from zmclab.solver import (
     _apply,
+    _gmres,
     _jacobian,
     _newton_step,
     _residual,
@@ -162,6 +163,16 @@ def test_maximal_solve_memory_at_257():
     finally:
         tracemalloc.stop()
     assert peak < 40e6
+
+
+def test_direct_solve_refuses_singular_matrix():
+    # the Newton step's linear solve on the zero 9x9 matrix: the Arnoldi
+    # breakdown leaves non-finite values, which it reports, not returns
+    singular = np.zeros((9, 9))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(LinearSolveError, match="GMRES stopped at "
+                           "iteration 2 with relative residual nan"):
+            _gmres(lambda v: singular @ v, np.ones(9))
 
 
 # --------------------------------------------------------------------------
