@@ -24,12 +24,22 @@ from .exprfield import Rect, field_from_text
 from .solver import DirichletProblem, EquationKind
 
 
+def _param_item(text):
+    """A NAME=VALUE item with a numeric value, returned unchanged: the
+    sidecar echoes each item as given."""
+    _, eq, value = text.partition("=")
+    try:
+        float(value if eq else "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"--param needs name=value with a numeric value, got {text!r}"
+        ) from None
+    return text
+
+
 def _parse_params(items):
     out = {}
     for item in items or []:
-        if "=" not in item:
-            raise argparse.ArgumentTypeError(
-                f"--param needs name=value, got {item!r}")
         name, _, value = item.partition("=")
         out[name.strip()] = float(value)
     return out
@@ -66,8 +76,8 @@ def _parse_epsilon(text):
 
 def _add_field_flags(p, domain_required=True):
     p.add_argument("--field", required=True, help="expression in x and y")
-    p.add_argument("--param", action="append", metavar="NAME=VALUE",
-                   help="bind a parameter (repeatable)")
+    p.add_argument("--param", action="append", type=_param_item,
+                   metavar="NAME=VALUE", help="bind a parameter (repeatable)")
     p.add_argument("--domain", required=domain_required, type=_parse_domain,
                    metavar="X0,X1,Y0,Y1")
     p.add_argument("--res", type=_parse_res, default=(65, 65), metavar="NX,NY")
@@ -135,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="Dirichlet solve (minimal or maximal)")
     p.add_argument("--equation", choices=("minimal", "maximal"))
     p.add_argument("--boundary", help="boundary expression in x and y")
-    p.add_argument("--param", action="append", metavar="NAME=VALUE")
+    p.add_argument("--param", action="append", type=_param_item,
+                   metavar="NAME=VALUE")
     p.add_argument("--domain", type=_parse_domain, metavar="X0,X1,Y0,Y1")
     p.add_argument("--res", type=_parse_res, default=(33, 33), metavar="NX,NY")
     p.add_argument("--problem", type=Path,

@@ -128,46 +128,38 @@ def _check_epsilon(epsilon: int) -> int:
 def _dual_jet_parts(j: Jet2, direction: DualDirection, epsilon: int,
                     tau: float):
     """Gradient, unsymmetrized cross partials and pure second partials of
-    the dual field, all from the source jet.  Works elementwise on arrays.
+    the dual field, all from the source jet g.  Works elementwise on arrays.
+
+    Both directions are w = (g_y, -g_x) / r, with r = sqrt(eps B) toward
+    the potential and r = -sqrt(|grad phi|^2 + eps) toward the stream
+    function, and r' = k (g_x g_x' + g_y g_y') / r with k = -eps and 1,
+    formed as (g_x g_x' + g_y g_y') / (k r): the same bits, as k = +-1.
 
     Returns (w1, w2, d_y w1, d_x w2, d_x w1, d_y w2).
     """
     _check_tolerances(tau)
     eps = float(epsilon)
     if direction == DualDirection.TO_POTENTIAL:
-        r2 = eps * (1.0 - j.gx * j.gx - j.gy * j.gy)
-        bad = r2 <= tau
-        if np.any(bad):
-            b = 1.0 - j.gx * j.gx - j.gy * j.gy
+        b = b_of_jet(j)
+        r2 = eps * b
+        if np.any(r2 <= tau):
             if np.any(np.abs(b) <= tau):
                 raise SonicPointError("dual one-form hit a sonic point")
             raise DegenerateDenominatorError(
                 "sign of B does not match requested epsilon")
-        rho = np.sqrt(r2)
-        w1 = j.gy / rho
-        w2 = -j.gx / rho
-        rho_x = -eps * (j.gx * j.hxx + j.gy * j.hxy) / rho
-        rho_y = -eps * (j.gx * j.hxy + j.gy * j.hyy) / rho
-        w1_y = j.hyy / rho - j.gy * rho_y / r2
-        w2_x = -j.hxx / rho + j.gx * rho_x / r2
-        w1_x = j.hxy / rho - j.gy * rho_x / r2
-        w2_y = -j.hxy / rho + j.gx * rho_y / r2
-        return w1, w2, w1_y, w2_x, w1_x, w2_y
-
-    s2 = j.gx * j.gx + j.gy * j.gy + eps
-    if np.any(s2 <= tau):
-        raise DegenerateDenominatorError(
-            "|grad phi|^2 + epsilon not positive: dual gradient undefined")
-    s = np.sqrt(s2)
-    w1 = -j.gy / s
-    w2 = j.gx / s
-    s_x = (j.gx * j.hxx + j.gy * j.hxy) / s
-    s_y = (j.gx * j.hxy + j.gy * j.hyy) / s
-    w1_y = -j.hyy / s + j.gy * s_y / s2
-    w2_x = j.hxx / s - j.gx * s_x / s2
-    w1_x = -j.hxy / s + j.gy * s_x / s2
-    w2_y = j.hxy / s - j.gx * s_y / s2
-    return w1, w2, w1_y, w2_x, w1_x, w2_y
+        r = np.sqrt(r2)
+        kr = -eps * r
+    else:
+        r2 = j.gx * j.gx + j.gy * j.gy + eps
+        if np.any(r2 <= tau):
+            raise DegenerateDenominatorError(
+                "|grad phi|^2 + epsilon not positive: dual gradient undefined")
+        r = kr = -np.sqrt(r2)
+    r_x = (j.gx * j.hxx + j.gy * j.hxy) / kr
+    r_y = (j.gx * j.hxy + j.gy * j.hyy) / kr
+    return (j.gy / r, -j.gx / r,
+            j.hyy / r - j.gy * r_y / r2, -j.hxx / r + j.gx * r_x / r2,
+            j.hxy / r - j.gy * r_x / r2, -j.hxy / r + j.gx * r_y / r2)
 
 
 def dual_one_form(f: GraphField, x, y, direction: DualDirection,
@@ -530,9 +522,7 @@ def divergence_probe(f: GraphField, xs, y: float,
     _check_tol(quad_tol)
     anchor = float(xs[0]) if anchor is None else float(anchor)
     if epsilon is None:
-        j = f.jet2(anchor, y)
-        b = 1.0 - j.gx * j.gx - j.gy * j.gy
-        epsilon = 1 if b > 0 else -1
+        epsilon = 1 if b_of_jet(f.jet2(anchor, y)) > 0 else -1
     epsilon = _check_epsilon(epsilon)
     tau = f.default_tau_light() if tau is None else float(tau)
 

@@ -48,7 +48,6 @@ __all__ = [
     "SampledGrid",
     "evaluate",
     "field_from_text",
-    "free_parameters",
     "gradient",
     "parse",
     "sample",
@@ -264,26 +263,6 @@ def parse(text: str,
     if tail.kind != "end":
         raise ExpressionSyntaxError("trailing input", tail.pos)
     return node
-
-
-def free_parameters(expr: Expression) -> dict[str, float]:
-    """Parameter bindings baked into an AST."""
-    out: dict[str, float] = {}
-
-    def walk(e):
-        if isinstance(e, Param):
-            out[e.name] = e.value
-        elif isinstance(e, Neg):
-            walk(e.arg)
-        elif isinstance(e, BinOp):
-            walk(e.lhs)
-            walk(e.rhs)
-        elif isinstance(e, Call):
-            for a in e.args:
-                walk(a)
-
-    walk(expr)
-    return out
 
 
 # precedence levels for printing: add=1, mul=2, unary=3, pow=4, atom=5
@@ -619,6 +598,13 @@ class Rect:
     y1: float
 
     def __post_init__(self):
+        try:
+            finite = all(map(math.isfinite,
+                             (self.x0, self.x1, self.y0, self.y1)))
+        except OverflowError:  # an integer too large for a float
+            finite = False
+        if not finite:
+            raise ValueError("rectangle bounds must be finite")
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise ValueError("rectangle needs x0 < x1 and y0 < y1")
 
@@ -791,7 +777,6 @@ class ExpressionField(GraphField):
     def __init__(self, expr: Expression, domain: Rect, name: str = ""):
         super().__init__(domain, name or to_text(expr))
         self.expr = expr
-        self.params = free_parameters(expr)
 
     def _jet2_grid(self, X, Y) -> Jet2:
         return expression_jet2(self.expr, X, Y)

@@ -128,16 +128,21 @@ def gradb_of_jet(j: Jet2):
     return bx, by
 
 
+def quasilinear_residual_of_jet(j: Jet2, s: float):
+    """(1 + s psi_y^2) psi_xx - 2 s psi_x psi_y psi_xy
+    + (1 + s psi_x^2) psi_yy: the ZMC operator of L^3 at s = -1, the
+    minimal operator of E^3 at s = +1 and the Laplacian at s = 0."""
+    return ((1.0 + s * j.gy * j.gy) * j.hxx
+            - 2.0 * s * j.gx * j.gy * j.hxy
+            + (1.0 + s * j.gx * j.gx) * j.hyy)
+
+
 def zmc_residual_of_jet(j: Jet2):
-    return ((1.0 - j.gy * j.gy) * j.hxx
-            + 2.0 * j.gx * j.gy * j.hxy
-            + (1.0 - j.gx * j.gx) * j.hyy)
+    return quasilinear_residual_of_jet(j, -1.0)
 
 
 def minimal_residual_of_jet(j: Jet2):
-    return ((1.0 + j.gy * j.gy) * j.hxx
-            - 2.0 * j.gx * j.gy * j.hxy
-            + (1.0 + j.gx * j.gx) * j.hyy)
+    return quasilinear_residual_of_jet(j, 1.0)
 
 
 def _check_tolerances(*taus) -> None:
@@ -204,11 +209,7 @@ def classify(f: GraphField, x: float, y: float,
     """Causal class of a point: space-like for B > tau_light, time-like for
     B < -tau_light, light-like otherwise, degenerate when |grad B| is below
     tau_grad as well."""
-    tau_light = f.default_tau_light() if tau_light is None else tau_light
-    _check_tolerances(tau_light, tau_grad)
-    b, (bx, by) = causal_b(f, x, y)
-    return CausalSample(float(x), float(y), b, bx, by,
-                        _class_of(b, bx, by, tau_light, tau_grad))
+    return classify_grid(f, x, y, tau_light, tau_grad)[0]
 
 
 def classify_grid(f: GraphField, X, Y,

@@ -1,12 +1,13 @@
 """Finite-difference damped-Newton solver for the elliptic Dirichlet problems.
 
-Two equations share one quasilinear stencil form,
+Two equations share one quasilinear form,
 
     (1 + s*py^2) pxx - 2 s px py pxy + (1 + s*px^2) pyy = 0,
 
 with s = +1 for the minimal-surface equation and s = -1 for the maximal
-(space-like ZMC) equation.  Discretization is second-order central
-differences on a uniform rectangle, with the four-diagonal cross stencil
+(space-like ZMC) equation.  The residual is geometry's
+quasilinear_residual_of_jet applied to the second-order central-difference
+jet of a uniform rectangle lattice, with the four-diagonal cross stencil
 for the mixed derivative.  Newton iterations use the analytic Jacobian of
 the stencil, never assembled: nine coefficients per node act on a lattice
 by shifted products.  Each step is solved by restarted GMRES to a relative
@@ -38,7 +39,8 @@ from .errors import (
     MaxIterationsError,
     SolverError,
 )
-from .exprfield import GridField, Rect, SampledGrid, evaluate, parse
+from .exprfield import GridField, Jet2, Rect, SampledGrid, evaluate, parse
+from .geometry import b_of_jet, quasilinear_residual_of_jet
 
 __all__ = [
     "DirichletProblem",
@@ -148,13 +150,16 @@ class GridSolution:
         return out
 
 
-def _interior_derivatives(v: np.ndarray, hx: float, hy: float):
-    px = (v[2:, 1:-1] - v[:-2, 1:-1]) / (2.0 * hx)
-    py = (v[1:-1, 2:] - v[1:-1, :-2]) / (2.0 * hy)
-    pxx = (v[2:, 1:-1] - 2.0 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / hx ** 2
-    pyy = (v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1] + v[1:-1, :-2]) / hy ** 2
-    pxy = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4.0 * hx * hy)
-    return px, py, pxx, pyy, pxy
+def _interior_jet(v: np.ndarray, hx: float, hy: float) -> Jet2:
+    """Central-difference two-jet of lattice values at the interior nodes,
+    shape (nx-2, ny-2), with the four-diagonal cross stencil for pxy."""
+    return Jet2(v[1:-1, 1:-1],
+                (v[2:, 1:-1] - v[:-2, 1:-1]) / (2.0 * hx),
+                (v[1:-1, 2:] - v[1:-1, :-2]) / (2.0 * hy),
+                (v[2:, 1:-1] - 2.0 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / hx ** 2,
+                (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2])
+                / (4.0 * hx * hy),
+                (v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1] + v[1:-1, :-2]) / hy ** 2)
 
 
 def discrete_residual(values: np.ndarray, equation: EquationKind,
@@ -169,16 +174,12 @@ def discrete_residual(values: np.ndarray, equation: EquationKind,
 
 
 def _residual(values: np.ndarray, s: float, hx: float, hy: float):
-    px, py, pxx, pyy, pxy = _interior_derivatives(values, hx, hy)
-    return ((1.0 + s * py * py) * pxx
-            - 2.0 * s * px * py * pxy
-            + (1.0 + s * px * px) * pyy)
+    return quasilinear_residual_of_jet(_interior_jet(values, hx, hy), s)
 
 
 def interior_b(values: np.ndarray, hx: float, hy: float) -> np.ndarray:
     """Discrete B = 1 - px^2 - py^2 on interior nodes."""
-    px, py, *_ = _interior_derivatives(np.asarray(values, dtype=float), hx, hy)
-    return 1.0 - px * px - py * py
+    return b_of_jet(_interior_jet(np.asarray(values, dtype=float), hx, hy))
 
 
 def _jacobian(values: np.ndarray, s: float, hx: float, hy: float):
@@ -186,15 +187,15 @@ def _jacobian(values: np.ndarray, s: float, hx: float, hy: float):
     as stencil coefficients of shape (nx-2, ny-2): centre, x+1, x-1, y+1,
     y-1 and cross (+cross at the (1, 1) and (-1, -1) corners, -cross at
     the other two), with the means of A = 1 + s py^2 and C = 1 + s px^2."""
-    px, py, pxx, pyy, pxy = _interior_derivatives(values, hx, hy)
-    A = 1.0 + s * py * py
-    C = 1.0 + s * px * px
-    gx = s * (px * pyy - py * pxy) / hx
-    gy = s * (py * pxx - px * pxy) / hy
+    j = _interior_jet(values, hx, hy)
+    A = 1.0 + s * j.gy * j.gy
+    C = 1.0 + s * j.gx * j.gx
+    gx = s * (j.gx * j.hyy - j.gy * j.hxy) / hx
+    gy = s * (j.gy * j.hxx - j.gx * j.hxy) / hy
     coeffs = (-2.0 * A / hx ** 2 - 2.0 * C / hy ** 2,
               A / hx ** 2 + gx, A / hx ** 2 - gx,
               C / hy ** 2 + gy, C / hy ** 2 - gy,
-              -2.0 * s * px * py / (4.0 * hx * hy))
+              -2.0 * s * j.gx * j.gy / (4.0 * hx * hy))
     return coeffs, float(np.mean(A)), float(np.mean(C))
 
 

@@ -269,11 +269,13 @@ _PROBLEM = {"equation": "minimal", "domain": [1, 2, 1, 2],
     dict(_PROBLEM, tolerances={"newton": 0}),
     dict(_PROBLEM, domain=[1, 2, 1]),
     dict(_PROBLEM, domain=[1, 2, "a", "b"]),
+    dict(_PROBLEM, domain=[1, math.inf, 1, 2]),
     dict(_PROBLEM, boundary=5),
     dict(_PROBLEM, boundary=["x"]),
     dict(_PROBLEM, params=5),
 ], ids=["list", "resolution-int", "resolution-float", "tolerances-int",
         "newton-string", "newton-zero", "domain-three", "domain-strings",
+        "domain-infinity",
         "boundary-number", "boundary-list", "params-number"])
 def test_malformed_problem_file_is_invalid_input(tmp_path, capsys, doc):
     pfile = tmp_path / "problem.json"
@@ -584,6 +586,12 @@ def test_usage_errors_exit_2():
     assert run(["classify", "--field", "x", "--domain", "0,1,0,1",
                 "--unknown-flag", "3"]) == 2
     assert run(["no-such-verb"]) == 2
+    # malformed --param items and non-finite bounds are refused by argparse
+    for verb in (["classify", "--field", "y + a*x"],
+                 ["solve", "--equation", "minimal", "--boundary", "a*x"]):
+        for item in ("a", "a=abc"):
+            assert run([*verb, "--param", item, "--domain", "0,1,0,1"]) == 2
+        assert run([*verb, "--param", "a=1", "--domain", "0,inf,0,1"]) == 2
 
 
 def test_syntax_error_exit_1(tmp_path, capsys):

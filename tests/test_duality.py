@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zmclab import (
     CausalClass,
@@ -27,6 +28,7 @@ from zmclab import (
 from zmclab import duality
 from zmclab.duality import dual_jet
 from zmclab.errors import QuadratureError, ZmcError
+from zmclab.exprfield import Jet2
 from zmclab.geometry import minimal_residual_of_jet, zmc_residual_of_jet
 
 SQ = Rect(-1.0, 1.0, -1.0, 1.0)
@@ -521,3 +523,69 @@ def test_dualize_batches_one_form_calls(monkeypatch):
     phi = field_from_text(HELICOID, ANNULUS_BOX)
     dualize(phi, (65, 65), (1.0, 1.0), 0.0, DualDirection.TO_STREAM, 1)
     assert 0 < len(calls) < 100
+
+
+# --------------------------------------------------------------------------
+# one set of dual one-form formulas against the two written out directly
+# --------------------------------------------------------------------------
+
+def _reference_dual_jet_parts(j, direction, epsilon, tau):
+    """The dual one-form and its partials, one branch per direction."""
+    eps = float(epsilon)
+    if direction == DualDirection.TO_POTENTIAL:
+        r2 = eps * (1.0 - j.gx * j.gx - j.gy * j.gy)
+        if np.any(r2 <= tau):
+            b = 1.0 - j.gx * j.gx - j.gy * j.gy
+            if np.any(np.abs(b) <= tau):
+                raise SonicPointError("dual one-form hit a sonic point")
+            raise DegenerateDenominatorError(
+                "sign of B does not match requested epsilon")
+        rho = np.sqrt(r2)
+        rho_x = -eps * (j.gx * j.hxx + j.gy * j.hxy) / rho
+        rho_y = -eps * (j.gx * j.hxy + j.gy * j.hyy) / rho
+        return (j.gy / rho, -j.gx / rho,
+                j.hyy / rho - j.gy * rho_y / r2,
+                -j.hxx / rho + j.gx * rho_x / r2,
+                j.hxy / rho - j.gy * rho_x / r2,
+                -j.hxy / rho + j.gx * rho_y / r2)
+    s2 = j.gx * j.gx + j.gy * j.gy + eps
+    if np.any(s2 <= tau):
+        raise DegenerateDenominatorError(
+            "|grad phi|^2 + epsilon not positive: dual gradient undefined")
+    s = np.sqrt(s2)
+    s_x = (j.gx * j.hxx + j.gy * j.hxy) / s
+    s_y = (j.gx * j.hxy + j.gy * j.hyy) / s
+    return (-j.gy / s, j.gx / s,
+            -j.hyy / s + j.gy * s_y / s2,
+            j.hxx / s - j.gx * s_x / s2,
+            -j.hxy / s + j.gy * s_x / s2,
+            j.hxy / s - j.gx * s_y / s2)
+
+
+def _outcome(parts, *args):
+    try:
+        return parts(*args)
+    except ZmcError as exc:
+        return type(exc), str(exc)
+
+
+_component = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 0.6, -0.8]),
+    st.floats(min_value=-3.0, max_value=3.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(*[_component] * 5), min_size=1, max_size=6),
+       st.sampled_from(list(DualDirection)), st.sampled_from([1, -1]))
+def test_dual_jet_parts_match_direct_formulas_bitwise(rows, direction,
+                                                      epsilon):
+    gx, gy, hxx, hxy, hyy = (np.array(c) for c in zip(*rows))
+    j = Jet2(np.nan, gx, gy, hxx, hxy, hyy)
+    got = _outcome(duality._dual_jet_parts, j, direction, epsilon, 1e-9)
+    want = _outcome(_reference_dual_jet_parts, j, direction, epsilon, 1e-9)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w)
+        assert np.array_equal(np.signbit(g), np.signbit(w))

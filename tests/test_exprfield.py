@@ -284,6 +284,16 @@ def test_sampled_shear_graph_fd_residual_small():
     assert float(np.max(np.abs(res))) < 1e-3
 
 
+@pytest.mark.parametrize("bounds", [
+    (0.0, math.inf, 0.0, 1.0), (-math.inf, 0.0, 0.0, 1.0),
+    (0.0, 1.0, math.nan, 1.0), (0, 10 ** 400, 0, 1), (1.0, 0.0, 0.0, 1.0),
+    (0.0, 1.0, 0.0, 0.0),
+])
+def test_rect_needs_finite_ordered_bounds(bounds):
+    with pytest.raises(ValueError, match="rectangle"):
+        Rect(*bounds)
+
+
 def test_sampled_grid_validation():
     with pytest.raises(ValueError):
         SampledGrid(np.array([0.0, 1.0]), np.array([0.0, 0.5, 1.0]),

@@ -9,12 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from zmclab import (
     CausalClass,
+    DualDirection,
+    GridField,
     InsufficientSamplesError,
     LightLikePointError,
+    OutOfDomainError,
     Rect,
     causal_b,
     classify,
     detect_lightlike_set,
+    dualize,
     field_from_text,
     gauss_curvature_euclid,
     lightlike_identity_check,
@@ -105,6 +109,28 @@ def test_classify_threshold_semantics_exact():
     assert s.cls.is_lightlike  # b == tau is not strictly greater
     s = classify(f, 0.0, 0.0, tau_light=0.7499999)
     assert s.cls is CausalClass.SPACE_LIKE
+
+
+@pytest.mark.parametrize("make", [
+    lambda: field_from_text("y + sin(x)", Rect(-4.0, 4.0, -1.0, 1.0)),
+    lambda: GridField(field_from_text(
+        "y + sin(x)", Rect(-4.0, 4.0, -1.0, 1.0)).sample(33, 9)),
+    lambda: dualize(field_from_text("atan2(y, x)", Rect(1.0, 2.0, 1.0, 2.0)),
+                    (9, 9), (1.0, 1.0), 0.0, DualDirection.TO_STREAM,
+                    1).field,
+], ids=["expression", "grid", "dual"])
+def test_classify_is_the_point_case_of_classify_grid(make):
+    f = make()
+    d = f.domain
+    for t in (0.0, 0.3, 0.5, 1.0):
+        x, y = d.x0 + t * (d.x1 - d.x0), d.y1 - t * (d.y1 - d.y0)
+        assert vars(classify(f, x, y)) == vars(classify_grid(f, x, y)[0])
+    outside = (d.x1 + 1.0, d.y0)
+    with pytest.raises(OutOfDomainError) as point:
+        classify(f, *outside)
+    with pytest.raises(OutOfDomainError) as grid:
+        classify_grid(f, *outside)
+    assert str(point.value) == str(grid.value)
 
 
 def test_classify_rejects_bad_tolerances():

@@ -17,11 +17,16 @@ from zmclab import (
     field_from_text,
     solve,
 )
-from zmclab.geometry import minimal_residual_of_jet
+from zmclab.geometry import (
+    minimal_residual_of_jet,
+    quasilinear_residual_of_jet,
+    zmc_residual_of_jet,
+)
 from zmclab import solver
 from zmclab.solver import (
     _apply,
     _gmres,
+    _interior_jet,
     _jacobian,
     _newton_step,
     _residual,
@@ -78,6 +83,21 @@ def test_residual_matches_independent_loop():
         fast = discrete_residual(g.values, eq, g.hx, g.hy)
         slow = _loop_residual(g.values, sigma, g.hx, g.hy)
         assert np.allclose(fast, slow, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("s, of_jet", [
+    (-1.0, zmc_residual_of_jet),
+    (0.0, lambda j: quasilinear_residual_of_jet(j, 0.0)),
+    (1.0, minimal_residual_of_jet),
+])
+def test_residual_is_the_geometry_operator_on_the_interior_jet(s, of_jet):
+    # planes give exact zero derivatives, so signed zeros are compared too
+    for text in (CATENOID, "0.3*x - 1.2*y + 0.7", "0*x"):
+        g = _samples(text, DOM, 9)
+        got = _residual(g.values, s, g.hx, g.hy)
+        want = of_jet(_interior_jet(g.values, g.hx, g.hy))
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_residual_second_order_on_catenoid():
