@@ -42,6 +42,7 @@ from .exprfield import (
 from .geometry import (
     CausalClass,
     CausalSample,
+    CausalSamples,
     LightLine,
     causal_b,
     classify,

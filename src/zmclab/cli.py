@@ -45,25 +45,31 @@ def _parse_params(items):
     return out
 
 
+def _numbers(text, kind, names):
+    """The comma-separated numbers of ``text``, one for each of ``names``;
+    a bad count or number is an ArgumentTypeError that says which."""
+    parts = text.split(",")
+    if len(parts) != len(names.split(",")):
+        raise argparse.ArgumentTypeError(f"expected {names}, got {text!r}")
+    try:
+        return [kind(p) for p in parts]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected {names}: {exc}") from None
+
+
 def _parse_domain(text):
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("--domain needs x0,x1,y0,y1")
-    return Rect(*parts)
+    try:
+        return Rect(*_numbers(text, float, "x0,x1,y0,y1"))
+    except ValueError as exc:  # Rect's reason: bounds not finite or ordered
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_res(text):
-    parts = [int(p) for p in text.split(",")]
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("--res needs nx,ny")
-    return tuple(parts)
+    return tuple(_numbers(text, int, "nx,ny"))
 
 
 def _parse_point(text):
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected x,y")
-    return tuple(parts)
+    return tuple(_numbers(text, float, "x,y"))
 
 
 def _parse_epsilon(text):
@@ -205,22 +211,25 @@ def _field_of(ns):
 def _samples_payload(ns, samples) -> str:
     """Causal samples as JSON or as causal-sample CSV."""
     if ns.format == "json":
+        rows = zip(*(c.tolist() for c in samples.columns[:5]),
+                   samples.names.tolist())
         return gridio.dump_json({"schema": 1, "samples": [
-            {"x": s.x, "y": s.y, "b": s.b, "bx": s.bx, "by": s.by,
-             "class": s.cls.value} for s in samples]})
+            {"x": x, "y": y, "b": b, "bx": bx, "by": by, "class": name}
+            for x, y, b, bx, by, name in rows]})
     return gridio.causal_csv(samples)
 
 
 def _cmd_classify(ns) -> dict:
     f = _field_of(ns)
     nx, ny = ns.res
-    X, Y = f.domain.meshgrid(nx, ny)
+    xs, ys = f.domain.lattice(nx, ny)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
     samples = geometry.classify_grid(f, X, Y, tau_light=ns.tol_light,
                                      tau_grad=ns.tol_grad)
     refined = geometry.detect_lightlike_set(f, nx, ny, tau_light=ns.tol_light,
                                             tau_grad=ns.tol_grad)
-    node_keys = {(s.x, s.y) for s in samples}
-    samples += [s for s in refined if (s.x, s.y) not in node_keys]
+    on_lattice = np.isin(refined.x, xs) & np.isin(refined.y, ys)
+    samples = geometry.CausalSamples.concat(samples, refined[~on_lattice])
     _emit(ns, _samples_payload(ns, samples),
           {"nodes": nx * ny, "refined": len(refined)})
     return {}
@@ -307,8 +316,8 @@ def _cmd_verify_lines(ns) -> dict:
                                             tau_grad=ns.tol_grad)
     lines = geometry.verify_line_theorem(samples, f)
     _emit(ns, gridio.dump_json(gridio.lightlines_payload(lines)),
-          {"degenerate_samples": sum(
-              s.cls is geometry.CausalClass.LIGHT_DEGENERATE for s in samples)})
+          {"degenerate_samples": int(np.count_nonzero(samples.in_class(
+              geometry.CausalClass.LIGHT_DEGENERATE)))})
     return {}
 
 

@@ -13,6 +13,7 @@ vectorized over nodes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -24,6 +25,7 @@ from .exprfield import GraphField, Jet2
 __all__ = [
     "CausalClass",
     "CausalSample",
+    "CausalSamples",
     "IdentityReport",
     "LightLine",
     "causal_b",
@@ -43,6 +45,8 @@ __all__ = [
 DEFAULT_TAU_GRAD = 1e-7
 #: position tolerance for bisection refinement along lattice edges
 REFINE_TOL = 1e-10
+#: light-like points found closer than this in both x and y count as one
+DUP_TOL = 1e-9
 #: a verified light-like line needs residual and defect at or below this
 LINE_TOL = 1e-8
 #: samples whose predicted lines differ by at most this in angle (and by at
@@ -74,6 +78,93 @@ class CausalSample:
     cls: CausalClass
 
 
+#: the classes in the order of their codes in ``CausalSamples.code``:
+#: 0 space-like, 1 time-like, 2 and 3 light-like (non-degenerate, degenerate)
+CLASSES = tuple(CausalClass)
+_NAMES = np.array([c.value for c in CLASSES], dtype=object)
+
+
+@dataclass(frozen=True, eq=False)
+class CausalSamples:
+    """Classified points as columns: float64 ``x, y, b, bx, by`` and the
+    int8 ``code`` of each point's class, an index into ``CLASSES``.
+
+    It reads like a list of ``CausalSample``: ``len``, iteration and an
+    integer index give ``CausalSample`` objects, and it equals any sequence
+    of equal samples.  A slice, a boolean mask or an index array gives the
+    ``CausalSamples`` of those points.  The columns are read-only copies.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    b: np.ndarray
+    bx: np.ndarray
+    by: np.ndarray
+    code: np.ndarray
+
+    def __post_init__(self):
+        names = ("x", "y", "b", "bx", "by", "code")
+        cols = [np.array(getattr(self, k), dtype=np.int8 if k == "code"
+                         else float).ravel() for k in names]
+        if any(c.size != cols[0].size for c in cols):
+            raise ValueError("causal sample columns differ in length")
+        for name, col in zip(names, cols):
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+
+    @property
+    def columns(self) -> tuple:
+        """(x, y, b, bx, by, code)."""
+        return self.x, self.y, self.b, self.bx, self.by, self.code
+
+    @classmethod
+    def of(cls, samples) -> CausalSamples:
+        """The columns of a sequence of ``CausalSample`` (or the argument
+        itself when it is a ``CausalSamples`` already)."""
+        if isinstance(samples, CausalSamples):
+            return samples
+        rows = [(s.x, s.y, s.b, s.bx, s.by, CLASSES.index(s.cls))
+                for s in samples]
+        return cls(*np.array(rows, dtype=float).reshape(-1, 6).T)
+
+    @classmethod
+    def concat(cls, *parts: CausalSamples) -> CausalSamples:
+        return cls(*map(np.concatenate, zip(*(p.columns for p in parts))))
+
+    def __len__(self) -> int:
+        return self.code.size
+
+    def __getitem__(self, index):
+        try:
+            k = operator.index(index)
+        except TypeError:  # a slice, a mask or an array of indices
+            return CausalSamples(*(c[index] for c in self.columns))
+        *values, code = (c[k].item() for c in self.columns)
+        return CausalSample(*values, CLASSES[code])
+
+    def __iter__(self):
+        for *values, code in zip(*(c.tolist() for c in self.columns)):
+            yield CausalSample(*values, CLASSES[code])
+
+    def __eq__(self, other):
+        try:
+            return len(self) == len(other) and all(
+                a == b for a, b in zip(self, other))
+        except TypeError:
+            return NotImplemented
+
+    def in_class(self, *classes: CausalClass) -> np.ndarray:
+        """Boolean mask of the points in any of ``classes``."""
+        table = np.zeros(len(CLASSES), dtype=bool)
+        table[[CLASSES.index(c) for c in classes]] = True
+        return table[self.code]
+
+    @property
+    def names(self) -> np.ndarray:
+        """Each point's class name, as an object array."""
+        return _NAMES[self.code]
+
+
 @dataclass
 class LightLine:
     """A fitted line of degenerate light-like points with its lift to L^3.
@@ -86,7 +177,7 @@ class LightLine:
     base: tuple
     direction: tuple
     lifted: tuple
-    samples: list = field(repr=False)
+    samples: CausalSamples = field(repr=False)
     perp_residual: float = 0.0
     lightlike_defect: float = 0.0
 
@@ -192,15 +283,19 @@ def causal_b_grid(f: GraphField, X, Y):
     return b_of_jet(j), bx, by
 
 
-def _class_of(b: float, bx: float, by: float,
-              tau_light: float, tau_grad: float) -> CausalClass:
-    if b > tau_light:
-        return CausalClass.SPACE_LIKE
-    if b < -tau_light:
-        return CausalClass.TIME_LIKE
-    if math.hypot(bx, by) <= tau_grad:
-        return CausalClass.LIGHT_DEGENERATE
-    return CausalClass.LIGHT_NONDEGENERATE
+def _class_codes(b, bx, by, tau_light: float, tau_grad: float):
+    """Class codes (see ``CLASSES``) of points with these B, Bx, By:
+    space-like for B > tau_light, time-like for B < -tau_light, otherwise
+    light-like, degenerate when hypot(Bx, By) <= tau_grad (never for a NaN
+    hypot).  np.hypot may differ from math.hypot in the last bit, so
+    math.hypot settles the points within 4 ulps of tau_grad."""
+    g = np.hypot(bx, by)
+    degenerate = g <= tau_grad
+    near = np.flatnonzero(np.abs(g - tau_grad) <= 4.0 * np.spacing(tau_grad))
+    degenerate[near] = [math.hypot(p, q) <= tau_grad for p, q in
+                        zip(bx[near].tolist(), by[near].tolist())]
+    return np.select([b > tau_light, b < -tau_light, degenerate], [0, 1, 3],
+                     2).astype(np.int8)
 
 
 def classify(f: GraphField, x: float, y: float,
@@ -214,16 +309,15 @@ def classify(f: GraphField, x: float, y: float,
 
 def classify_grid(f: GraphField, X, Y,
                   tau_light: float | None = None,
-                  tau_grad: float = DEFAULT_TAU_GRAD) -> list[CausalSample]:
+                  tau_grad: float = DEFAULT_TAU_GRAD) -> CausalSamples:
     """Classify every lattice node, row-major in the x index."""
     tau_light = f.default_tau_light() if tau_light is None else tau_light
     _check_tolerances(tau_light, tau_grad)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    cols = np.broadcast_arrays(X, Y, *causal_b_grid(f, X, Y))
-    return [CausalSample(x, y, b, bx, by,
-                         _class_of(b, bx, by, tau_light, tau_grad))
-            for x, y, b, bx, by in zip(*(a.ravel().tolist() for a in cols))]
+    X, Y, *bs = np.broadcast_arrays(X, Y, *causal_b_grid(f, X, Y))
+    code = _class_codes(*(a.ravel() for a in bs), tau_light, tau_grad)
+    return CausalSamples(X, Y, *bs, code)
 
 
 def zmc_residual(f: GraphField, x: float, y: float) -> float:
@@ -313,11 +407,41 @@ def _bisect_edges(f: GraphField, coords, nodes, n0, n1, comp, g_tol,
     return best, best_b
 
 
+def _distinct_points(x, y):
+    """The points (x, y) in (x, y) order, less each point that lies within
+    DUP_TOL in both x and y of an earlier point kept (the greedy rule: the
+    first of a chain is kept, the second dropped, the third kept when it is
+    further than DUP_TOL from the first, and so on)."""
+    order = np.lexsort((y, x))
+    x, y = x[order], y[order]
+    # a pair within DUP_TOL in x lies in one run of x gaps <= DUP_TOL; in
+    # (run, y) order its y partners are near neighbours
+    run = np.cumsum(np.diff(x, prepend=x[:1]) > DUP_TOL)
+    by_y = np.lexsort((y, run))
+    pairs = [np.empty((2, 0), dtype=np.intp)]
+    for d in range(1, x.size):
+        a, b = by_y[:-d], by_y[d:]
+        close = (run[a] == run[b]) & (y[b] - y[a] <= DUP_TOL)
+        if not close.any():
+            break  # pairs further apart in (run, y) order are further apart
+        pairs.append(np.sort([a[close], b[close]], axis=0))
+    i, j = np.concatenate(pairs, axis=1)
+    close = x[j] - x[i] <= DUP_TOL  # the y distance is within DUP_TOL
+    i, j = i[close], j[close]
+    keep = np.ones(x.size, dtype=bool)
+    by_later = np.argsort(j, kind="stable")
+    for p, q in zip(i[by_later].tolist(), j[by_later].tolist()):
+        if keep[p]:  # settled: every pair ending at p came earlier
+            keep[q] = False
+    return x[keep], y[keep]
+
+
 def detect_lightlike_set(f: GraphField, nx: int, ny: int,
                          tau_light: float | None = None,
                          tau_grad: float = DEFAULT_TAU_GRAD,
-                         refine_tol: float = REFINE_TOL) -> list[CausalSample]:
-    """All light-like points found on a lattice, refined along edges.
+                         refine_tol: float = REFINE_TOL) -> CausalSamples:
+    """All light-like points found on a lattice, refined along edges, in
+    (x, y) order; points within DUP_TOL of one kept count once.
 
     Lattice nodes with |B| <= tau_light are collected directly.  Each
     lattice edge is additionally searched for a sign change of B (a zero
@@ -351,23 +475,12 @@ def detect_lightlike_set(f: GraphField, nx: int, ny: int,
                                   refine_tol)
         hits.append(pts[:, (comp == 0) | (np.abs(b_at) <= tau_light)])
 
-    # deduplicate coincident finds (node hits vs refined edge hits land
-    # within refine_tol of each other); keep deterministic order
-    hits = sorted(zip(*np.concatenate(hits, axis=1).tolist()))
-    kept: list[tuple[float, float]] = []
-    for p in hits:
-        dup = False
-        for q in reversed(kept):
-            if p[0] - q[0] > 1e-9:
-                break  # kept is x-sorted: everything earlier is further away
-            if abs(p[1] - q[1]) <= 1e-9:
-                dup = True
-                break
-        if not dup:
-            kept.append(p)
-    samples = classify_grid(f, *np.reshape(kept, (-1, 2)).T,
-                            tau_light=tau_light, tau_grad=tau_grad)
-    return [s for s in samples if s.cls.is_lightlike]
+    # node hits and refined edge hits of one point land within refine_tol
+    # of each other
+    x, y = _distinct_points(*np.concatenate(hits, axis=1))
+    samples = classify_grid(f, x, y, tau_light=tau_light, tau_grad=tau_grad)
+    return samples[samples.in_class(CausalClass.LIGHT_NONDEGENERATE,
+                                    CausalClass.LIGHT_DEGENERATE)]
 
 
 # --------------------------------------------------------------------------
@@ -392,7 +505,7 @@ def _orient(direction: np.ndarray) -> np.ndarray:
     return direction
 
 
-def verify_line_theorem(samples: list[CausalSample],
+def verify_line_theorem(samples: CausalSamples | list[CausalSample],
                         f: GraphField) -> list[LightLine]:
     """Group degenerate samples by the line each one's jet predicts, then
     fit each group and lift it to L^3.
@@ -406,10 +519,10 @@ def verify_line_theorem(samples: list[CausalSample],
     of one are dropped; groups are fitted in (x, y) order, so the order of
     ``samples`` does not matter.
     """
-    degenerate = sorted((s for s in samples
-                         if s.cls == CausalClass.LIGHT_DEGENERATE),
-                        key=lambda s: (s.x, s.y))
-    pts = np.array([[s.x, s.y] for s in degenerate]).reshape(-1, 2)
+    samples = CausalSamples.of(samples)
+    k = np.flatnonzero(samples.in_class(CausalClass.LIGHT_DEGENERATE))
+    degenerate = samples[k[np.lexsort((samples.y[k], samples.x[k]))]]
+    pts = np.stack([degenerate.x, degenerate.y], axis=-1)
     j = f.jet2_grid(pts[:, 0], pts[:, 1])
     theta = np.mod(np.arctan2(j.gy, j.gx), np.pi)
     if theta.size:
@@ -442,7 +555,7 @@ def verify_line_theorem(samples: list[CausalSample],
         direction = _orient(direction)
         dt = float(j.gx[n] * direction[0] + j.gy[n] * direction[1])
         defect = abs(direction[0] ** 2 + direction[1] ** 2 - dt * dt)
-        members = [degenerate[k] for k in g[np.argsort(pts[g] @ direction)]]
+        members = degenerate[g[np.argsort(pts[g] @ direction)]]
         lines.append(LightLine(
             base=(float(centroid[0]), float(centroid[1])),
             direction=(float(direction[0]), float(direction[1])),

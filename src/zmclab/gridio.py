@@ -2,9 +2,16 @@
 
 All writers are deterministic (shortest round-trip float formatting, fixed
 row-major node order, no timestamps) so identical inputs give byte-identical
-files.  Floats are written with ``%r`` (``repr``, the shortest round-trip
-form) from row templates; each lattice x-line's template holds every
-coordinate written once, filled from ``tolist()`` of that line's values.
+files.  Floats are written as their ``repr`` (the shortest round-trip form)
+from row templates; each lattice x-line's template holds every coordinate
+written once, filled from ``tolist()`` of that line's values, or from one
+string where a value column is constant along the line.
+
+The causal writer takes ``CausalSamples`` (or a list of ``CausalSample``).
+Its leading lattice block, x constant along each x-line and the same y on
+every line, bit for bit, goes through the lattice templates with the class
+name as one more column; the samples after it fill one row template per
+chunk of rows.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import numpy as np
 
 from .errors import NonFiniteValueError
 from .exprfield import SampledGrid
-from .geometry import CausalSample, LightLine
+from .geometry import CausalSample, CausalSamples, LightLine
 
 __all__ = [
     "grid_csv",
@@ -29,22 +36,39 @@ __all__ = [
 
 GRID_HEADER = "x,y,value"
 CAUSAL_HEADER = "x,y,b,bx,by,class"
+#: rows per format call of the causal writer's rows off the lattice
+_CHUNK = 4096
+
+
+def _constant_lines(column) -> np.ndarray:
+    """Whether each x-line of an nx-by-ny array holds one value throughout,
+    bit for bit for floats (-0.0 and 0.0 print differently)."""
+    c = np.asarray(column)
+    if c.dtype.kind == "f":
+        c = c.view(f"i{c.itemsize}")
+    return (c == c[:, :1]).all(axis=1) & (c.shape[1] > 0)
 
 
 def _line_rows(head: str, tail: str, xs, ys, *columns) -> list[str]:
     """One string per x-line (x index outermost) of the rows ``head +
-    repr(x) + tail``; ``tail``'s first slot takes y, its ``%%`` slots the
-    node's entries of ``columns`` (nx-by-ny arrays).  Each coordinate is
-    formatted once, as a float (numpy 2 reprs ``np.float64(...)``)."""
+    repr(x) + tail``; ``tail``'s first slot takes y, its ``%%s`` slots the
+    node's entries of ``columns`` (nx-by-ny arrays; ``str`` of a float is
+    its repr).  Each coordinate is formatted once, as a float (numpy 2
+    reprs ``np.float64(...)``), and so is an entry of a column that is
+    constant along its x-line."""
     xs, ys = (np.asarray(a, dtype=float).tolist() for a in (xs, ys))
     # a float's repr holds no %, so the filled y parts need no escaping
     pieces = [head, *[tail % y + head for y in ys]]
     pieces[-1] = pieces[-1].removesuffix(head)
     k, out = len(columns), []
     row = [None] * (k * len(ys))
-    for x, *line in zip(xs, *columns, strict=True):
-        for at, part in enumerate(line):  # the columns interleaved per node
-            row[at::k] = part.tolist()
+    constant = zip(*map(_constant_lines, columns))
+    for x, line, same in zip(xs, zip(*columns, strict=True), constant,
+                             strict=True):
+        for at, (part, one) in enumerate(zip(line, same)):
+            # the columns interleaved per node
+            row[at::k] = ([str(part.item(0))] * part.size if one
+                          else part.tolist())
         out.append(repr(x).join(pieces) % tuple(row))
     return out
 
@@ -52,7 +76,7 @@ def _line_rows(head: str, tail: str, xs, ys, *columns) -> list[str]:
 def grid_csv(xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> str:
     """Grid CSV, header ``x,y,value``; rows row-major (x index outermost)."""
     return "".join([GRID_HEADER + "\n", *_line_rows(
-        "", ",%r,%%r\n", xs, ys, np.asarray(values, dtype=float))])
+        "", ",%r,%%s\n", xs, ys, np.asarray(values, dtype=float))])
 
 
 def fluid_csv(xs: np.ndarray, ys: np.ndarray, parts, regimes) -> str:
@@ -60,7 +84,7 @@ def fluid_csv(xs: np.ndarray, ys: np.ndarray, parts, regimes) -> str:
     row-major: ``parts`` are the (epsilon, rho, u, v, c, p) arrays and
     ``regimes`` the regime names, all of shape (nx, ny)."""
     return "".join(["x,y,epsilon,rho,u,v,c,p,regime\n", *_line_rows(
-        "", ",%r,%%s,%%r,%%r,%%r,%%r,%%r,%%s\n", xs, ys, *parts, regimes)])
+        "", ",%r" + ",%%s" * 7 + "\n", xs, ys, *parts, regimes)])
 
 
 def read_grid_csv(text: str) -> SampledGrid:
@@ -78,14 +102,40 @@ def read_grid_csv(text: str) -> SampledGrid:
     return SampledGrid(xs, ys, values.reshape(X.shape))
 
 
-def causal_csv(samples: list[CausalSample]) -> str:
-    """Causal-sample CSV, header ``x,y,b,bx,by,class``."""
-    # a sample's fields are read one by one anyway, so a tolist() table
-    # would only add copies (it measured slower on 16,705 samples)
-    row = "%r,%r,%r,%r,%r,%s\n"
-    return CAUSAL_HEADER + "\n" + "".join([
-        row % (float(s.x), float(s.y), float(s.b), float(s.bx), float(s.by),
-               s.cls.value) for s in samples])
+def _lattice_block(x, y) -> tuple[int, int]:
+    """(nx, ny) of the longest leading block of samples that is a lattice:
+    x constant along each of nx x-lines, and the first line's ny values of
+    y repeated on every line, bit for bit (so -0.0 is not 0.0)."""
+    x, y = x.view(np.int64), y.view(np.int64)
+    if not x.size:
+        return 0, 0
+    ny = int(np.argmax(x != x[0])) or x.size  # x[0]'s run of rows
+    nx = x.size // ny
+    x, y = x[:nx * ny].reshape(nx, ny), y[:nx * ny].reshape(nx, ny)
+    lines = (x == x[:, :1]).all(axis=1) & (y == y[0]).all(axis=1)
+    return int(np.logical_and.accumulate(lines).sum()), ny
+
+
+def causal_csv(samples: CausalSamples | list[CausalSample]) -> str:
+    """Causal-sample CSV, header ``x,y,b,bx,by,class``.  A leading lattice
+    block goes through the per-line templates of ``_line_rows``; the rows
+    after it fill one row template per chunk of rows."""
+    s = CausalSamples.of(samples)
+    nx, ny = _lattice_block(s.x, s.y)
+    n, names = nx * ny, s.names
+    out = [CAUSAL_HEADER + "\n"]
+    if n:
+        out += _line_rows("", ",%r" + ",%%s" * 4 + "\n", s.x[:n:ny], s.y[:ny],
+                          *(a[:n].reshape(nx, ny)
+                            for a in (s.b, s.bx, s.by, names)))
+    columns = (*s.columns[:5], names)
+    for at in range(n, len(s), _CHUNK):
+        part = [c[at:at + _CHUNK].tolist() for c in columns]
+        row = [None] * (6 * len(part[0]))
+        for k, col in enumerate(part):
+            row[k::6] = col
+        out.append("%r,%r,%r,%r,%r,%s\n" * len(part[0]) % tuple(row))
+    return "".join(out)
 
 
 def lightlines_payload(lines: list[LightLine]) -> dict:
@@ -118,13 +168,20 @@ def obj_text(xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> str:
             f"refusing OBJ export: non-finite value at node "
             f"({int(bad[0])}, {int(bad[1])})")
     nx, ny = values.shape
-    faces = []
-    for i in range(nx - 1):  # the two triangles of each cell of x-line i
-        a = np.arange(i * ny + 1, (i + 1) * ny)  # OBJ indices are 1-based
-        faces.append("f %d %d %d\nf %d %d %d\n" * (ny - 1) % tuple(np.stack(
-            [a, a + ny, a + ny + 1, a, a + ny + 1, a + 1],
-            axis=-1).ravel().tolist()))
-    return "".join([*_line_rows("v ", " %r %%r\n", xs, ys, values), *faces])
+    # the two triangles of each cell between x-lines i - 1 and i, from the
+    # OBJ indices (1-based) of each x-line's nodes, formatted once per line
+    row = ["f ", "", " ", "", " ", "", "\nf ", "", " ", "", " ", "", "\n"]
+    row *= ny - 1
+    faces, a = [], list(map(str, range(1, ny + 1)))
+    for i in range(1, nx):
+        b = list(map(str, range(i * ny + 1, (i + 1) * ny + 1)))
+        row[1::13] = row[7::13] = a[:-1]
+        row[3::13] = b[:-1]
+        row[5::13] = row[9::13] = b[1:]
+        row[11::13] = a[1:]
+        faces.append("".join(row))
+        a = b
+    return "".join([*_line_rows("v ", " %r %%s\n", xs, ys, values), *faces])
 
 
 def dump_json(payload: dict) -> str:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import zmclab
 from zmclab import cli
@@ -18,7 +18,7 @@ from zmclab.cli import run
 from zmclab.gridio import (causal_csv, fluid_csv, grid_csv, obj_text,
                            read_grid_csv)
 from zmclab.errors import NonFiniteValueError
-from zmclab.geometry import CausalClass, CausalSample
+from zmclab.geometry import CausalClass, CausalSample, CausalSamples
 
 
 def _read(path):
@@ -514,6 +514,86 @@ def test_fluid_file_matches_per_node_reference(tmp_path):
         table["x"][:, 0], table["y"][0], parts, table["regime"])
 
 
+@st.composite
+def _causal_samples(draw):
+    """A lattice block, each column drawn per node or per x-line, and a
+    tail of samples anywhere (coordinates too may be nan or infinite)."""
+    nx, ny, tail = (draw(st.integers(lo, 6)) for lo in (0, 1, 0))
+
+    def table(elements, size):
+        return np.array(draw(st.lists(elements, min_size=size,
+                                      max_size=size)), dtype=float)
+
+    def column(elements):
+        if draw(st.booleans()):  # one value along each x-line
+            return np.repeat(table(elements, nx), ny)
+        return table(elements, nx * ny)
+
+    codes = st.integers(0, 3)
+    lattice = CausalSamples(
+        np.repeat(table(_FINITE, nx), ny), np.tile(table(_FINITE, ny), nx),
+        column(_VALUE), column(_VALUE), column(_VALUE), column(codes))
+    return CausalSamples.concat(lattice, CausalSamples(
+        *(table(_VALUE, tail) for _ in range(5)), table(codes, tail)))
+
+
+@given(_causal_samples())
+@example(CausalSamples(  # -0.0 == 0.0 and nan != nan, but each prints once
+    [-0.0, -0.0, 0.0, 0.0, np.nan, np.nan], [0.0, -0.0, 0.0, -0.0, 1.0, 1.0],
+    [-0.0, 0.0, 0.0, 0.0, np.nan, np.nan], [np.nan] * 6, [0.0] * 6,
+    [0, 1, 2, 3, 3, 3]))
+@settings(max_examples=100, deadline=None)
+def test_causal_csv_matches_per_sample_reference(samples):
+    ref = _ref_causal_csv(samples)
+    assert causal_csv(samples) == ref
+    assert causal_csv(list(samples)) == ref
+
+
+def test_causal_csv_rows_off_the_lattice_in_chunks():
+    # random points form no lattice: one row per format call would do,
+    # and more rows than one chunk must too
+    cols = np.random.default_rng(5).normal(size=(5, 9000))
+    samples = CausalSamples(*cols, np.arange(9000) % 4)
+    assert causal_csv(samples) == _ref_causal_csv(samples)
+
+
+@pytest.mark.parametrize("verb, field, domain", [
+    ("classify", "y + sin(x)", "0,6.4,-1,1"),
+    ("detect", "y + sin(4*x)", "0,6.4,-1,1"),
+    ("classify", "atan2(y, x)", "0.5,2,0.5,2"),
+    ("detect", "atan2(y, x)", "0.5,2,0.5,2"),
+])
+def test_causal_files_match_per_sample_reference(tmp_path, verb, field,
+                                                 domain):
+    # the samples come from the verb's JSON output; its CSV must equal the
+    # per-sample reference writer applied to them
+    argv = [verb, "--field", field, "--domain", domain, "--res", "33,17",
+            "--out"]
+    assert run(argv + [str(tmp_path / "s.json"), "--format", "json"]) == 0
+    samples = [CausalSample(s["x"], s["y"], s["b"], s["bx"], s["by"],
+                            CausalClass(s["class"]))
+               for s in json.loads(_read(tmp_path / "s.json"))["samples"]]
+    assert samples
+    assert run(argv + [str(tmp_path / "s.csv")]) == 0
+    assert _read(tmp_path / "s.csv") == _ref_causal_csv(samples)
+
+
+def test_classify_memory_is_bounded_by_its_output(tmp_path):
+    # the sample columns, the per-line strings, the joined text and its
+    # encoding come to about three times the output; one CausalSample
+    # object per node took about seven
+    out = tmp_path / "c.csv"
+    tracemalloc.start()
+    try:
+        assert run(["classify", "--field", "y + sin(x)",
+                    "--domain", "0,6.4,-1,1", "--res", "513,129",
+                    "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.0 * out.stat().st_size
+
+
 @pytest.mark.parametrize("shape", [(3, 4), (5, 4), (4, 3), (4, 5)])
 def test_writers_refuse_values_off_the_lattice(shape):
     xs, ys, values = np.arange(4.0), np.arange(4.0), np.zeros(shape)
@@ -592,6 +672,22 @@ def test_usage_errors_exit_2():
         for item in ("a", "a=abc"):
             assert run([*verb, "--param", item, "--domain", "0,1,0,1"]) == 2
         assert run([*verb, "--param", "a=1", "--domain", "0,inf,0,1"]) == 2
+
+
+@pytest.mark.parametrize("flag, reason", [
+    ("--domain=0,inf,0,1", "rectangle bounds must be finite"),
+    ("--domain=1,0,0,1", "rectangle needs x0 < x1 and y0 < y1"),
+    ("--domain=0,1,0", "expected x0,x1,y0,y1, got '0,1,0'"),
+    ("--res=3,x", "expected nx,ny: invalid literal for int() with base 10: "
+                  "'x'"),
+    ("--base=1", "expected x,y, got '1'"),
+])
+def test_bad_flag_values_say_why(capsys, flag, reason):
+    # the later flag replaces the valid one before it
+    assert run(["dualize", "--field", "atan2(y, x)", "--domain", "1,2,1,2",
+                "--base", "1,1", flag]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag.partition('=')[0]}: {reason}\n" in err
 
 
 def test_syntax_error_exit_1(tmp_path, capsys):

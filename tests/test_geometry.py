@@ -5,10 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zmclab import (
     CausalClass,
+    CausalSample,
+    CausalSamples,
     DualDirection,
     GridField,
     InsufficientSamplesError,
@@ -28,7 +30,9 @@ from zmclab import (
     verify_line_theorem,
     zmc_residual,
 )
-from zmclab.geometry import REFINE_TOL, classify_grid, zmc_residual_of_jet
+from zmclab.geometry import (CLASSES, DUP_TOL, REFINE_TOL, _class_codes,
+                             _distinct_points, classify_grid,
+                             zmc_residual_of_jet)
 
 SQ = Rect(-1.0, 1.0, -1.0, 1.0)
 
@@ -131,6 +135,73 @@ def test_classify_is_the_point_case_of_classify_grid(make):
     with pytest.raises(OutOfDomainError) as grid:
         classify_grid(f, *outside)
     assert str(point.value) == str(grid.value)
+
+
+def _ref_class_of(b, bx, by, tau_light, tau_grad):
+    """The per-point rule that the vectorized class codes replaced, kept as
+    their reference."""
+    if b > tau_light:
+        return CausalClass.SPACE_LIKE
+    if b < -tau_light:
+        return CausalClass.TIME_LIKE
+    if math.hypot(bx, by) <= tau_grad:
+        return CausalClass.LIGHT_DEGENERATE
+    return CausalClass.LIGHT_NONDEGENERATE
+
+
+def _assert_codes_follow_reference(b, bx, by, tau_light, tau_grad):
+    codes = _class_codes(b, bx, by, tau_light, tau_grad)
+    assert codes.dtype == np.int8
+    assert [CLASSES[c] for c in codes.tolist()] == [
+        _ref_class_of(*p, tau_light, tau_grad)
+        for p in zip(b.tolist(), bx.tolist(), by.tolist())]
+
+
+def test_class_codes_follow_math_hypot_at_the_gradient_threshold():
+    # pairs where np.hypot and math.hypot differ in the last bit, with
+    # tau_grad at the smaller of the two: the rule of math.hypot decides
+    bx, by = np.random.default_rng(5).random((2, 100_000)) * 1e-7
+    g = np.hypot(bx, by)
+    m = np.array([math.hypot(p, q) for p, q in zip(bx.tolist(), by.tolist())])
+    split = np.flatnonzero(g != m)[:40]
+    assert split.size
+    for k in split.tolist():
+        tau = float(min(g[k], m[k]))
+        near = np.array([np.nextafter(tau, 0.0), tau, np.nextafter(tau, 1.0)])
+        pair = (np.full(4, bx[k]), np.full(4, by[k]))
+        for t in (tau, *near):  # 4 ulps around tau go to math.hypot too
+            _assert_codes_follow_reference(np.zeros(4), *pair, 1e-9, t)
+        scaled = (np.full(4, bx[k] * 2.0), np.full(4, by[k] * 2.0))
+        _assert_codes_follow_reference(np.zeros(4), *scaled, 1e-9, 2.0 * tau)
+
+
+def test_class_codes_follow_the_rule_on_special_values():
+    special = [0.0, -0.0, 1e-9, -1e-9, 1.5e-9, -1.5e-9, 1e-7, 5e-324, 1e300,
+               math.nan, math.inf, -math.inf]
+    b, bx, by = (np.array(v) for v in zip(*[
+        (p, q, r) for p in special for q in special for r in special]))
+    for tau_light, tau_grad in ((1e-9, 1e-7), (1e-9, 1e300), (1e300, 5e-324)):
+        _assert_codes_follow_reference(b, bx, by, tau_light, tau_grad)
+
+
+def test_causal_samples_read_like_a_list():
+    samples = classify_grid(field_from_text("y + sin(x)", SQ),
+                            *SQ.meshgrid(5, 3))
+    rows = list(samples)
+    assert len(samples) == len(rows) == 15
+    assert all(type(s) is CausalSample and type(s.x) is float for s in rows)
+    assert samples == rows and samples[-1] == rows[-1]
+    assert samples[3:5] == rows[3:5]
+    assert samples[[4, 0]] == rows[4:5] + rows[:1]
+    assert samples[samples.in_class(CausalClass.TIME_LIKE)] == [
+        s for s in rows if s.cls is CausalClass.TIME_LIKE]
+    assert CausalSamples.of(rows) == samples
+    assert CausalSamples.concat(samples, samples[:2]) == rows + rows[:2]
+    assert samples != rows[:-1] and samples != 3
+    with pytest.raises(ValueError):
+        samples.b[0] = 1.0  # the columns are read-only
+    with pytest.raises(ValueError):
+        CausalSamples([0.0], [0.0], [0.0], [0.0], [0.0], [0, 1])
 
 
 def test_classify_rejects_bad_tolerances():
@@ -308,6 +379,43 @@ def test_detect_sign_change_refinement():
         r = math.hypot(s.x, s.y)
         assert abs(r - 1.0) < 1e-7
         assert s.cls is CausalClass.LIGHT_NONDEGENERATE
+
+
+def _ref_distinct_points(x, y):
+    """The greedy de-duplication that _distinct_points replaced, kept as
+    its reference: sorted points, each dropped when a point kept before it
+    lies within DUP_TOL in both x and y."""
+    kept = []
+    for p in sorted(zip(x.tolist(), y.tolist())):
+        dup = False
+        for q in reversed(kept):
+            if p[0] - q[0] > DUP_TOL:
+                break  # kept is x-sorted: everything earlier is further away
+            if abs(p[1] - q[1]) <= DUP_TOL:
+                dup = True
+                break
+        if not dup:
+            kept.append(p)
+    return np.array(kept, dtype=float).reshape(-1, 2).T
+
+
+# a coordinate near an anchor: clusters, exact repeats, and chains of steps
+# just below, at and just above DUP_TOL
+_NEAR = st.builds(lambda a, k, h: a + k * h,
+                  st.sampled_from([-0.0, 0.0, 0.25, 1.0, 1e3]),
+                  st.integers(0, 5),
+                  st.sampled_from([0.0, 4e-10, 5e-10, 9.9e-10, 1e-9,
+                                   1.01e-9, 2e-9]))
+
+
+@given(st.lists(st.tuples(_NEAR, _NEAR), max_size=60))
+@example([(0.0, 0.0), (9e-10, 5.0), (1.8e-9, 0.0)])  # one x run, far ends
+@example([(0.0, 0.0), (0.0, 9e-10), (0.0, 1.8e-9)])  # a chain in y
+@settings(max_examples=300, deadline=None)
+def test_distinct_points_is_the_greedy_rule(points):
+    x, y = np.array(points, dtype=float).reshape(-1, 2).T
+    got, ref = _distinct_points(x, y), _ref_distinct_points(x, y)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
 
 
 def _bisect_zero(eval_b, a, b, fa, fb, tol, f_tol):
