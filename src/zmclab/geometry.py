@@ -82,6 +82,7 @@ class CausalSample:
 #: 0 space-like, 1 time-like, 2 and 3 light-like (non-degenerate, degenerate)
 CLASSES = tuple(CausalClass)
 _NAMES = np.array([c.value for c in CLASSES], dtype=object)
+_COLUMNS = ("x", "y", "b", "bx", "by", "code")
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +93,8 @@ class CausalSamples:
     It reads like a list of ``CausalSample``: ``len``, iteration and an
     integer index give ``CausalSample`` objects, and it equals any sequence
     of equal samples.  A slice, a boolean mask or an index array gives the
-    ``CausalSamples`` of those points.  The columns are read-only copies.
+    ``CausalSamples`` of those points.  The columns are read-only, and the
+    constructor copies its arguments, so later writes to them do not show.
     """
 
     x: np.ndarray
@@ -103,14 +105,26 @@ class CausalSamples:
     code: np.ndarray
 
     def __post_init__(self):
-        names = ("x", "y", "b", "bx", "by", "code")
-        cols = [np.array(getattr(self, k), dtype=np.int8 if k == "code"
-                         else float).ravel() for k in names]
+        self._own(np.array(getattr(self, k), dtype=np.int8 if k == "code"
+                           else float) for k in _COLUMNS)
+
+    def _own(self, cols):
+        """Set the columns to ``cols``, flattened and made read-only."""
+        cols = [c.ravel() for c in cols]
         if any(c.size != cols[0].size for c in cols):
             raise ValueError("causal sample columns differ in length")
-        for name, col in zip(names, cols):
+        for name, col in zip(_COLUMNS, cols, strict=True):
             col.flags.writeable = False
             object.__setattr__(self, name, col)
+
+    @classmethod
+    def _adopt(cls, cols) -> CausalSamples:
+        """The ``CausalSamples`` of float64 and int8 columns that no caller
+        can write to (fresh arrays, or views of read-only columns), taken
+        without the copy that the constructor makes."""
+        out = object.__new__(cls)
+        out._own(cols)
+        return out
 
     @property
     def columns(self) -> tuple:
@@ -129,7 +143,8 @@ class CausalSamples:
 
     @classmethod
     def concat(cls, *parts: CausalSamples) -> CausalSamples:
-        return cls(*map(np.concatenate, zip(*(p.columns for p in parts))))
+        return cls._adopt(map(np.concatenate,
+                              zip(*(p.columns for p in parts))))
 
     def __len__(self) -> int:
         return self.code.size
@@ -138,7 +153,7 @@ class CausalSamples:
         try:
             k = operator.index(index)
         except TypeError:  # a slice, a mask or an array of indices
-            return CausalSamples(*(c[index] for c in self.columns))
+            return CausalSamples._adopt(c[index] for c in self.columns)
         *values, code = (c[k].item() for c in self.columns)
         return CausalSample(*values, CLASSES[code])
 

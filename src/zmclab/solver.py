@@ -12,10 +12,12 @@ for the mixed derivative.  Newton iterations use the analytic Jacobian of
 the stencil, never assembled: nine coefficients per node act on a lattice
 by shifted products.  Each step is solved by restarted GMRES to a relative
 residual of KRYLOV_TOL, right-preconditioned by the constant-coefficient
-operator A pxx + C pyy at the Jacobian's mean A and C.  A sine transform
-along each axis diagonalizes that operator on the rectangle, so each
-preconditioner solve takes four real FFT passes; the harmonic initial
-guess is the same solve at A = C = 1.  A halving line search on the
+operator A pxx + C pyy at the Jacobian's mean A and C.  An orthonormal
+sine basis along each axis diagonalizes that operator on the rectangle, so
+each preconditioner solve is four dense matrix products (fast
+diagonalization), zero-padded to sides that are multiples of BLAS_BLOCK so
+that the rounding does not depend on the BLAS thread count; the harmonic
+initial guess is the same solve at A = C = 1.  A halving line search on the
 residual sup-norm damps each step, and only numpy is used.  Iterations
 stop once the residual is below ``newton_tol`` or below the round-off
 floor of the stencil, whichever is larger.  The maximal equation is
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
@@ -58,6 +61,7 @@ MIN_INTERIOR_B = 1e-8
 KRYLOV_RESTART = 30
 KRYLOV_TOL = 1e-10  # relative 2-norm of the true residual of a Newton step
 KRYLOV_MAX_ITER = 300
+BLAS_BLOCK = 16  # the model solve's matrix sides are multiples of this
 
 
 class EquationKind(Enum):
@@ -128,6 +132,7 @@ class GridSolution:
     converged: bool = True
     residual_floor: float = 0.0
     converged_by: str = "newton_tol"
+    krylov_iterations: list = field(default_factory=list)
 
     def field(self, name: str = "") -> GridField:
         return GridField(SampledGrid(self.xs, self.ys, self.values),
@@ -144,6 +149,7 @@ class GridSolution:
             "damping_history": list(map(float, self.damping_history)),
             "residual_floor": self.residual_floor,
             "converged_by": self.converged_by,
+            "krylov_iterations": list(map(int, self.krylov_iterations)),
         }
         if self.min_interior_b is not None:
             out["min_interior_b"] = float(self.min_interior_b)
@@ -209,36 +215,50 @@ def _apply(coeffs, v: np.ndarray) -> np.ndarray:
             + cross * (p[2:, 2:] + p[:-2, :-2] - p[2:, :-2] - p[:-2, 2:]))
 
 
-def _dst1(a: np.ndarray, axis: int) -> np.ndarray:
-    """Unnormalized DST-I along axis, sum_n a_n sin(pi k n / (m + 1)) for
-    k, n = 1..m, from the rfft of the odd extension (0, a, 0, -a reversed);
-    applied twice it gives (m + 1) / 2 times a."""
-    a = np.moveaxis(a, axis, -1)
-    pad = np.zeros(a.shape[:-1] + (1,))
-    odd = np.concatenate([pad, a, pad, -a[..., ::-1]], axis=-1)
-    out = -0.5 * np.fft.rfft(odd, axis=-1)[..., 1:a.shape[-1] + 1].imag
-    return np.moveaxis(out, -1, axis)
+@lru_cache(maxsize=4)
+def _sine_basis(m: int) -> np.ndarray:
+    """Orthonormal DST-I matrix S[k, n] = sqrt(2 / (m + 1)) sin(pi k n /
+    (m + 1)) for k, n = 1..m, read-only and zero-padded to a side that is a
+    multiple of BLAS_BLOCK.  S is symmetric, and S @ S is the identity on
+    its leading m x m block.  k n is reduced mod 2 (m + 1) as an integer,
+    where sin has its period, so the argument stays below 2 pi exactly."""
+    side = -(-m // BLAS_BLOCK) * BLAS_BLOCK
+    k = np.arange(1, m + 1)
+    S = np.zeros((side, side))
+    S[:m, :m] = np.sqrt(2.0 / (m + 1)) * np.sin(
+        np.pi * (np.outer(k, k) % (2 * m + 2)) / (m + 1))
+    S.flags.writeable = False
+    return S
 
 
 def _model_solve(r: np.ndarray, a: float, c: float,
                  hx: float, hy: float) -> np.ndarray:
     """Interior u, zero on the ring, with a uxx + c uyy = r in 5-point
-    differences.  That operator is diagonal in the sine basis, with
-    eigenvalues -a (4/hx^2) sin^2(pi k / 2(mx+1)) - c (4/hy^2) sin^2(pi l /
-    2(my+1)), so one sine transform each way solves it."""
+    differences, by fast diagonalization (R. E. Lynch, J. R. Rice and
+    D. H. Thomas, Numer. Math. 6, 1964).  The sine bases Sx, Sy diagonalize
+    that operator, with eigenvalues lam = -a (4/hx^2) sin^2(pi k / 2(mx+1))
+    - c (4/hy^2) sin^2(pi l / 2(my+1)), so u = Sx ((Sx r Sy) / lam) Sy: four
+    matrix products.  They run on the padded bases and a padded r, because
+    a BLAS (OpenBLAS, for one) may round a product whose sides are not
+    multiples of its blocking differently at different thread counts."""
     mx, my = r.shape
+    Sx, Sy = _sine_basis(mx), _sine_basis(my)
     ex = (2.0 / hx * np.sin(np.pi * np.arange(1, mx + 1) / (2 * mx + 2))) ** 2
     ey = (2.0 / hy * np.sin(np.pi * np.arange(1, my + 1) / (2 * my + 2))) ** 2
-    coef = _dst1(_dst1(r, 0), 1) / (a * ex[:, None] + c * ey[None, :])
-    return _dst1(_dst1(coef, 0), 1) * (-4.0 / ((mx + 1) * (my + 1)))
+    lam = np.ones((len(Sx), len(Sy)))  # 1 on the padding, where Sx r Sy is 0
+    lam[:mx, :my] = -(a * ex[:, None] + c * ey[None, :])
+    rp = np.zeros(lam.shape)
+    rp[:mx, :my] = r
+    return (Sx @ ((Sx @ rp @ Sy) / lam) @ Sy)[:mx, :my]
 
 
 def _gmres(op: Callable[[np.ndarray], np.ndarray],
-           b: np.ndarray) -> np.ndarray:
+           b: np.ndarray) -> tuple[np.ndarray, int]:
     """Restarted GMRES(KRYLOV_RESTART) for op(y) = b on flat vectors: y
     with |b - op(y)| <= KRYLOV_TOL |b| (2-norm), checked on the true
-    residual at each restart.  Raises LinearSolveError at KRYLOV_MAX_ITER
-    iterations or on non-finite values."""
+    residual at each restart, and the number of iterations.  Raises
+    LinearSolveError at KRYLOV_MAX_ITER iterations or on non-finite
+    values."""
     y, r = np.zeros(b.size), b
     bnorm = beta = float(np.linalg.norm(b))
     V = np.empty((KRYLOV_RESTART + 1, b.size))
@@ -270,14 +290,15 @@ def _gmres(op: Callable[[np.ndarray], np.ndarray],
         y = y + z @ V[:k]
         r = b - op(y)
         beta = float(np.linalg.norm(r))
-    return y
+    return y, its
 
 
 def _newton_step(values: np.ndarray, s: float, hx: float, hy: float,
-                 res: np.ndarray) -> np.ndarray:
+                 res: np.ndarray) -> tuple[np.ndarray, int]:
     """Newton step of the s-stencil residual res = _residual(values, s,
-    hx, hy), shape (nx-2, ny-2): GMRES on the Jacobian, right-preconditioned
-    by the sine-transform solve at the Jacobian's mean A and C."""
+    hx, hy), shape (nx-2, ny-2), and its GMRES iterations: GMRES on the
+    Jacobian, right-preconditioned by the model solve at the Jacobian's
+    mean A and C."""
     coeffs, a, c = _jacobian(values, s, hx, hy)
 
     def op(v):
@@ -287,8 +308,8 @@ def _newton_step(values: np.ndarray, s: float, hx: float, hy: float,
     # a singular operator shows up as non-finite values, which _gmres
     # reports as LinearSolveError; numpy need not warn about them too
     with np.errstate(divide="ignore", invalid="ignore"):
-        y = _gmres(op, -res.ravel())
-    return _model_solve(y.reshape(res.shape), a, c, hx, hy)
+        y, its = _gmres(op, -res.ravel())
+    return _model_solve(y.reshape(res.shape), a, c, hx, hy), its
 
 
 def _boundary_mask(nx: int, ny: int) -> np.ndarray:
@@ -386,6 +407,7 @@ def solve(problem: DirichletProblem) -> GridSolution:
 
     res_history: list[float] = []
     damping: list[float] = []
+    krylov: list[int] = []
     res = _residual(u, sigma, hx, hy)
     rnorm = float(np.max(np.abs(res)))
     res_history.append(rnorm)
@@ -394,7 +416,7 @@ def solve(problem: DirichletProblem) -> GridSolution:
     iterations = 0
     for it in range(1, problem.max_newton + 1):
         try:
-            step = _newton_step(u, sigma, hx, hy, res)
+            step, its = _newton_step(u, sigma, hx, hy, res)
         except LinearSolveError as exc:
             exc.report = {"status": "failed", "error": exc.code,
                           "equation": problem.equation.value,
@@ -427,6 +449,7 @@ def solve(problem: DirichletProblem) -> GridSolution:
         iterations = it
         res_history.append(rnorm)
         damping.append(alpha)
+        krylov.append(its)
         bmin = _check_causal(problem, u, hx, hy, it, res_history)
         if rnorm < tol:
             break
@@ -448,6 +471,7 @@ def solve(problem: DirichletProblem) -> GridSolution:
         damping_history=damping,
         min_interior_b=bmin,
         residual_floor=floor,
+        krylov_iterations=krylov,
         converged_by=("newton_tol" if rnorm < problem.newton_tol
                       else "residual_floor"),
     )

@@ -661,6 +661,27 @@ def test_determinism_byte_identical(tmp_path):
         == (tmp_path / "b.csv.meta.json").read_bytes().replace(b"b.csv", b"")
 
 
+def test_solve_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # interior sides 127 and 255, not multiples of the padding block: an
+    # unpadded product of that shape rounds differently at 2 BLAS threads
+    env = dict(os.environ, PYTHONPATH=str(Path(zmclab.__file__).parents[1]))
+    outputs = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "zmclab", "solve", "--equation", "maximal",
+             "--boundary=-asinh(sqrt(x^2+y^2))", "--domain", "1,2,1,2",
+             "--res", "129,257", "--out", "s.csv"],
+            cwd=cwd, capture_output=True, text=True, timeout=120,
+            env=dict(env, OPENBLAS_NUM_THREADS=threads,
+                     OMP_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(((cwd / "s.csv").read_bytes(),
+                        (cwd / "s.csv.meta.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_usage_errors_exit_2():
     assert run(["classify"]) == 2  # missing required flags
     assert run(["classify", "--field", "x", "--domain", "0,1,0,1",

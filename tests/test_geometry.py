@@ -204,6 +204,27 @@ def test_causal_samples_read_like_a_list():
         CausalSamples([0.0], [0.0], [0.0], [0.0], [0.0], [0, 1])
 
 
+def test_causal_samples_keep_no_caller_array():
+    # the constructor copies a caller's writable arrays; an index, a mask
+    # or a concat gives read-only columns that share no memory with them
+    x, code = np.arange(6.0), np.array([0, 1, 2, 3, 0, 1], dtype=np.int8)
+    samples = CausalSamples(x, x, x, x, x, code)
+    rows = list(samples)
+    x[:], code[:] = -1.0, 3
+    assert samples == rows
+    parts = (samples[1:5:2], samples[[5, 0]], samples[samples.code > 1],
+             CausalSamples.concat(samples, samples[:1]))
+    for part in parts:
+        for col in part.columns:
+            assert col.ndim == 1 and not col.flags.writeable
+            assert not np.shares_memory(col, x) and not np.shares_memory(
+                col, code)
+    assert parts[0] == rows[1:5:2] and parts[1] == [rows[5], rows[0]]
+    assert parts[2] == rows[2:4] and parts[3] == rows + rows[:1]
+    assert samples.x.dtype == parts[1].x.dtype == np.float64
+    assert samples.code.dtype == parts[3].code.dtype == np.int8
+
+
 def test_classify_rejects_bad_tolerances():
     f = field_from_text("x", SQ)
     with pytest.raises(ValueError):

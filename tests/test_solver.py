@@ -28,8 +28,10 @@ from zmclab.solver import (
     _gmres,
     _interior_jet,
     _jacobian,
+    _model_solve,
     _newton_step,
     _residual,
+    _sine_basis,
     interior_b,
 )
 
@@ -165,12 +167,71 @@ def test_newton_step_matches_unpermuted_solve(sigma):
     for shape in ((17, 17), (33, 17)):
         g = field_from_text(CATENOID, DOM).sample(*shape)
         res = _residual(g.values, sigma, g.hx, g.hy)
-        step = _newton_step(g.values, sigma, g.hx, g.hy, res)
+        step, its = _newton_step(g.values, sigma, g.hx, g.hy, res)
         J = _dense(_jacobian(g.values, sigma, g.hx, g.hy)[0], *res.shape)
         ref = np.linalg.solve(J, -res.ravel())
         assert step.shape == res.shape
+        assert 0 < its <= solver.KRYLOV_MAX_ITER
         err = np.max(np.abs(step.ravel() - ref)) / np.max(np.abs(ref))
         assert err <= 1e-9
+
+
+# --------------------------------------------------------------------------
+# model solve: fast diagonalization in padded sine bases
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m", [1, 15, 16, 17, 33, 255])
+def test_sine_basis_is_orthonormal_symmetric_and_padded(m):
+    S = _sine_basis(m)
+    assert S.shape[0] == S.shape[1] >= m
+    assert S.shape[0] % solver.BLAS_BLOCK == 0
+    assert S.shape[0] - m < solver.BLAS_BLOCK
+    assert not S.flags.writeable
+    assert np.array_equal(S, S.T)
+    assert not np.any(S[m:]) and not np.any(S[:, m:])
+    k = np.arange(1, m + 1)
+    ref = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
+    assert np.max(np.abs(S[:m, :m] - ref)) <= 1e-13
+    assert np.max(np.abs((S @ S)[:m, :m] - np.eye(m))) <= 1e-14
+
+
+def test_sine_basis_cache_is_bounded():
+    # a 1023^2 interior has an 8 MB basis, so only a few may stay cached
+    assert _sine_basis.cache_info().maxsize <= 4
+    for m in range(40, 50):
+        _sine_basis(m)
+    assert _sine_basis.cache_info().currsize <= 4
+
+
+@pytest.mark.parametrize("mx, my", [(15, 16), (16, 17), (17, 33), (33, 15)])
+def test_model_solve_matches_dense_operator(mx, my):
+    # sides on both sides of the padding block, hx != hy and a != c, so a
+    # mixed-up axis or a padded row that leaks shows
+    hx, hy, a, c = 0.07, 0.025, 1.7, 0.6
+
+    def second(m, h):
+        return (np.eye(m, k=1) + np.eye(m, k=-1) - 2.0 * np.eye(m)) / h ** 2
+
+    L = (a * np.kron(second(mx, hx), np.eye(my))
+         + c * np.kron(np.eye(mx), second(my, hy)))
+    r = np.random.default_rng(mx * my).standard_normal((mx, my))
+    u = _model_solve(r, a, c, hx, hy)
+    ref = np.linalg.solve(L, r.ravel())
+    assert u.shape == (mx, my)
+    assert np.max(np.abs(u.ravel() - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n, counts", [(33, [10, 9, 9]),
+                                       (257, [11, 11, 10])])
+def test_krylov_iterations_per_newton_step(n, counts):
+    # the GMRES iterations of each step, as the sine-transform (FFT)
+    # preconditioner gave them: the dense products change only rounding
+    sol = solve(DirichletProblem("maximal", DOM, n, n, CATENOID))
+    assert sol.krylov_iterations == counts
+    assert len(sol.krylov_iterations) == sol.iterations
+    rep = convergence_report(sol)
+    assert rep["krylov_iterations"] == counts
+    assert all(type(k) is int for k in rep["krylov_iterations"])
 
 
 def test_maximal_solve_memory_at_257():
@@ -296,7 +357,7 @@ def test_sine_transform_start_matches_newton_step():
     hx, hy = prob.spacing()
     vals = solver._boundary_values(prob)
     start = solver._initial_guess(prob, vals)
-    ref = _newton_step(vals, 0.0, hx, hy, _residual(vals, 0.0, hx, hy))
+    ref, _ = _newton_step(vals, 0.0, hx, hy, _residual(vals, 0.0, hx, hy))
     ring = solver._boundary_mask(65, 129)
     assert np.array_equal(start[ring], vals[ring])
     err = np.max(np.abs(start[1:-1, 1:-1] - ref)) / np.max(np.abs(ref))
