@@ -10,8 +10,11 @@ quasilinear_residual_of_jet applied to the second-order central-difference
 jet of a uniform rectangle lattice, with the four-diagonal cross stencil
 for the mixed derivative.  Newton iterations use the analytic Jacobian of
 the stencil, never assembled: nine coefficients per node act on a lattice
-by shifted products.  Each step is solved by restarted GMRES to a relative
-residual of KRYLOV_TOL, right-preconditioned by the constant-coefficient
+by shifted products.  Each step is solved inexactly (S. C. Eisenstat and
+H. F. Walker, SIAM J. Sci. Comput. 17, 1996) by restarted GMRES to a
+relative residual eta: FORCING_FIRST at the first step, then
+min(FORCING_MAX, max(KRYLOV_TOL, 0.9 (r_k / r_k-1)^2)) on the residual
+sup-norms r, right-preconditioned by the constant-coefficient
 operator A pxx + C pyy at the Jacobian's mean A and C.  An orthonormal
 sine basis along each axis diagonalizes that operator on the rectangle, so
 each preconditioner solve is four dense matrix products (fast
@@ -60,6 +63,8 @@ MAX_HALVINGS = 30
 MIN_INTERIOR_B = 1e-8
 KRYLOV_RESTART = 30
 KRYLOV_TOL = 1e-10  # relative 2-norm of the true residual of a Newton step
+FORCING_FIRST = 1e-3  # the first Newton step's GMRES tolerance
+FORCING_MAX = 1e-2  # the largest tolerance of a later Newton step
 KRYLOV_MAX_ITER = 300
 BLAS_BLOCK = 16  # the model solve's matrix sides are multiples of this
 
@@ -133,6 +138,7 @@ class GridSolution:
     residual_floor: float = 0.0
     converged_by: str = "newton_tol"
     krylov_iterations: list = field(default_factory=list)
+    krylov_tolerances: list = field(default_factory=list)
 
     def field(self, name: str = "") -> GridField:
         return GridField(SampledGrid(self.xs, self.ys, self.values),
@@ -150,6 +156,7 @@ class GridSolution:
             "residual_floor": self.residual_floor,
             "converged_by": self.converged_by,
             "krylov_iterations": list(map(int, self.krylov_iterations)),
+            "krylov_tolerances": list(map(float, self.krylov_tolerances)),
         }
         if self.min_interior_b is not None:
             out["min_interior_b"] = float(self.min_interior_b)
@@ -205,11 +212,14 @@ def _jacobian(values: np.ndarray, s: float, hx: float, hy: float):
     return coeffs, float(np.mean(A)), float(np.mean(C))
 
 
-def _apply(coeffs, v: np.ndarray) -> np.ndarray:
+def _apply(coeffs, v: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:
     """The stencil coeffs of _jacobian applied to interior values v, with
-    zeros on the ring: the Jacobian times v."""
+    zeros on the ring: the Jacobian times v.  p, if given, is a work array
+    of v's shape plus a zero ring; v is written into its interior."""
     centre, xp, xm, yp, ym, cross = coeffs
-    p = np.pad(v, 1)
+    if p is None:
+        p = np.zeros((v.shape[0] + 2, v.shape[1] + 2))
+    p[1:-1, 1:-1] = v
     return (centre * v + xp * p[2:, 1:-1] + xm * p[:-2, 1:-1]
             + yp * p[1:-1, 2:] + ym * p[1:-1, :-2]
             + cross * (p[2:, 2:] + p[:-2, :-2] - p[2:, :-2] - p[:-2, 2:]))
@@ -252,18 +262,23 @@ def _model_solve(r: np.ndarray, a: float, c: float,
     return (Sx @ ((Sx @ rp @ Sy) / lam) @ Sy)[:mx, :my]
 
 
-def _gmres(op: Callable[[np.ndarray], np.ndarray],
-           b: np.ndarray) -> tuple[np.ndarray, int]:
-    """Restarted GMRES(KRYLOV_RESTART) for op(y) = b on flat vectors: y
-    with |b - op(y)| <= KRYLOV_TOL |b| (2-norm), checked on the true
-    residual at each restart, and the number of iterations.  Raises
-    LinearSolveError at KRYLOV_MAX_ITER iterations or on non-finite
-    values."""
-    y, r = np.zeros(b.size), b
+def _gmres(matvec: Callable, b: np.ndarray, rtol: float = KRYLOV_TOL,
+           precond: Callable | None = None) -> tuple[np.ndarray, int]:
+    """Restarted GMRES(KRYLOV_RESTART) for matvec(x) = b, right-
+    preconditioned by x = precond(y): x with |b - matvec(x)| <= rtol |b|
+    (2-norm), checked on the true residual at each restart, and the
+    number of iterations.  y and b are flat vectors; precond (the
+    identity by default) maps y to what matvec takes, and matvec returns
+    a flat vector.  Raises LinearSolveError at KRYLOV_MAX_ITER iterations
+    or on non-finite values."""
+    if precond is None:
+        def precond(v):
+            return v
+    y, r, x = np.zeros(b.size), b, None
     bnorm = beta = float(np.linalg.norm(b))
     V = np.empty((KRYLOV_RESTART + 1, b.size))
     its = 0
-    while not beta <= KRYLOV_TOL * bnorm:
+    while not beta <= rtol * bnorm:
         if its >= KRYLOV_MAX_ITER or not np.isfinite(beta):
             raise LinearSolveError(
                 f"GMRES stopped at iteration {its} with relative residual "
@@ -274,7 +289,7 @@ def _gmres(op: Callable[[np.ndarray], np.ndarray],
         V[0] = r / beta
         for k in range(1, KRYLOV_RESTART + 1):
             its += 1
-            w = op(V[k - 1])
+            w = matvec(precond(V[k - 1]))
             for _ in range(2):  # classical Gram-Schmidt, twice
                 h = V[:k] @ w
                 w -= h @ V[:k]
@@ -284,32 +299,36 @@ def _gmres(op: Callable[[np.ndarray], np.ndarray],
             z = (np.linalg.lstsq(H[:k + 1, :k], g[:k + 1], rcond=None)[0]
                  if np.isfinite(H[k, k - 1]) else np.full(k, np.nan))
             est = np.linalg.norm(H[:k + 1, :k] @ z - g[:k + 1])
-            if not est > KRYLOV_TOL * bnorm or its >= KRYLOV_MAX_ITER:
+            if not est > rtol * bnorm or its >= KRYLOV_MAX_ITER:
                 break
             V[k] = w / H[k, k - 1]
         y = y + z @ V[:k]
-        r = b - op(y)
+        x = precond(y)
+        r = b - matvec(x)
         beta = float(np.linalg.norm(r))
-    return y, its
+    return (precond(y) if x is None else x), its
 
 
 def _newton_step(values: np.ndarray, s: float, hx: float, hy: float,
-                 res: np.ndarray) -> tuple[np.ndarray, int]:
+                 res: np.ndarray, rtol: float = KRYLOV_TOL
+                 ) -> tuple[np.ndarray, int]:
     """Newton step of the s-stencil residual res = _residual(values, s,
-    hx, hy), shape (nx-2, ny-2), and its GMRES iterations: GMRES on the
-    Jacobian, right-preconditioned by the model solve at the Jacobian's
-    mean A and C."""
+    hx, hy), shape (nx-2, ny-2), to relative residual rtol, and its GMRES
+    iterations: GMRES on the Jacobian, right-preconditioned by the model
+    solve at the Jacobian's mean A and C."""
     coeffs, a, c = _jacobian(values, s, hx, hy)
+    work = np.zeros((res.shape[0] + 2, res.shape[1] + 2))
 
-    def op(v):
-        return _apply(coeffs, _model_solve(v.reshape(res.shape), a, c,
-                                           hx, hy)).ravel()
+    def matvec(u):
+        return _apply(coeffs, u, work).ravel()
+
+    def precond(v):
+        return _model_solve(v.reshape(res.shape), a, c, hx, hy)
 
     # a singular operator shows up as non-finite values, which _gmres
     # reports as LinearSolveError; numpy need not warn about them too
     with np.errstate(divide="ignore", invalid="ignore"):
-        y, its = _gmres(op, -res.ravel())
-    return _model_solve(y.reshape(res.shape), a, c, hx, hy), its
+        return _gmres(matvec, -res.ravel(), rtol, precond)
 
 
 def _boundary_mask(nx: int, ny: int) -> np.ndarray:
@@ -408,6 +427,7 @@ def solve(problem: DirichletProblem) -> GridSolution:
     res_history: list[float] = []
     damping: list[float] = []
     krylov: list[int] = []
+    forcing: list[float] = []
     res = _residual(u, sigma, hx, hy)
     rnorm = float(np.max(np.abs(res)))
     res_history.append(rnorm)
@@ -415,8 +435,10 @@ def solve(problem: DirichletProblem) -> GridSolution:
 
     iterations = 0
     for it in range(1, problem.max_newton + 1):
+        eta = (FORCING_FIRST if it == 1 else min(FORCING_MAX, max(
+            KRYLOV_TOL, 0.9 * (rnorm / res_history[-2]) ** 2)))
         try:
-            step, its = _newton_step(u, sigma, hx, hy, res)
+            step, its = _newton_step(u, sigma, hx, hy, res, eta)
         except LinearSolveError as exc:
             exc.report = {"status": "failed", "error": exc.code,
                           "equation": problem.equation.value,
@@ -450,6 +472,7 @@ def solve(problem: DirichletProblem) -> GridSolution:
         res_history.append(rnorm)
         damping.append(alpha)
         krylov.append(its)
+        forcing.append(eta)
         bmin = _check_causal(problem, u, hx, hy, it, res_history)
         if rnorm < tol:
             break
@@ -472,6 +495,7 @@ def solve(problem: DirichletProblem) -> GridSolution:
         min_interior_b=bmin,
         residual_floor=floor,
         krylov_iterations=krylov,
+        krylov_tolerances=forcing,
         converged_by=("newton_tol" if rnorm < problem.newton_tol
                       else "residual_floor"),
     )

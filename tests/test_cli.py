@@ -230,6 +230,22 @@ def test_solve_csv_and_obj(tmp_path):
     assert sum(1 for ln in text.splitlines() if ln.startswith("f ")) == 128
 
 
+def test_solve_sidecar_byte_identical_across_runs(tmp_path):
+    args = ["solve", "--equation", "maximal",
+            "--boundary=-asinh(sqrt(x^2+y^2))", "--domain", "1,2,1,2",
+            "--res", "33,33"]
+    metas = []
+    for name in ("a.csv", "b.csv"):
+        assert run(args + ["--out", str(tmp_path / name)]) == 0
+        metas.append((tmp_path / f"{name}.meta.json").read_bytes()
+                     .replace(name.encode(), b""))
+    assert metas[0] == metas[1]
+    report = json.loads(metas[0])["report"]
+    assert report["krylov_iterations"] == [3, 4, 8]
+    assert len(report["krylov_tolerances"]) == 3
+    assert report["krylov_tolerances"][0] == 1e-3
+
+
 def test_solve_problem_file(tmp_path):
     # tolerances.linear is still accepted, and ignored
     doc = {"equation": "minimal", "domain": [1, 2, 1, 2],
