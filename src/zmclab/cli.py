@@ -350,16 +350,18 @@ def _problem_from_file(path: Path) -> DirichletProblem:
     doc = json.loads(Path(path).read_text())
     tol = doc.get("tolerances", {}) if isinstance(doc, dict) else None
     if not (isinstance(tol, dict)
-            and _is_list_of(doc["resolution"], 2, int)
-            and _is_list_of(doc["domain"], 4, (int, float))
-            and isinstance(doc["boundary"], str)
+            and doc.get("equation") in ("minimal", "maximal")
+            and _is_list_of(doc.get("resolution"), 2, int)
+            and _is_list_of(doc.get("domain"), 4, (int, float))
+            and isinstance(doc.get("boundary"), str)
             and isinstance(doc.get("params", {}), dict)
             and _is_list_of([tol.get("newton", solver.NEWTON_TOL)], 1,
                             (int, float))):
-        raise ValueError("a problem file is a JSON object with 'resolution' "
-                         "two integers, 'domain' four numbers, 'boundary' a "
-                         "string, 'params' (if given) an object and "
-                         "'tolerances' an object with a numeric 'newton'")
+        raise ValueError("a problem file is a JSON object with 'equation' "
+                         "'minimal' or 'maximal', 'resolution' two integers, "
+                         "'domain' four numbers, 'boundary' a string, "
+                         "'params' (if given) an object and 'tolerances' an "
+                         "object with a numeric 'newton'")
     nx, ny = doc["resolution"]
     return DirichletProblem(
         equation=EquationKind(doc["equation"]),
@@ -451,8 +453,10 @@ def run(argv=None) -> int:
             "schema": 1, "error": exc.code, "message": str(exc)}))
         return 1
     except (ValueError, KeyError, OSError) as exc:
+        # str() of a KeyError quotes its argument; the message is its text
+        text = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         sys.stderr.write(gridio.dump_json({
-            "schema": 1, "error": "invalid-input", "message": str(exc)}))
+            "schema": 1, "error": "invalid-input", "message": str(text)}))
         return 1
 
 

@@ -99,9 +99,6 @@ class DirichletProblem:
     params: dict = field(default_factory=dict)
     initial_guess: str = "harmonic"
     newton_tol: float = NEWTON_TOL
-    max_newton: int = MAX_NEWTON
-    max_halvings: int = MAX_HALVINGS
-    min_b: float = MIN_INTERIOR_B
 
     def __post_init__(self):
         if isinstance(self.equation, str):
@@ -190,17 +187,12 @@ def _residual(values: np.ndarray, s: float, hx: float, hy: float):
     return quasilinear_residual_of_jet(_interior_jet(values, hx, hy), s)
 
 
-def interior_b(values: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    """Discrete B = 1 - px^2 - py^2 on interior nodes."""
-    return b_of_jet(_interior_jet(np.asarray(values, dtype=float), hx, hy))
-
-
-def _jacobian(values: np.ndarray, s: float, hx: float, hy: float):
-    """Analytic Jacobian of the stencil residual w.r.t. interior unknowns,
-    as stencil coefficients of shape (nx-2, ny-2): centre, x+1, x-1, y+1,
-    y-1 and cross (+cross at the (1, 1) and (-1, -1) corners, -cross at
-    the other two), with the means of A = 1 + s py^2 and C = 1 + s px^2."""
-    j = _interior_jet(values, hx, hy)
+def _jacobian(j: Jet2, s: float, hx: float, hy: float):
+    """Analytic Jacobian of the stencil residual w.r.t. interior unknowns
+    at the interior jet j, as stencil coefficients of shape (nx-2, ny-2):
+    centre, x+1, x-1, y+1, y-1 and cross (+cross at the (1, 1) and (-1, -1)
+    corners, -cross at the other two), with the means of A = 1 + s py^2 and
+    C = 1 + s px^2."""
     A = 1.0 + s * j.gy * j.gy
     C = 1.0 + s * j.gx * j.gx
     gx = s * (j.gx * j.hyy - j.gy * j.hxy) / hx
@@ -309,14 +301,13 @@ def _gmres(matvec: Callable, b: np.ndarray, rtol: float = KRYLOV_TOL,
     return (precond(y) if x is None else x), its
 
 
-def _newton_step(values: np.ndarray, s: float, hx: float, hy: float,
-                 res: np.ndarray, rtol: float = KRYLOV_TOL
-                 ) -> tuple[np.ndarray, int]:
-    """Newton step of the s-stencil residual res = _residual(values, s,
-    hx, hy), shape (nx-2, ny-2), to relative residual rtol, and its GMRES
-    iterations: GMRES on the Jacobian, right-preconditioned by the model
-    solve at the Jacobian's mean A and C."""
-    coeffs, a, c = _jacobian(values, s, hx, hy)
+def _newton_step(jacobian, res: np.ndarray, hx: float, hy: float,
+                 rtol: float = KRYLOV_TOL) -> tuple[np.ndarray, int]:
+    """Newton step of the stencil residual res, shape (nx-2, ny-2), to
+    relative residual rtol, and its GMRES iterations: GMRES on the
+    Jacobian, given as _jacobian's (coeffs, a, c), right-preconditioned by
+    the model solve at its mean A = a and C = c."""
+    coeffs, a, c = jacobian
     work = np.zeros((res.shape[0] + 2, res.shape[1] + 2))
 
     def matvec(u):
@@ -383,22 +374,27 @@ def _initial_guess(problem: DirichletProblem, vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_causal(problem: DirichletProblem, values: np.ndarray,
-                  hx: float, hy: float, iteration: int, history):
+def _failure(problem: DirichletProblem, error: str, iterations: int,
+             last_residual: float, **more) -> dict:
+    """The report of a solve that failed with the error code ``error``."""
+    return {"status": "failed", "error": error,
+            "equation": problem.equation.value, "iterations": iterations,
+            "last_residual": last_residual, **more}
+
+
+def _check_causal(problem: DirichletProblem, j: Jet2, iteration: int,
+                  last_residual: float):
+    """min B over the interior jet j of a maximal iterate (None for the
+    minimal equation); CausalTypeViolationError at or below MIN_INTERIOR_B."""
     if problem.equation is not EquationKind.MAXIMAL:
         return None
-    bmin = float(np.min(interior_b(values, hx, hy)))
-    if bmin <= problem.min_b:
+    bmin = float(np.min(b_of_jet(j)))
+    if bmin <= MIN_INTERIOR_B:
         raise CausalTypeViolationError(
             f"interior discrete B reached {bmin:.3e} at iteration "
             f"{iteration}: maximal equation lost ellipticity",
-            report={
-                "status": "failed", "error": "causal-type-violation",
-                "equation": problem.equation.value,
-                "iterations": iteration,
-                "min_interior_b": bmin,
-                "last_residual": history[-1] if history else None,
-            })
+            report=_failure(problem, CausalTypeViolationError.code,
+                            iteration, last_residual, min_interior_b=bmin))
     return bmin
 
 
@@ -408,87 +404,82 @@ def solve(problem: DirichletProblem) -> GridSolution:
     Terminates successfully when the residual sup-norm drops below
     ``newton_tol`` or the round-off floor, whichever is larger (always
     after at least one Newton step); raises MaxIterationsError on
-    stagnation or iteration exhaustion.  The floor, eps * max|u| times
-    the largest |centre| + 4 |cross| of the Jacobian stencil at the start
-    (at least 2/hx^2 + 2/hy^2), estimates the residual that rounding the
-    lattice values alone produces; below it the line search stagnates.
+    stagnation or after MAX_NEWTON steps.  The floor, eps * max|u| times
+    the largest |centre| + 4 |cross| of the first Newton step's Jacobian
+    stencil (at least 2/hx^2 + 2/hy^2), estimates the residual that
+    rounding the lattice values alone produces; below it the line search
+    stagnates.  Each evaluated iterate, the start and every line-search
+    trial, has one interior jet, which gives its residual, its causal check
+    and, once accepted, the Jacobian of the next step.
     """
     hx, hy = problem.spacing()
     xs, ys = problem.lattice()
-    vals = _boundary_values(problem)
-    u = _initial_guess(problem, vals)
+    u = _initial_guess(problem, _boundary_values(problem))
     sigma = problem.equation.sigma
-    (centre, *_, cross), _, _ = _jacobian(u, sigma, hx, hy)
-    floor = float(np.finfo(float).eps * np.max(np.abs(u)) * max(
-        2.0 / hx ** 2 + 2.0 / hy ** 2,
-        np.max(np.abs(centre) + 4.0 * np.abs(cross))))
-    tol = max(problem.newton_tol, floor)
-
-    res_history: list[float] = []
+    j = _interior_jet(u, hx, hy)
+    res = quasilinear_residual_of_jet(j, sigma)
+    rnorm = float(np.max(np.abs(res)))
+    bmin = _check_causal(problem, j, 0, rnorm)
+    res_history: list[float] = [rnorm]
     damping: list[float] = []
     krylov: list[int] = []
     forcing: list[float] = []
-    res = _residual(u, sigma, hx, hy)
-    rnorm = float(np.max(np.abs(res)))
-    res_history.append(rnorm)
-    bmin = _check_causal(problem, u, hx, hy, 0, res_history)
 
-    iterations = 0
-    for it in range(1, problem.max_newton + 1):
+    for it in range(1, MAX_NEWTON + 1):
+        jacobian = _jacobian(j, sigma, hx, hy)
+        del j  # GMRES and the line search need no jet of u
+        if it == 1:  # the round-off floor, from |centre| + 4 |cross|
+            floor = float(np.finfo(float).eps * np.max(np.abs(u)) * max(
+                2.0 / hx ** 2 + 2.0 / hy ** 2, np.max(
+                    np.abs(jacobian[0][0]) + 4.0 * np.abs(jacobian[0][-1]))))
+            tol = max(problem.newton_tol, floor)
         eta = (FORCING_FIRST if it == 1 else min(FORCING_MAX, max(
             KRYLOV_TOL, 0.9 * (rnorm / res_history[-2]) ** 2)))
         try:
-            step, its = _newton_step(u, sigma, hx, hy, res, eta)
+            step, its = _newton_step(jacobian, res, hx, hy, eta)
         except LinearSolveError as exc:
-            exc.report = {"status": "failed", "error": exc.code,
-                          "equation": problem.equation.value,
-                          "iterations": it, "last_residual": rnorm,
-                          **exc.report}
+            exc.report = _failure(problem, exc.code, it, rnorm, **exc.report)
             raise
+        del jacobian  # nor the Jacobian, once the step is solved
 
         alpha = 1.0
-        accepted = False
-        for _ in range(problem.max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             trial = u.copy()
             trial[1:-1, 1:-1] += alpha * step
-            res_try = _residual(trial, sigma, hx, hy)
+            j = _interior_jet(trial, hx, hy)
+            res_try = quasilinear_residual_of_jet(j, sigma)
             rn_try = float(np.max(np.abs(res_try)))
             if rn_try < rnorm or rn_try < tol:
-                accepted = True
                 break
+            del j  # free a rejected trial's jet before building the next
             alpha *= 0.5
-        if not accepted:
+        else:  # no trial accepted
             if rnorm < tol:
                 break  # stagnating at machine level: already converged
             raise MaxIterationsError(
-                f"line search stagnated after {problem.max_halvings} "
-                f"halvings (residual {rnorm:.3e})",
-                report={"status": "failed", "error": "max-iterations",
-                        "equation": problem.equation.value,
-                        "iterations": it, "last_residual": rnorm})
+                f"line search stagnated after {MAX_HALVINGS} halvings "
+                f"(residual {rnorm:.3e})",
+                report=_failure(problem, MaxIterationsError.code, it, rnorm))
 
         u, res, rnorm = trial, res_try, rn_try
-        iterations = it
         res_history.append(rnorm)
         damping.append(alpha)
         krylov.append(its)
         forcing.append(eta)
-        bmin = _check_causal(problem, u, hx, hy, it, res_history)
+        bmin = _check_causal(problem, j, it, rnorm)
         if rnorm < tol:
             break
     else:
         raise MaxIterationsError(
-            f"no convergence in {problem.max_newton} Newton iterations "
+            f"no convergence in {MAX_NEWTON} Newton iterations "
             f"(residual {rnorm:.3e})",
-            report={"status": "failed", "error": "max-iterations",
-                    "equation": problem.equation.value,
-                    "iterations": problem.max_newton,
-                    "last_residual": rnorm})
+            report=_failure(problem, MaxIterationsError.code, MAX_NEWTON,
+                            rnorm))
 
     return GridSolution(
         equation=problem.equation,
         xs=xs, ys=ys, values=u,
-        iterations=max(iterations, 1),
+        iterations=max(len(damping), 1),
         final_residual=rnorm,
         residual_history=res_history,
         damping_history=damping,

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import zmclab
-from zmclab import cli
+from zmclab import catalog, cli
 from zmclab.cli import run
 from zmclab.gridio import (causal_csv, fluid_csv, grid_csv, obj_text,
                            read_grid_csv)
@@ -289,16 +289,31 @@ _PROBLEM = {"equation": "minimal", "domain": [1, 2, 1, 2],
     dict(_PROBLEM, boundary=5),
     dict(_PROBLEM, boundary=["x"]),
     dict(_PROBLEM, params=5),
+    {k: v for k, v in _PROBLEM.items() if k != "equation"},
+    {k: v for k, v in _PROBLEM.items() if k != "domain"},
+    {k: v for k, v in _PROBLEM.items() if k != "resolution"},
+    {k: v for k, v in _PROBLEM.items() if k != "boundary"},
+    dict(_PROBLEM, equation="timelike"),
 ], ids=["list", "resolution-int", "resolution-float", "tolerances-int",
         "newton-string", "newton-zero", "domain-three", "domain-strings",
         "domain-infinity",
-        "boundary-number", "boundary-list", "params-number"])
+        "boundary-number", "boundary-list", "params-number",
+        "no-equation", "no-domain", "no-resolution", "no-boundary",
+        "equation-timelike"])
 def test_malformed_problem_file_is_invalid_input(tmp_path, capsys, doc):
     pfile = tmp_path / "problem.json"
     pfile.write_text(json.dumps(doc))
     assert run(["solve", "--problem", str(pfile),
                 "--out", str(tmp_path / "sol.csv")]) == 1
-    assert json.loads(capsys.readouterr().err)["error"] == "invalid-input"
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-input"
+    # all but these two fail the file check, before a constructor's own
+    if doc not in (dict(_PROBLEM, tolerances={"newton": 0}),
+                   dict(_PROBLEM, domain=[1, math.inf, 1, 2])):
+        assert err["message"].startswith(
+            "a problem file is a JSON object with 'equation' 'minimal' or "
+            "'maximal', 'resolution' two integers, 'domain' four numbers, "
+            "'boundary' a string")
 
 
 def test_solve_violation_exit_code(tmp_path):
@@ -662,8 +677,12 @@ def test_examples_list_and_emit(tmp_path, capsys):
     assert doc["field"]["expr"] == "y + log(tan(x))"
 
 
-def test_examples_emit_unknown_name():
+def test_examples_emit_unknown_name(capsys):
     assert run(["examples", "emit", "nope"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"schema": 1, "error": "invalid-input",
+                   "message": "unknown catalog entry 'nope'; known: "
+                   + ", ".join(sorted(catalog.CATALOG))}
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -18,6 +18,7 @@ from zmclab import (
     solve,
 )
 from zmclab.geometry import (
+    b_of_jet,
     minimal_residual_of_jet,
     quasilinear_residual_of_jet,
     zmc_residual_of_jet,
@@ -32,7 +33,6 @@ from zmclab.solver import (
     _newton_step,
     _residual,
     _sine_basis,
-    interior_b,
 )
 
 DOM = Rect(1.0, 2.0, 1.0, 2.0)
@@ -135,7 +135,8 @@ def test_jacobian_matches_finite_differences():
     # sigma = 0 is the 5-point Laplacian behind the harmonic initial guess
     g = _samples(CATENOID, DOM, 7)
     for s in (EquationKind.MINIMAL.sigma, EquationKind.MAXIMAL.sigma, 0.0):
-        J = _dense(_jacobian(g.values, s, g.hx, g.hy)[0], 5, 5)
+        J = _dense(_jacobian(_interior_jet(g.values, g.hx, g.hy), s,
+                             g.hx, g.hy)[0], 5, 5)
         base = _residual(g.values, s, g.hx, g.hy).ravel()
         h = 1e-7
         for k in range(J.shape[1]):
@@ -150,7 +151,8 @@ def test_harmonic_jacobian_is_five_point():
     # hx != hy, so a mixed-up axis shows; the stencil acts on unit vectors
     # with its coefficients unrounded, so the match is exact
     g = field_from_text(CATENOID, DOM).sample(9, 7)
-    coeffs, a, c = _jacobian(g.values, 0.0, g.hx, g.hy)
+    coeffs, a, c = _jacobian(_interior_jet(g.values, g.hx, g.hy), 0.0,
+                             g.hx, g.hy)
     assert not np.any(coeffs[-1]) and a == c == 1.0
 
     def second(m, h):
@@ -190,8 +192,10 @@ def test_newton_step_matches_unpermuted_solve(sigma):
     for shape in ((17, 17), (33, 17)):
         g = field_from_text(CATENOID, DOM).sample(*shape)
         res = _residual(g.values, sigma, g.hx, g.hy)
-        step, its = _newton_step(g.values, sigma, g.hx, g.hy, res)
-        J = _dense(_jacobian(g.values, sigma, g.hx, g.hy)[0], *res.shape)
+        jacobian = _jacobian(_interior_jet(g.values, g.hx, g.hy), sigma,
+                             g.hx, g.hy)
+        step, its = _newton_step(jacobian, res, g.hx, g.hy)
+        J = _dense(jacobian[0], *res.shape)
         ref = np.linalg.solve(J, -res.ravel())
         assert step.shape == res.shape
         assert 0 < its <= solver.KRYLOV_MAX_ITER
@@ -265,7 +269,7 @@ def _steep_step_operator(n):
     hx, hy = prob.spacing()
     u = solver._initial_guess(prob, solver._boundary_values(prob))
     res = _residual(u, 1.0, hx, hy)
-    coeffs, a, c = _jacobian(u, 1.0, hx, hy)
+    coeffs, a, c = _jacobian(_interior_jet(u, hx, hy), 1.0, hx, hy)
 
     def matvec(v):
         return _apply(coeffs, v).ravel()
@@ -294,7 +298,9 @@ def test_newton_step_reuses_the_last_model_solve(monkeypatch):
     # model solve per iteration and one per restart check
     g = _samples(CATENOID, DOM, 33)
     res = _residual(g.values, -1.0, g.hx, g.hy)
-    coeffs, a, c = _jacobian(g.values, -1.0, g.hx, g.hy)
+    jacobian = _jacobian(_interior_jet(g.values, g.hx, g.hy), -1.0,
+                         g.hx, g.hy)
+    coeffs, a, c = jacobian
 
     def op(v):
         return _apply(coeffs, _model_solve(v.reshape(res.shape), a, c,
@@ -309,7 +315,7 @@ def test_newton_step_reuses_the_last_model_solve(monkeypatch):
         return _model_solve(*args)
 
     monkeypatch.setattr(solver, "_model_solve", counted)
-    step, its = _newton_step(g.values, -1.0, g.hx, g.hy, res)
+    step, its = _newton_step(jacobian, res, g.hx, g.hy)
     assert its == ref_its < solver.KRYLOV_RESTART
     assert len(calls) == its + 1
     assert np.array_equal(step, ref)
@@ -474,7 +480,8 @@ def test_sine_transform_start_matches_newton_step():
     hx, hy = prob.spacing()
     vals = solver._boundary_values(prob)
     start = solver._initial_guess(prob, vals)
-    ref, _ = _newton_step(vals, 0.0, hx, hy, _residual(vals, 0.0, hx, hy))
+    ref, _ = _newton_step(_jacobian(_interior_jet(vals, hx, hy), 0.0, hx, hy),
+                          _residual(vals, 0.0, hx, hy), hx, hy)
     ring = solver._boundary_mask(65, 129)
     assert np.array_equal(start[ring], vals[ring])
     err = np.max(np.abs(start[1:-1, 1:-1] - ref)) / np.max(np.abs(ref))
@@ -486,21 +493,44 @@ def test_solve_takes_one_newton_step_per_iteration(monkeypatch):
     calls = []
     newton_step = solver._newton_step
 
-    def counted(values, s, hx, hy, res, rtol):
-        calls.append(s)
-        return newton_step(values, s, hx, hy, res, rtol)
+    def counted(jacobian, res, hx, hy, rtol):
+        calls.append(res.shape)
+        return newton_step(jacobian, res, hx, hy, rtol)
 
     monkeypatch.setattr(solver, "_newton_step", counted)
     sol = solve(DirichletProblem("maximal", DOM, 33, 33, CATENOID))
     assert sol.iterations >= 2
-    assert calls == [-1.0] * sol.iterations
+    assert calls == [(31, 31)] * sol.iterations
+
+
+@pytest.mark.parametrize("eq, dom, text, jets", [
+    ("maximal", DOM, CATENOID, 5),
+    ("minimal", Rect(-1.0, 1.0, -1.0, 1.0), "sin(3*x)*cosh(y)", 14),
+])
+def test_solve_builds_one_jet_per_evaluated_iterate(monkeypatch, eq, dom,
+                                                    text, jets):
+    # the harmonic start's residual, the start, then one jet per
+    # line-search trial: a step damped to alpha took 1 + log2(1/alpha)
+    # trials.  The residual, causal check, Jacobian and round-off floor of
+    # an iterate share its jet
+    calls = []
+    interior_jet = solver._interior_jet
+
+    def counted(v, hx, hy):
+        calls.append(v.shape)
+        return interior_jet(v, hx, hy)
+
+    monkeypatch.setattr(solver, "_interior_jet", counted)
+    sol = solve(DirichletProblem(eq, dom, 33, 33, text))
+    trials = sum(1 + int(np.log2(1.0 / a)) for a in sol.damping_history)
+    assert len(calls) == 2 + trials == jets
+    assert (min(sol.damping_history) < 1.0) == (eq == "minimal")
 
 
 def test_singular_newton_jacobian_reports_linear_failure(monkeypatch):
     # all-zero linearization: the preconditioner divides by zero
-    def zero(values, s, hx, hy):
-        shape = (values.shape[0] - 2, values.shape[1] - 2)
-        return (np.zeros(shape),) * 6, 0.0, 0.0
+    def zero(j, s, hx, hy):
+        return (np.zeros(j.value.shape),) * 6, 0.0, 0.0
 
     with monkeypatch.context() as m:
         m.setattr(solver, "_jacobian", zero)
@@ -545,10 +575,11 @@ def test_problem_validation():
         solve(DirichletProblem("minimal", DOM, 9, 9, bad))
 
 
-def test_iteration_budget_respected():
-    with pytest.raises(MaxIterationsError):
-        solve(DirichletProblem("minimal", DOM, 17, 17,
-                               "sin(3*x)*cos(3*y)", max_newton=1))
+def test_iteration_budget_respected(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_NEWTON", 1)
+    with pytest.raises(MaxIterationsError,
+                       match="no convergence in 1 Newton iterations"):
+        solve(DirichletProblem("minimal", DOM, 17, 17, "sin(3*x)*cos(3*y)"))
 
 
 def test_convergence_report_shape():
@@ -562,7 +593,7 @@ def test_convergence_report_shape():
 
 def test_interior_b_positive_for_catenoid_data():
     g = _samples(CATENOID, DOM, 17)
-    assert float(np.min(interior_b(g.values, g.hx, g.hy))) > 0.5
+    assert float(np.min(b_of_jet(_interior_jet(g.values, g.hx, g.hy)))) > 0.5
 
 
 # --------------------------------------------------------------------------
