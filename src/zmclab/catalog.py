@@ -90,7 +90,6 @@ class ImplicitValidator:
     """Scalar G(x, y, t) whose zero set should contain a surface image."""
 
     expr: Expression
-    tol: float = 1e-10
 
     def value(self, x, y, t):
         return evaluate(self.expr, {"x": x, "y": y, "t": t})

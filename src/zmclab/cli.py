@@ -193,7 +193,7 @@ def _resolved_config(ns) -> dict:
 
 def _emit(ns, payload: str, meta: dict):
     """Write the primary payload and its metadata deterministically."""
-    meta_doc = gridio.dump_json({"schema": 1, "verb": ns.verb,
+    meta_doc = gridio.dump_json({"verb": ns.verb,
                                  "config": _resolved_config(ns), **meta})
     out = getattr(ns, "out", None)
     if out is not None:
@@ -208,45 +208,26 @@ def _field_of(ns):
     return field_from_text(ns.field, ns.domain, _parse_params(ns.param))
 
 
-def _samples_payload(ns, samples) -> str:
-    """Causal samples as JSON or as causal-sample CSV."""
-    if ns.format == "json":
-        rows = zip(*(c.tolist() for c in samples.columns[:5]),
-                   samples.names.tolist())
-        return gridio.dump_json({"schema": 1, "samples": [
-            {"x": x, "y": y, "b": b, "bx": bx, "by": by, "class": name}
-            for x, y, b, bx, by, name in rows]})
-    return gridio.causal_csv(samples)
+def _lightlike_set(ns, f):
+    return geometry.detect_lightlike_set(f, *ns.res, tau_light=ns.tol_light,
+                                         tau_grad=ns.tol_grad)
 
 
-def _cmd_classify(ns) -> dict:
+def _cmd_classify(ns):
     f = _field_of(ns)
     nx, ny = ns.res
     xs, ys = f.domain.lattice(nx, ny)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     samples = geometry.classify_grid(f, X, Y, tau_light=ns.tol_light,
                                      tau_grad=ns.tol_grad)
-    refined = geometry.detect_lightlike_set(f, nx, ny, tau_light=ns.tol_light,
-                                            tau_grad=ns.tol_grad)
+    refined = _lightlike_set(ns, f)
     on_lattice = np.isin(refined.x, xs) & np.isin(refined.y, ys)
     samples = geometry.CausalSamples.concat(samples, refined[~on_lattice])
-    _emit(ns, _samples_payload(ns, samples),
+    _emit(ns, gridio.samples_text(ns.format, samples),
           {"nodes": nx * ny, "refined": len(refined)})
-    return {}
 
 
-def _grid_payload(ns, xs, ys, vals, meta):
-    if ns.format == "json":
-        payload = gridio.dump_json({
-            "schema": 1, "xs": np.asarray(xs, dtype=float).tolist(),
-            "ys": np.asarray(ys, dtype=float).tolist(),
-            "values": np.asarray(vals, dtype=float).tolist()})
-    else:
-        payload = gridio.grid_csv(xs, ys, vals)
-    _emit(ns, payload, meta)
-
-
-def _cmd_residual(ns) -> dict:
+def _cmd_residual(ns):
     f = _field_of(ns)
     nx, ny = ns.res
     X, Y = f.domain.meshgrid(nx, ny)
@@ -256,11 +237,8 @@ def _cmd_residual(ns) -> dict:
     else:
         vals = geometry.zmc_residual_of_jet(j)
     vals = np.broadcast_to(vals, X.shape)
-    xs, ys = f.domain.lattice(nx, ny)
-    _grid_payload(ns, xs, ys, vals,
-                  {"equation": ns.equation,
-                   "max_abs": float(np.max(np.abs(vals)))})
-    return {}
+    _emit(ns, gridio.grid_text(ns.format, *f.domain.lattice(nx, ny), vals),
+          {"equation": ns.equation, "max_abs": float(np.max(np.abs(vals)))})
 
 
 def _lattice_jet(ns):
@@ -271,63 +249,45 @@ def _lattice_jet(ns):
     return f, X, Y, f.jet2_grid(X, Y), tau
 
 
-def _cmd_curvature(ns) -> dict:
+def _cmd_curvature(ns):
     f, X, Y, j, tau = _lattice_jet(ns)
     if ns.kind == "mean":
         vals = geometry.mean_curvature_of_jet(j, tau, X, Y)
     else:
         vals = geometry.gauss_curvature_of_jet(j)
-    _grid_payload(ns, *f.domain.lattice(*ns.res), vals, {"kind": ns.kind})
-    return {}
+    _emit(ns, gridio.grid_text(ns.format, *f.domain.lattice(*ns.res), vals),
+          {"kind": ns.kind})
 
 
-def _cmd_fluid(ns) -> dict:
+def _cmd_fluid(ns):
     f, X, Y, j, tau = _lattice_jet(ns)
     parts = duality.chaplygin_of_jet(j, ns.p0, tau, X, Y)
-    regime = {1: duality.FlowRegime.SUBSONIC.value,
-              -1: duality.FlowRegime.SUPERSONIC.value}
-    if ns.format == "json":
-        states = zip(X.ravel().tolist(), Y.ravel().tolist(),
-                     *(np.ravel(a).tolist() for a in parts))
-        payload = gridio.dump_json({"schema": 1, "states": [
-            {"x": x, "y": y, "epsilon": eps, "rho": rho, "u": u, "v": v,
-             "c": c, "p": p, "regime": regime[eps]}
-            for x, y, eps, rho, u, v, c, p in states]})
-    else:
-        payload = gridio.fluid_csv(*f.domain.lattice(*ns.res), parts, np.where(
-            parts[0] > 0, regime[1], regime[-1]))
-    _emit(ns, payload, {"p0": ns.p0})
-    return {}
+    _emit(ns, gridio.fluid_text(ns.format, *f.domain.lattice(*ns.res), parts),
+          {"p0": ns.p0})
 
 
-def _cmd_detect(ns) -> dict:
+def _cmd_detect(ns):
+    samples = _lightlike_set(ns, _field_of(ns))
+    _emit(ns, gridio.samples_text(ns.format, samples),
+          {"count": len(samples)})
+
+
+def _cmd_verify_lines(ns):
     f = _field_of(ns)
-    nx, ny = ns.res
-    samples = geometry.detect_lightlike_set(f, nx, ny, tau_light=ns.tol_light,
-                                            tau_grad=ns.tol_grad)
-    _emit(ns, _samples_payload(ns, samples), {"count": len(samples)})
-    return {}
-
-
-def _cmd_verify_lines(ns) -> dict:
-    f = _field_of(ns)
-    nx, ny = ns.res
-    samples = geometry.detect_lightlike_set(f, nx, ny, tau_light=ns.tol_light,
-                                            tau_grad=ns.tol_grad)
+    samples = _lightlike_set(ns, f)
     lines = geometry.verify_line_theorem(samples, f)
-    _emit(ns, gridio.dump_json(gridio.lightlines_payload(lines)),
+    _emit(ns, gridio.lines_text(lines),
           {"degenerate_samples": int(np.count_nonzero(samples.in_class(
               geometry.CausalClass.LIGHT_DEGENERATE)))})
-    return {}
 
 
-def _cmd_dualize(ns) -> dict:
+def _cmd_dualize(ns):
     f = _field_of(ns)
     direction = DualDirection(ns.direction)
     result = duality.dualize(f, ns.res, ns.base, ns.base_value,
                              direction, ns.epsilon)
     grid = result.field.grid
-    _grid_payload(ns, grid.xs, grid.ys, grid.values, {
+    _emit(ns, gridio.grid_text(ns.format, grid.xs, grid.ys, grid.values), {
         "direction": direction.value,
         "epsilon": result.epsilon,
         "base": list(result.base),
@@ -336,7 +296,6 @@ def _cmd_dualize(ns) -> dict:
         "path_independence_defect": result.defect,
         "quad_tol": result.quad_tol,
     })
-    return {}
 
 
 def _is_list_of(value, count: int, kinds) -> bool:
@@ -348,32 +307,34 @@ def _problem_from_file(path: Path) -> DirichletProblem:
     """Read a problem JSON file.  ``tolerances.linear`` is accepted and
     ignored: the Krylov tolerance of a Newton step is a fixed constant."""
     doc = json.loads(Path(path).read_text())
-    tol = doc.get("tolerances", {}) if isinstance(doc, dict) else None
+    tol, params = (doc.get(key, {}) if isinstance(doc, dict) else None
+                   for key in ("tolerances", "params"))
     if not (isinstance(tol, dict)
             and doc.get("equation") in ("minimal", "maximal")
             and _is_list_of(doc.get("resolution"), 2, int)
             and _is_list_of(doc.get("domain"), 4, (int, float))
             and isinstance(doc.get("boundary"), str)
-            and isinstance(doc.get("params", {}), dict)
+            and isinstance(params, dict)
+            and _is_list_of([*params.values()], len(params), (int, float))
             and _is_list_of([tol.get("newton", solver.NEWTON_TOL)], 1,
                             (int, float))):
         raise ValueError("a problem file is a JSON object with 'equation' "
                          "'minimal' or 'maximal', 'resolution' two integers, "
                          "'domain' four numbers, 'boundary' a string, "
-                         "'params' (if given) an object and 'tolerances' an "
-                         "object with a numeric 'newton'")
+                         "'params' (if given) an object of numbers and "
+                         "'tolerances' an object with a numeric 'newton'")
     nx, ny = doc["resolution"]
     return DirichletProblem(
         equation=EquationKind(doc["equation"]),
         domain=Rect(*doc["domain"]), nx=nx, ny=ny,
         boundary=doc["boundary"],
-        params=doc.get("params", {}),
+        params=params,
         initial_guess=doc.get("initial_guess", "harmonic"),
         newton_tol=tol.get("newton", solver.NEWTON_TOL),
     )
 
 
-def _cmd_solve(ns) -> dict:
+def _cmd_solve(ns):
     if ns.problem is not None:
         problem = _problem_from_file(ns.problem)
     else:
@@ -386,20 +347,11 @@ def _cmd_solve(ns) -> dict:
             params=_parse_params(ns.param), initial_guess=ns.initial)
     sol = solver.solve(problem)
     report = solver.convergence_report(sol)
-    if ns.format == "obj":
-        payload = gridio.obj_text(sol.xs, sol.ys, sol.values)
-    elif ns.format == "json":
-        payload = gridio.dump_json({"schema": 1, "report": report,
-                                    "xs": sol.xs.tolist(),
-                                    "ys": sol.ys.tolist(),
-                                    "values": sol.values.tolist()})
-    else:
-        payload = gridio.grid_csv(sol.xs, sol.ys, sol.values)
-    _emit(ns, payload, {"report": report})
-    return {}
+    _emit(ns, gridio.grid_text(ns.format, sol.xs, sol.ys, sol.values,
+                               report=report), {"report": report})
 
 
-def _cmd_examples(ns) -> dict:
+def _cmd_examples(ns):
     if ns.action == "list":
         payload = "\n".join(sorted(catalog.CATALOG)) + "\n"
     else:
@@ -410,13 +362,11 @@ def _cmd_examples(ns) -> dict:
         Path(ns.out).write_text(payload)
     else:
         sys.stdout.write(payload)
-    return {}
 
 
-def _cmd_export(ns) -> dict:
+def _cmd_export(ns):
     grid = gridio.read_grid_csv(Path(ns.infile).read_text())
     Path(ns.out).write_text(gridio.obj_text(grid.xs, grid.ys, grid.values))
-    return {}
 
 
 class UsageError(Exception):
@@ -449,14 +399,14 @@ def run(argv=None) -> int:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     except ZmcError as exc:
-        sys.stderr.write(gridio.dump_json({
-            "schema": 1, "error": exc.code, "message": str(exc)}))
+        sys.stderr.write(gridio.dump_json({"error": exc.code,
+                                           "message": str(exc)}))
         return 1
     except (ValueError, KeyError, OSError) as exc:
         # str() of a KeyError quotes its argument; the message is its text
         text = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        sys.stderr.write(gridio.dump_json({
-            "schema": 1, "error": "invalid-input", "message": str(text)}))
+        sys.stderr.write(gridio.dump_json({"error": "invalid-input",
+                                           "message": str(text)}))
         return 1
 
 

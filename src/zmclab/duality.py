@@ -57,6 +57,8 @@ NONEXACT_FACTOR = 100.0
 #: together they keep peak memory independent of the lattice size
 SEGMENT_BLOCK = 1024
 JET_POINTS = 8192
+#: lattice nodes whose x-first and y-first paths give the defect
+DEFECT_NODES = 20
 
 
 class FlowRegime(Enum):
@@ -388,14 +390,13 @@ def dualize(f: GraphField, res: tuple, base: tuple,
             direction: DualDirection = DualDirection.TO_POTENTIAL,
             epsilon: int = 1,
             domain: Rect | None = None,
-            quad_tol: float = QUAD_TOL,
-            defect_nodes: int = 20) -> DualResult:
+            quad_tol: float = QUAD_TOL) -> DualResult:
     """Recover the dual field on a lattice by integrating the dual one-form.
 
     Every node value comes from an x-first L-path from ``base``: one spine
     integration along the base row, then per-column vertical runs.  The
     path-independence defect is the maximum x-first vs y-first discrepancy
-    over ``defect_nodes`` pseudo-random nodes (fixed seed, deterministic).
+    over ``DEFECT_NODES`` pseudo-random nodes (fixed seed, deterministic).
     The segments of all paths are integrated together, a block at a time,
     by nested Simpson (lattice-backed sources: corrected trapezoid).  A
     defect above 100x the quadrature tolerance raises NonExactFormError:
@@ -429,7 +430,7 @@ def dualize(f: GraphField, res: tuple, base: tuple,
 
     # the y-first paths of a deterministic pseudo-random node subset
     rng = np.random.default_rng(0)
-    count = min(defect_nodes, nx * ny)
+    count = min(DEFECT_NODES, nx * ny)
     pi, pj = np.divmod(rng.choice(nx * ny, size=count, replace=False), ny)
 
     # the spine along the base row, then the column runs a block at a

@@ -453,8 +453,7 @@ def _distinct_points(x, y):
 
 def detect_lightlike_set(f: GraphField, nx: int, ny: int,
                          tau_light: float | None = None,
-                         tau_grad: float = DEFAULT_TAU_GRAD,
-                         refine_tol: float = REFINE_TOL) -> CausalSamples:
+                         tau_grad: float = DEFAULT_TAU_GRAD) -> CausalSamples:
     """All light-like points found on a lattice, refined along edges, in
     (x, y) order; points within DUP_TOL of one kept count once.
 
@@ -463,7 +462,7 @@ def detect_lightlike_set(f: GraphField, nx: int, ny: int,
     of B) and for an interior extremum of B (a zero of the directional
     derivative of B; catches lines where B only touches zero), all edges
     in one bisection (``_bisect_edges``).  Refined positions are accurate
-    to ``refine_tol``; an extremum counts only where |B| <= tau_light.
+    to ``REFINE_TOL``; an extremum counts only where |B| <= tau_light.
     Exact-jet fields only get sub-node refinement; lattice-backed fields
     carry no information between nodes, so only node hits are reported
     for them.
@@ -487,10 +486,10 @@ def detect_lightlike_set(f: GraphField, nx: int, ny: int,
         n0, n1, comp = n0[edge], n1[edge], comp[edge]
         pts, b_at = _bisect_edges(f, coords, nodes, n0, n1, comp,
                                   np.where(comp == 0, tau_light, tau_grad),
-                                  refine_tol)
+                                  REFINE_TOL)
         hits.append(pts[:, (comp == 0) | (np.abs(b_at) <= tau_light)])
 
-    # node hits and refined edge hits of one point land within refine_tol
+    # node hits and refined edge hits of one point land within REFINE_TOL
     # of each other
     x, y = _distinct_points(*np.concatenate(hits, axis=1))
     samples = classify_grid(f, x, y, tau_light=tau_light, tau_grad=tau_grad)

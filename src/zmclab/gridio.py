@@ -1,4 +1,12 @@
-"""Serialization: grid, fluid and causal CSV, light-line JSON, OBJ meshes.
+"""Serialization: every file and JSON document the command line writes.
+
+Each verb hands its columns and its ``--format`` to one writer here, which
+returns the text: ``grid_text`` (grid CSV, OBJ mesh or grid JSON),
+``samples_text`` (causal CSV or JSON), ``fluid_text`` (Chaplygin-state CSV
+or JSON) and ``lines_text`` (the light-line report).  ``dump_json`` writes
+every JSON document, with the schema stamp ``SCHEMA``; the lists of
+records in samples, states and line reports are objects keyed like the
+CSV headers.
 
 All writers are deterministic (shortest round-trip float formatting, fixed
 row-major node order, no timestamps) so identical inputs give byte-identical
@@ -21,21 +29,33 @@ import json
 
 import numpy as np
 
+from .duality import FlowRegime
 from .errors import NonFiniteValueError
 from .exprfield import SampledGrid
 from .geometry import CausalSample, CausalSamples, LightLine
 
 __all__ = [
+    "SCHEMA",
+    "grid_text",
+    "samples_text",
+    "fluid_text",
+    "lines_text",
     "grid_csv",
     "fluid_csv",
     "causal_csv",
-    "lightlines_payload",
     "obj_text",
     "read_grid_csv",
+    "dump_json",
 ]
 
+#: the version stamp of every JSON document
+SCHEMA = 1
 GRID_HEADER = "x,y,value"
 CAUSAL_HEADER = "x,y,b,bx,by,class"
+FLUID_HEADER = "x,y,epsilon,rho,u,v,c,p,regime"
+#: the keys of a line report's records
+LINE_KEYS = ("base,direction,lifted,sample_count,perp_residual,"
+             "lightlike_defect,verified")
 #: rows per format call of the causal writer's rows off the lattice
 _CHUNK = 4096
 
@@ -83,7 +103,7 @@ def fluid_csv(xs: np.ndarray, ys: np.ndarray, parts, regimes) -> str:
     """Chaplygin-state CSV, header ``x,y,epsilon,rho,u,v,c,p,regime``, rows
     row-major: ``parts`` are the (epsilon, rho, u, v, c, p) arrays and
     ``regimes`` the regime names, all of shape (nx, ny)."""
-    return "".join(["x,y,epsilon,rho,u,v,c,p,regime\n", *_line_rows(
+    return "".join([FLUID_HEADER + "\n", *_line_rows(
         "", ",%r" + ",%%s" * 7 + "\n", xs, ys, *parts, regimes)])
 
 
@@ -138,25 +158,6 @@ def causal_csv(samples: CausalSamples | list[CausalSample]) -> str:
     return "".join(out)
 
 
-def lightlines_payload(lines: list[LightLine]) -> dict:
-    """JSON-ready report of fitted light-like lines."""
-    return {
-        "schema": 1,
-        "lines": [
-            {
-                "base": [ln.base[0], ln.base[1]],
-                "direction": [ln.direction[0], ln.direction[1]],
-                "lifted": [ln.lifted[0], ln.lifted[1], ln.lifted[2]],
-                "sample_count": len(ln.samples),
-                "perp_residual": ln.perp_residual,
-                "lightlike_defect": ln.lightlike_defect,
-                "verified": ln.verified,
-            }
-            for ln in lines
-        ],
-    }
-
-
 def obj_text(xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> str:
     """OBJ mesh of a height field: one ``v x y t`` line per node (row-major,
     x index outermost), each lattice cell split into two triangles wound
@@ -185,4 +186,52 @@ def obj_text(xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> str:
 
 
 def dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``payload`` with the schema stamp, indented, keys sorted."""
+    return json.dumps({"schema": SCHEMA, **payload}, indent=2,
+                      sort_keys=True) + "\n"
+
+
+def _records(header: str, rows) -> list[dict]:
+    """One JSON object per row, keyed by the names of ``header``."""
+    names = header.split(",")
+    return [dict(zip(names, row, strict=True)) for row in rows]
+
+
+def grid_text(fmt: str, xs, ys, values, **extra) -> str:
+    """A lattice's values as grid CSV, an OBJ mesh or JSON ``{xs, ys,
+    values}``; ``extra`` entries (``solve``'s report) are more JSON keys."""
+    if fmt == "csv":
+        return grid_csv(xs, ys, values)
+    if fmt == "obj":
+        return obj_text(xs, ys, values)
+    return dump_json({k: np.asarray(a, dtype=float).tolist() for k, a in
+                      (("xs", xs), ("ys", ys), ("values", values))} | extra)
+
+
+def samples_text(fmt: str, samples: CausalSamples) -> str:
+    """Causal samples as causal CSV or JSON ``{samples}``."""
+    if fmt == "csv":
+        return causal_csv(samples)
+    return dump_json({"samples": _records(CAUSAL_HEADER, zip(
+        *(c.tolist() for c in samples.columns[:5]), samples.names.tolist()))})
+
+
+def fluid_text(fmt: str, xs, ys, parts) -> str:
+    """Chaplygin states, ``parts`` the (epsilon, rho, u, v, c, p) arrays of
+    shape (nx, ny), as fluid CSV or JSON ``{states}``; the regime is read
+    from epsilon."""
+    regimes = np.where(parts[0] > 0, FlowRegime.SUBSONIC.value,
+                       FlowRegime.SUPERSONIC.value)
+    if fmt == "csv":
+        return fluid_csv(xs, ys, parts, regimes)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    return dump_json({"states": _records(FLUID_HEADER, zip(
+        *(np.ravel(a).tolist() for a in (X, Y, *parts, regimes))))})
+
+
+def lines_text(lines: list[LightLine]) -> str:
+    """JSON report ``{lines}`` of fitted light-like lines."""
+    return dump_json({"lines": _records(LINE_KEYS, (
+        (list(ln.base), list(ln.direction), list(ln.lifted), len(ln.samples),
+         ln.perp_residual, ln.lightlike_defect, ln.verified)
+        for ln in lines))})

@@ -15,10 +15,12 @@ from hypothesis import example, given, settings, strategies as st
 import zmclab
 from zmclab import catalog, cli
 from zmclab.cli import run
-from zmclab.gridio import (causal_csv, fluid_csv, grid_csv, obj_text,
-                           read_grid_csv)
+from zmclab.gridio import (causal_csv, fluid_csv, fluid_text, grid_csv,
+                           grid_text, lines_text, obj_text, read_grid_csv,
+                           samples_text)
 from zmclab.errors import NonFiniteValueError
-from zmclab.geometry import CausalClass, CausalSample, CausalSamples
+from zmclab.geometry import (CausalClass, CausalSample, CausalSamples,
+                             LightLine)
 
 
 def _read(path):
@@ -289,6 +291,10 @@ _PROBLEM = {"equation": "minimal", "domain": [1, 2, 1, 2],
     dict(_PROBLEM, boundary=5),
     dict(_PROBLEM, boundary=["x"]),
     dict(_PROBLEM, params=5),
+    dict(_PROBLEM, boundary="a*x", params={"a": None}),
+    dict(_PROBLEM, boundary="a*x", params={"a": [1]}),
+    dict(_PROBLEM, boundary="a*x", params={"a": "2"}),
+    dict(_PROBLEM, boundary="a*x", params={"a": True}),
     {k: v for k, v in _PROBLEM.items() if k != "equation"},
     {k: v for k, v in _PROBLEM.items() if k != "domain"},
     {k: v for k, v in _PROBLEM.items() if k != "resolution"},
@@ -298,6 +304,7 @@ _PROBLEM = {"equation": "minimal", "domain": [1, 2, 1, 2],
         "newton-string", "newton-zero", "domain-three", "domain-strings",
         "domain-infinity",
         "boundary-number", "boundary-list", "params-number",
+        "params-null", "params-list", "params-string", "params-bool",
         "no-equation", "no-domain", "no-resolution", "no-boundary",
         "equation-timelike"])
 def test_malformed_problem_file_is_invalid_input(tmp_path, capsys, doc):
@@ -313,7 +320,7 @@ def test_malformed_problem_file_is_invalid_input(tmp_path, capsys, doc):
         assert err["message"].startswith(
             "a problem file is a JSON object with 'equation' 'minimal' or "
             "'maximal', 'resolution' two integers, 'domain' four numbers, "
-            "'boundary' a string")
+            "'boundary' a string, 'params' (if given) an object of numbers")
 
 
 def test_solve_violation_exit_code(tmp_path):
@@ -586,6 +593,81 @@ def test_causal_csv_rows_off_the_lattice_in_chunks():
     cols = np.random.default_rng(5).normal(size=(5, 9000))
     samples = CausalSamples(*cols, np.arange(9000) % 4)
     assert causal_csv(samples) == _ref_causal_csv(samples)
+
+
+def _ref_json(**payload):
+    return json.dumps({"schema": 1, **payload}, indent=2,
+                      sort_keys=True) + "\n"
+
+
+def _ref_samples_json(samples):
+    return _ref_json(samples=[
+        {"x": s.x, "y": s.y, "b": s.b, "bx": s.bx, "by": s.by,
+         "class": s.cls.value} for s in samples])
+
+
+def _ref_fluid_json(xs, ys, parts):
+    eps, rho, u, v, c, p = parts
+    return _ref_json(states=[
+        {"x": float(x), "y": float(y), "epsilon": int(eps[i, j]),
+         "rho": float(rho[i, j]), "u": float(u[i, j]), "v": float(v[i, j]),
+         "c": float(c[i, j]), "p": float(p[i, j]),
+         "regime": "sub-sonic" if eps[i, j] > 0 else "super-sonic"}
+        for i, x in enumerate(xs) for j, y in enumerate(ys)])
+
+
+def _ref_grid_json(xs, ys, values, **extra):
+    return _ref_json(xs=[float(x) for x in xs], ys=[float(y) for y in ys],
+                     values=[[float(v) for v in row] for row in values],
+                     **extra)
+
+
+def _ref_lines_json(lines):
+    return _ref_json(lines=[
+        {"base": [ln.base[0], ln.base[1]],
+         "direction": [ln.direction[0], ln.direction[1]],
+         "lifted": [ln.lifted[0], ln.lifted[1], ln.lifted[2]],
+         "sample_count": len(ln.samples),
+         "perp_residual": ln.perp_residual,
+         "lightlike_defect": ln.lightlike_defect,
+         "verified": ln.verified} for ln in lines])
+
+
+@st.composite
+def _light_lines(draw):
+    def floats(n):
+        return tuple(draw(st.lists(_VALUE, min_size=n, max_size=n)))
+
+    count = draw(st.integers(0, 3))
+    return LightLine(floats(2), floats(2), floats(3),
+                     CausalSamples(*np.zeros((5, count)), np.full(count, 3)),
+                     *floats(2))
+
+
+_REPORTS = st.fixed_dictionaries({
+    "converged_by": st.sampled_from(["newton_tol", "residual_floor"]),
+    "iterations": st.integers(0, 50),
+    "final_residual": _VALUE,
+    "damping_history": st.lists(_VALUE, max_size=3)})
+
+
+@given(_lattices(), _REPORTS, _causal_samples(),
+       st.lists(_light_lines(), max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_json_writers_match_per_record_reference(lattice, report, samples,
+                                                 lines):
+    xs, ys, _, values, eps, floats = lattice
+    parts = [eps, *floats]
+    assert fluid_text("json", xs, ys, parts) == _ref_fluid_json(xs, ys, parts)
+    assert grid_text("json", xs, ys, values) == _ref_grid_json(xs, ys,
+                                                               values)
+    assert (grid_text("json", xs, ys, values, report=report)
+            == _ref_grid_json(xs, ys, values, report=report))
+    assert samples_text("json", samples) == _ref_samples_json(samples)
+    assert lines_text(lines) == _ref_lines_json(lines)
+    empty = CausalSamples.of([])
+    assert samples_text("json", empty) == _ref_samples_json(empty)
+    assert lines_text([]) == _ref_lines_json([])
 
 
 @pytest.mark.parametrize("verb, field, domain", [
