@@ -135,13 +135,17 @@ class PotentialField(GraphField):
     def _gjet(self, x):
         return expression_jet2(self.g_expr, x, 0.0)
 
+    def _gprime(self, x):
+        """g'(x) by an order-1 pass: the gx of ``_gjet``, bit for bit."""
+        return gradient(self.g_expr, {"x": x, "y": 0.0})[1]["x"]
+
     def _integrals(self, xs: list) -> list:
         """Integrals of 1/g' from x_ref to each abscissa; those not yet
         cached are integrated together in one nested Simpson batch."""
         todo = [x for x in dict.fromkeys(xs) if x not in self._cache]
         if todo:
             def integrand(ts, _segs):
-                return 1.0 / self._gjet(ts).gx
+                return 1.0 / self._gprime(ts)
             got = nested_simpson(integrand, [self.x_ref] * len(todo), todo,
                                  self.quad_tol,
                                  lambda s: f"the integral to x = {todo[s]}")
@@ -157,6 +161,11 @@ class PotentialField(GraphField):
         return Jet2(Y - integral.reshape(X.shape), -1.0 / gp,
                     np.ones_like(gp), j.hxx / (gp * gp), np.zeros_like(gp),
                     np.zeros_like(gp))
+
+    def _grad_grid(self, X, Y) -> tuple:
+        # the gradient needs no value integrals
+        gp = self._gprime(np.broadcast_arrays(X, Y)[0])
+        return -1.0 / gp, np.ones_like(gp)
 
 
 def entire_graph_pair(g_text: str, params: dict | None = None,

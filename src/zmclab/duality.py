@@ -32,7 +32,12 @@ from .errors import (
     ZmcError,
 )
 from .exprfield import GraphField, GridField, Jet2, Rect, SampledGrid
-from .geometry import _check_tolerances, b_of_jet, refuse_lightlike
+from .geometry import (
+    _check_tolerances,
+    b_of_gradient,
+    b_of_jet,
+    refuse_lightlike,
+)
 
 __all__ = [
     "ChaplyginState",
@@ -127,22 +132,18 @@ def _check_epsilon(epsilon: int) -> int:
     return int(epsilon)
 
 
-def _dual_jet_parts(j: Jet2, direction: DualDirection, epsilon: int,
-                    tau: float):
-    """Gradient, unsymmetrized cross partials and pure second partials of
-    the dual field, all from the source jet g.  Works elementwise on arrays.
+def _dual_gradient_parts(gx, gy, direction: DualDirection, epsilon: int,
+                         tau: float):
+    """The dual one-form from the source gradient g alone, elementwise.
 
     Both directions are w = (g_y, -g_x) / r, with r = sqrt(eps B) toward
     the potential and r = -sqrt(|grad phi|^2 + eps) toward the stream
-    function, and r' = k (g_x g_x' + g_y g_y') / r with k = -eps and 1,
-    formed as (g_x g_x' + g_y g_y') / (k r): the same bits, as k = +-1.
-
-    Returns (w1, w2, d_y w1, d_x w2, d_x w1, d_y w2).
+    function.  Returns (w1, w2, r, r^2).
     """
     _check_tolerances(tau)
     eps = float(epsilon)
     if direction == DualDirection.TO_POTENTIAL:
-        b = b_of_jet(j)
+        b = b_of_gradient(gx, gy)
         r2 = eps * b
         if np.any(r2 <= tau):
             if np.any(np.abs(b) <= tau):
@@ -150,30 +151,47 @@ def _dual_jet_parts(j: Jet2, direction: DualDirection, epsilon: int,
             raise DegenerateDenominatorError(
                 "sign of B does not match requested epsilon")
         r = np.sqrt(r2)
-        kr = -eps * r
     else:
-        r2 = j.gx * j.gx + j.gy * j.gy + eps
+        r2 = gx * gx + gy * gy + eps
         if np.any(r2 <= tau):
             raise DegenerateDenominatorError(
                 "|grad phi|^2 + epsilon not positive: dual gradient undefined")
-        r = kr = -np.sqrt(r2)
+        r = -np.sqrt(r2)
+    return gy / r, -gx / r, r, r2
+
+
+def _dual_jet_parts(j: Jet2, direction: DualDirection, epsilon: int,
+                    tau: float):
+    """Gradient, unsymmetrized cross partials and pure second partials of
+    the dual field, all from the source jet g.  Works elementwise on arrays.
+
+    w and r come from _dual_gradient_parts; r' = k (g_x g_x' + g_y g_y') / r
+    with k = -eps toward the potential and 1 toward the stream function,
+    formed as (g_x g_x' + g_y g_y') / (k r): the same bits, as k = +-1.
+
+    Returns (w1, w2, d_y w1, d_x w2, d_x w1, d_y w2).
+    """
+    w1, w2, r, r2 = _dual_gradient_parts(j.gx, j.gy, direction, epsilon, tau)
+    kr = -float(epsilon) * r if direction == DualDirection.TO_POTENTIAL else r
     r_x = (j.gx * j.hxx + j.gy * j.hxy) / kr
     r_y = (j.gx * j.hxy + j.gy * j.hyy) / kr
-    return (j.gy / r, -j.gx / r,
+    return (w1, w2,
             j.hyy / r - j.gy * r_y / r2, -j.hxx / r + j.gx * r_x / r2,
             j.hxy / r - j.gy * r_x / r2, -j.hxy / r + j.gx * r_y / r2)
 
 
 def dual_one_form(f: GraphField, x, y, direction: DualDirection,
                   epsilon: int, tau: float | None = None):
-    """Components (w1, w2) of the dual one-form at a point (or arrays).
+    """Components (w1, w2) of the dual one-form at a point (or arrays),
+    from one gradient query of ``f``.
 
     TO_POTENTIAL: (psi_y, -psi_x)/sqrt(eps B); TO_STREAM:
     (-phi_y, phi_x)/sqrt(|grad phi|^2 + eps).
     """
     epsilon = _check_epsilon(epsilon)
     tau = f.default_tau_light() if tau is None else tau
-    w1, w2, *_ = _dual_jet_parts(f.jet2_grid(x, y), direction, epsilon, tau)
+    w1, w2, _, _ = _dual_gradient_parts(*f.grad_grid(x, y), direction,
+                                        epsilon, tau)
     return w1, w2
 
 
@@ -314,6 +332,12 @@ class DualField(GraphField):
         pj = self.parent.jet2_grid(X, Y)
         return dual_jet(pj, self.direction, self.epsilon, self.tau,
                         value=self.grid.values[self.grid.nearest_node(X, Y)])
+
+    def _grad_grid(self, X, Y) -> tuple:
+        w1, w2, _, _ = _dual_gradient_parts(
+            *self.parent.grad_grid(X, Y), self.direction, self.epsilon,
+            self.tau)
+        return w1, w2
 
     def default_tau_light(self) -> float:
         return self.parent.default_tau_light()
@@ -489,11 +513,10 @@ def double_dual_check(f: GraphField, res: tuple, epsilon: int,
                      domain=domain, quad_tol=quad_tol)
 
     X, Y = domain.meshgrid(*res)
-    j0 = f.jet2_grid(X, Y)
-    j2 = second.field.jet2_grid(X, Y)
+    g0x, g0y = f.grad_grid(X, Y)
+    g2x, g2y = second.field.grad_grid(X, Y)
     sign = 1.0 if epsilon > 0 else -1.0
-    defect = float(np.max(np.hypot(j2.gx - sign * j0.gx,
-                                   j2.gy - sign * j0.gy)))
+    defect = float(np.max(np.hypot(g2x - sign * g0x, g2y - sign * g0y)))
     return {
         "epsilon": epsilon,
         "relation": "identity" if epsilon > 0 else "gradient-negation",

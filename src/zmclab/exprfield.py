@@ -5,7 +5,9 @@ forward pass that carries a truncated Taylor jet (value, first partials,
 second partials) through every operator, or by a uniformly sampled grid
 differentiated with second-order finite-difference stencils (central in
 the interior, one-sided on the boundary).  Everything downstream (causal
-classification, PDE residuals, duality) consumes the same ``Jet2`` record.
+classification, PDE residuals, duality) consumes the same ``Jet2`` record;
+readers of the gradient alone (the dual one-form) take the ``(gx, gy)`` of
+``grad_grid``, an order-1 pass for expressions.
 
 Expression grammar (EBNF)::
 
@@ -751,9 +753,18 @@ class GraphField:
         """Vectorized two-jets; components come back as arrays."""
         return self._jet2_grid(*self._in_domain(X, Y))
 
+    def grad_grid(self, X: np.ndarray, Y: np.ndarray) -> tuple:
+        """Vectorized gradients (gx, gy): those of ``jet2_grid``, bit for
+        bit and of the same types, without the second partials.  Refuses
+        only points where the value or the gradient is undefined."""
+        return self._grad_grid(*self._in_domain(X, Y))
+
     # subclasses implement the unchecked jets on arrays of any shape
     def _jet2_grid(self, X, Y) -> Jet2:
         raise NotImplementedError
+
+    def _grad_grid(self, X, Y) -> tuple:
+        return self._jet2_grid(X, Y).gradient
 
     def value(self, x: float, y: float) -> float:
         return self.jet2(x, y).value
@@ -780,6 +791,12 @@ class ExpressionField(GraphField):
 
     def _jet2_grid(self, X, Y) -> Jet2:
         return expression_jet2(self.expr, X, Y)
+
+    def _grad_grid(self, X, Y) -> tuple:
+        # first partials never read second ones, so an order-1 pass gives
+        # the gradient bits of the order-2 pass in expression_jet2
+        _, gx, gy = _Taylor({"x": X, "y": Y}, 1)(self.expr)
+        return gx, gy
 
     def __repr__(self):
         return f"ExpressionField({self.name!r})"

@@ -224,8 +224,12 @@ class IdentityReport:
 # through np.float_power, the C library's pow on points and lattices alike)
 # --------------------------------------------------------------------------
 
+def b_of_gradient(gx, gy):
+    return 1.0 - gx * gx - gy * gy
+
+
 def b_of_jet(j: Jet2):
-    return 1.0 - j.gx * j.gx - j.gy * j.gy
+    return b_of_gradient(j.gx, j.gy)
 
 
 def gradb_of_jet(j: Jet2):
@@ -537,8 +541,8 @@ def verify_line_theorem(samples: CausalSamples | list[CausalSample],
     k = np.flatnonzero(samples.in_class(CausalClass.LIGHT_DEGENERATE))
     degenerate = samples[k[np.lexsort((samples.y[k], samples.x[k]))]]
     pts = np.stack([degenerate.x, degenerate.y], axis=-1)
-    j = f.jet2_grid(pts[:, 0], pts[:, 1])
-    theta = np.mod(np.arctan2(j.gy, j.gx), np.pi)
+    gx, gy = f.grad_grid(pts[:, 0], pts[:, 1])
+    theta = np.mod(np.arctan2(gy, gx), np.pi)
     if theta.size:
         # angles below the widest gap move up by pi: the seam lies there
         ts = np.sort(theta)
@@ -562,12 +566,12 @@ def verify_line_theorem(samples: CausalSamples | list[CausalSample],
                                        "degenerate samples share a line")
 
     centroids = np.array([pts[g].mean(axis=0) for g in groups])
-    j = f.jet2_grid(centroids[:, 0], centroids[:, 1])  # one jet for all lines
+    gx, gy = f.grad_grid(centroids[:, 0], centroids[:, 1])  # all lines
     lines: list[LightLine] = []
     for n, g in enumerate(groups):
         centroid, direction, perp = _tls_fit(pts[g])
         direction = _orient(direction)
-        dt = float(j.gx[n] * direction[0] + j.gy[n] * direction[1])
+        dt = float(gx[n] * direction[0] + gy[n] * direction[1])
         defect = abs(direction[0] ** 2 + direction[1] ** 2 - dt * dt)
         members = degenerate[g[np.argsort(pts[g] @ direction)]]
         lines.append(LightLine(

@@ -25,7 +25,7 @@ from zmclab import (
     field_from_text,
     one_form_curl,
 )
-from zmclab import duality
+from zmclab import duality, exprfield
 from zmclab.duality import dual_jet
 from zmclab.errors import QuadratureError, ZmcError
 from zmclab.exprfield import Jet2
@@ -523,6 +523,41 @@ def test_dualize_batches_one_form_calls(monkeypatch):
     phi = field_from_text(HELICOID, ANNULUS_BOX)
     dualize(phi, (65, 65), (1.0, 1.0), 0.0, DualDirection.TO_STREAM, 1)
     assert 0 < len(calls) < 100
+
+
+def test_dualize_and_double_dual_make_no_two_jets(monkeypatch):
+    # the one-form reads the gradient alone: its quadrature and the
+    # double-dual comparison run order-1 passes only
+    orders = []
+
+    class Counted(exprfield._Taylor):
+        def __init__(self, env, order):
+            orders.append(order)
+            super().__init__(env, order)
+
+    monkeypatch.setattr(exprfield, "_Taylor", Counted)
+    phi = field_from_text(HELICOID, ANNULUS_BOX)
+    dualize(phi, (33, 33), (1.0, 1.0), 0.0, DualDirection.TO_STREAM, 1)
+    double_dual_check(phi, (9, 9), 1)
+    assert orders and set(orders) == {1}
+
+
+@pytest.mark.parametrize("text, domain, direction, epsilon", [
+    (HELICOID, ANNULUS_BOX, DualDirection.TO_STREAM, 1),
+    (CATENOID, ANNULUS_BOX, DualDirection.TO_POTENTIAL, 1),
+    ("y + exp(x)", SQ, DualDirection.TO_POTENTIAL, -1),
+    ("y + exp(-x)", SQ, DualDirection.TO_STREAM, -1),
+])
+def test_one_form_is_the_gradient_part_of_the_dual_jet(text, domain,
+                                                       direction, epsilon):
+    f = field_from_text(text, domain)
+    X, Y = domain.meshgrid(17, 13)
+    tau = f.default_tau_light()
+    got = dual_one_form(f, X, Y, direction, epsilon)
+    want = duality._dual_jet_parts(f.jet2_grid(X, Y), direction, epsilon,
+                                   tau)[:2]
+    for g, w in zip(got, want, strict=True):
+        assert g.tobytes() == w.tobytes()
 
 
 # --------------------------------------------------------------------------

@@ -403,6 +403,74 @@ def test_point_jets_equal_lattice_jets_on_every_field_class(units):
                 getattr(lattice, c)[k] for c in names), (f, X[k], Y[k])
 
 
+def _gradient_fields():
+    """One field of each class, plus ``x^y``, duals in both directions
+    with eps = +-1 and a dual of a dual."""
+    box, sq = Rect(1, 2, 1, 2), Rect(-1, 1, -1, 1)
+    slab = Rect(0.2, 1.37, -1, 1)
+    helicoid = field_from_text("atan2(y, x)", box)
+    catenoid = field_from_text("-asinh(sqrt(x^2 + y^2))", box)
+
+    def dual(parent, direction, epsilon):
+        d = parent.domain
+        return dualize(parent, (9, 9), (d.x0, d.y0), 0.0, direction,
+                       epsilon).field
+
+    to_stream = dual(helicoid, DualDirection.TO_STREAM, 1)
+    return _one_field_of_each_class() + [
+        field_from_text("x^y", Rect(0.5, 2.0, 0.5, 2.0)),
+        to_stream,
+        dual(to_stream, DualDirection.TO_POTENTIAL, 1),
+        dual(catenoid, DualDirection.TO_POTENTIAL, 1),
+        dual(field_from_text("y + exp(x)", sq), DualDirection.TO_POTENTIAL,
+             -1),
+        dual(field_from_text("y + log(tan(x))", slab),
+             DualDirection.TO_STREAM, -1)]
+
+
+def _same_bits(got, want):
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+@given(st.lists(st.tuples(_UNIT, _UNIT), min_size=1, max_size=8))
+@settings(max_examples=10, deadline=None)
+def test_grad_grid_is_the_gradient_of_jet2_grid_bitwise(units):
+    # every function, integer and real powers, atan2, the grid, the
+    # potential and the duals; lattice and 0-d point queries alike
+    u, v = np.array(units).T
+    for f in _gradient_fields():
+        d = f.domain
+        X, Y = d.x0 + u * (d.x1 - d.x0), d.y0 + v * (d.y1 - d.y0)
+        queries = [(X, Y), (X[0], Y[0]), (float(X[-1]), float(Y[-1]))]
+        for x, y in queries:
+            got, j = f.grad_grid(x, y), f.jet2_grid(x, y)
+            assert type(got) is tuple and len(got) == 2
+            assert _same_bits(got[0], j.gx) and _same_bits(got[1], j.gy), \
+                (f, x, y)
+
+
+def test_grad_grid_refuses_only_undefined_gradients():
+    # an order-1 pass checks the value and the gradient: where only the
+    # second partials overflow it answers, where the gradient does it
+    # names the gradient
+    f = field_from_text("sqrt(x)", Rect(0.0, 1.0, 0.0, 1.0))
+    gx, gy = f.grad_grid(1e-250, 0.5)
+    assert (gx, gy) == (0.5 / math.sqrt(1e-250), 0.0) and gx == 5e124
+    with pytest.raises(NonDifferentiablePointError,
+                       match="^jet has non-finite components"):
+        f.jet2_grid(1e-250, 0.5)
+    g = field_from_text("exp(x^2)", Rect(-40, 40, -1, 1))
+    with pytest.raises(NonDifferentiablePointError,
+                       match=r"^gradient has non-finite components at "
+                             r"\(x, y\) = \(40\.0, 0\.0\)$"):
+        g.grad_grid(np.array([0.0, 40.0]), 0.0)
+    with pytest.raises(NonDifferentiablePointError, match="^sqrt"):
+        f.grad_grid(0.0, 0.5)
+    with pytest.raises(OutOfDomainError):
+        f.grad_grid(-0.5, 0.5)
+
+
 def test_gradient_multivar():
     expr = parse("x*y + t^2", variables=("x", "y", "t"))
     v, g = gradient(expr, {"x": 2.0, "y": 3.0, "t": -1.0})
