@@ -16,7 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainViolationError, ZeroDerivativeError
+from .errors import (
+    DomainViolationError,
+    UnboundParameterError,
+    ZeroDerivativeError,
+)
 from .exprfield import (
     BinOp,
     Expression,
@@ -118,19 +122,18 @@ class ImplicitValidator:
 class PotentialField(GraphField):
     """Dual potential of y + g(x): phi = y - integral of 1/g'.
 
-    Values integrate 1/g' by adaptive Simpson from the reference abscissa
-    (0 when the domain allows it, else the nearest domain edge);
-    derivatives are closed forms of the jets of g, so phi_x = -1/g'(x),
-    phi_y = 1, phi_xx = g''/g'^2.
+    Values integrate 1/g' by adaptive Simpson, to QUAD_TOL per segment,
+    from the reference abscissa (0 when the domain allows it, else the
+    nearest domain edge); derivatives are closed forms of the jets of g,
+    so phi_x = -1/g'(x), phi_y = 1, phi_xx = g''/g'^2.
     """
 
-    def __init__(self, g_expr: Expression, domain: Rect,
-                 quad_tol: float = 1e-12, name: str = ""):
+    QUAD_TOL = 1e-12
+
+    def __init__(self, g_expr: Expression, domain: Rect, name: str = ""):
         super().__init__(domain, name or f"dual of y + {to_text(g_expr)}")
         self.g_expr = g_expr
-        self.quad_tol = quad_tol
         self.x_ref = min(max(0.0, domain.x0), domain.x1)
-        self._cache: dict[float, float] = {self.x_ref: 0.0}
 
     def _gjet(self, x):
         return expression_jet2(self.g_expr, x, 0.0)
@@ -139,23 +142,15 @@ class PotentialField(GraphField):
         """g'(x) by an order-1 pass: the gx of ``_gjet``, bit for bit."""
         return gradient(self.g_expr, {"x": x, "y": 0.0})[1]["x"]
 
-    def _integrals(self, xs: list) -> list:
-        """Integrals of 1/g' from x_ref to each abscissa; those not yet
-        cached are integrated together in one nested Simpson batch."""
-        todo = [x for x in dict.fromkeys(xs) if x not in self._cache]
-        if todo:
-            def integrand(ts, _segs):
-                return 1.0 / self._gprime(ts)
-            got = nested_simpson(integrand, [self.x_ref] * len(todo), todo,
-                                 self.quad_tol,
-                                 lambda s: f"the integral to x = {todo[s]}")
-            self._cache.update(zip(todo, got.tolist()))
-        return [self._cache[x] for x in xs]
-
     def _jet2_grid(self, X, Y) -> Jet2:
         X, Y = np.broadcast_arrays(X, Y)
+        # the integrals of 1/g' from x_ref to each distinct abscissa, in
+        # one nested Simpson batch
         xs, inverse = np.unique(X, return_inverse=True)
-        integral = np.array(self._integrals(xs.tolist()))[inverse]
+        integral = nested_simpson(
+            lambda ts, _segs: 1.0 / self._gprime(ts),
+            np.full(xs.size, self.x_ref), xs, self.QUAD_TOL,
+            lambda s: f"the integral to x = {xs[s]}")[inverse]
         j = self._gjet(X)
         gp = j.gx
         return Jet2(Y - integral.reshape(X.shape), -1.0 / gp,
@@ -170,8 +165,7 @@ class PotentialField(GraphField):
 
 def entire_graph_pair(g_text: str, params: dict | None = None,
                       domain: Rect = Rect(-1.0, 1.0, -1.0, 1.0),
-                      phi_domain: Rect | None = None,
-                      quad_tol: float = 1e-12):
+                      phi_domain: Rect | None = None):
     """Entire ZMC graph psi = y + g(x) and, on request, its dual potential.
 
     psi has B = -g'(x)^2, hence no space-like points, and is light-like
@@ -179,32 +173,22 @@ def entire_graph_pair(g_text: str, params: dict | None = None,
     potential is built only when ``phi_domain`` is given; it raises
     ZeroDerivativeError if g' vanishes anywhere on that domain.
     """
-    g_expr = parse(g_text, params)
-
-    def uses_y(e):
-        if isinstance(e, Var):
-            return e.name == "y"
-        if isinstance(e, BinOp):
-            return uses_y(e.lhs) or uses_y(e.rhs)
-        if hasattr(e, "arg"):
-            return uses_y(e.arg)
-        if hasattr(e, "args"):
-            return any(uses_y(a) for a in e.args)
-        return False
-
-    if uses_y(g_expr):
-        raise ValueError("g must be a function of x alone")
+    try:
+        g_expr = parse(g_text, params, variables=("x",))
+    except UnboundParameterError as exc:
+        if exc.name != "y":
+            raise
+        raise ValueError("g must be a function of x alone") from None
 
     psi = ExpressionField(BinOp("+", Var("y"), g_expr), domain,
                           name=f"y + {to_text(g_expr)}")
     phi = None
     if phi_domain is not None:
-        probe = np.linspace(phi_domain.x0, phi_domain.x1, 513)
-        gp = expression_jet2(g_expr, probe, np.zeros_like(probe)).gx
+        phi = PotentialField(g_expr, phi_domain)
+        gp = phi._gprime(np.linspace(phi_domain.x0, phi_domain.x1, 513))
         if np.any(gp == 0.0) or np.any(gp[1:] * gp[:-1] < 0.0):
             raise ZeroDerivativeError(
                 "g' vanishes inside the requested potential domain")
-        phi = PotentialField(g_expr, phi_domain, quad_tol)
     return psi, phi
 
 

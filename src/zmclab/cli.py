@@ -241,16 +241,17 @@ def _cmd_residual(ns):
           {"equation": ns.equation, "max_abs": float(np.max(np.abs(vals)))})
 
 
-def _lattice_jet(ns):
-    """The field, its lattice, and its jets at every node."""
+def _lattice(ns):
+    """The field, its lattice and its light-like tolerance."""
     f = _field_of(ns)
     X, Y = f.domain.meshgrid(*ns.res)
     tau = f.default_tau_light() if ns.tol_light is None else ns.tol_light
-    return f, X, Y, f.jet2_grid(X, Y), tau
+    return f, X, Y, tau
 
 
 def _cmd_curvature(ns):
-    f, X, Y, j, tau = _lattice_jet(ns)
+    f, X, Y, tau = _lattice(ns)
+    j = f.jet2_grid(X, Y)
     if ns.kind == "mean":
         vals = geometry.mean_curvature_of_jet(j, tau, X, Y)
     else:
@@ -260,8 +261,9 @@ def _cmd_curvature(ns):
 
 
 def _cmd_fluid(ns):
-    f, X, Y, j, tau = _lattice_jet(ns)
-    parts = duality.chaplygin_of_jet(j, ns.p0, tau, X, Y)
+    f, X, Y, tau = _lattice(ns)
+    parts = duality.chaplygin_of_gradient(*f.grad_grid(X, Y), ns.p0, tau,
+                                          X, Y)
     _emit(ns, gridio.fluid_text(ns.format, *f.domain.lattice(*ns.res), parts),
           {"p0": ns.p0})
 

@@ -35,7 +35,6 @@ from .exprfield import GraphField, GridField, Jet2, Rect, SampledGrid
 from .geometry import (
     _check_tolerances,
     b_of_gradient,
-    b_of_jet,
     refuse_lightlike,
 )
 
@@ -53,7 +52,7 @@ __all__ = [
     "one_form_curl",
 ]
 
-#: default per-segment quadrature tolerance for L-path integration
+#: per-segment quadrature tolerance of L-path integration
 QUAD_TOL = 1e-10
 #: path-independence defect beyond this multiple of the quadrature
 #: tolerance means the one-form is not closed
@@ -95,25 +94,26 @@ class ChaplyginState:
         return math.hypot(*self.velocity)
 
 
-def chaplygin_of_jet(j: Jet2, p0: float, tau_light: float, x, y):
-    """(epsilon, rho, u, v, c, p) elementwise from source jets at the points
-    (x, y): epsilon = sign(B), rho = sqrt(eps * B), (u, v) = (psi_y,
-    -psi_x)/rho, c = 1/rho, p = p0 - 1/rho.  Raises SonicPointError at the
-    first point where |B| is inside the light-like tolerance."""
-    b = b_of_jet(j)
+def chaplygin_of_gradient(gx, gy, p0: float, tau_light: float, x, y):
+    """(epsilon, rho, u, v, c, p) elementwise from the source gradient at
+    the points (x, y): epsilon = sign(B), rho = sqrt(eps * B), (u, v) =
+    (psi_y, -psi_x)/rho, c = 1/rho, p = p0 - 1/rho.  Raises
+    SonicPointError at the first point where |B| is inside the light-like
+    tolerance."""
+    b = b_of_gradient(gx, gy)
     refuse_lightlike(b, tau_light, x, y, SonicPointError,
                      "flow state undefined at sonic point")
     eps = np.where(b > 0, 1, -1)
     rho = np.sqrt(eps * b)
-    return eps, rho, j.gy / rho, -j.gx / rho, 1.0 / rho, p0 - 1.0 / rho
+    return eps, rho, gy / rho, -gx / rho, 1.0 / rho, p0 - 1.0 / rho
 
 
 def chaplygin_state(f: GraphField, x: float, y: float, p0: float = 0.0,
                     tau_light: float | None = None) -> ChaplyginState:
     """Reconstruct density, velocity, sound speed and pressure at a point
-    (see chaplygin_of_jet)."""
+    (see chaplygin_of_gradient)."""
     tau_light = f.default_tau_light() if tau_light is None else tau_light
-    parts = chaplygin_of_jet(f.jet2(x, y), p0, tau_light, x, y)
+    parts = chaplygin_of_gradient(*f.grad_grid(x, y), p0, tau_light, x, y)
     eps, rho, u, v, c, p = (np.asarray(a).item() for a in parts)
     return ChaplyginState(
         epsilon=eps, rho=rho, velocity=(u, v), sound_speed=c, pressure=p,
@@ -412,10 +412,9 @@ def _runs(f, start: float, stops: np.ndarray, fixed, along_x: bool, *form):
 def dualize(f: GraphField, res: tuple, base: tuple,
             base_value: float = 0.0,
             direction: DualDirection = DualDirection.TO_POTENTIAL,
-            epsilon: int = 1,
-            domain: Rect | None = None,
-            quad_tol: float = QUAD_TOL) -> DualResult:
-    """Recover the dual field on a lattice by integrating the dual one-form.
+            epsilon: int = 1) -> DualResult:
+    """Recover the dual field on ``f``'s domain, a lattice of ``res``
+    nodes, by integrating the dual one-form to QUAD_TOL per segment.
 
     Every node value comes from an x-first L-path from ``base``: one spine
     integration along the base row, then per-column vertical runs.  The
@@ -427,22 +426,21 @@ def dualize(f: GraphField, res: tuple, base: tuple,
     the source does not solve the PDE matching the requested direction.
     """
     epsilon = _check_epsilon(epsilon)
-    _check_tol(quad_tol)
-    domain = f.domain if domain is None else domain
     nx, ny = res
     if nx < 3 or ny < 3:
         raise ValueError("dualize needs res >= 3x3")
     bx, by = float(base[0]), float(base[1])
-    if not domain.contains(bx, by):
+    if not f.domain.contains(bx, by):
         raise OutOfDomainError(f"base point ({bx}, {by}) outside the domain")
     tau = f.default_tau_light()
-    xs, ys = domain.lattice(nx, ny)
+    xs, ys = f.domain.lattice(nx, ny)
 
     lattice = f.jet_mode == "lattice"
     if lattice:
-        # node-anchored quadrature: the lattice must live on the parent nodes
+        # node-anchored quadrature: the lattice must be the parent's, which
+        # spans the same rectangle, so the same node counts suffice
         g = f.grid if isinstance(f, (GridField, DualField)) else None
-        if g is None or not (np.allclose(xs, g.xs) and np.allclose(ys, g.ys)):
+        if g is None or (g.nx, g.ny) != (nx, ny):
             raise ValueError("lattice-backed sources dualize on their own grid")
         i0, j0 = g.nearest_node(bx, by)
         if abs(bx - xs[i0]) > 1e-9 * g.hx or abs(by - ys[j0]) > 1e-9 * g.hy:
@@ -450,7 +448,7 @@ def dualize(f: GraphField, res: tuple, base: tuple,
         bx, by = float(xs[i0]), float(ys[j0])
         quad_eff = max(g.hx, g.hy) ** 2
     else:
-        quad_eff = quad_tol
+        quad_eff = QUAD_TOL
 
     # the y-first paths of a deterministic pseudo-random node subset
     rng = np.random.default_rng(0)
@@ -459,7 +457,7 @@ def dualize(f: GraphField, res: tuple, base: tuple,
 
     # the spine along the base row, then the column runs a block at a
     # time, so that no array but the values spans the lattice
-    form = (direction, epsilon, tau, quad_tol)
+    form = (direction, epsilon, tau, QUAD_TOL)
     spine = base_value + _runs(f, bx, xs, [by], True, *form)[0]
     values = np.empty((nx, ny))
     step = max(1, SEGMENT_BLOCK // ny)
@@ -485,16 +483,14 @@ def dualize(f: GraphField, res: tuple, base: tuple,
     grid = SampledGrid(xs, ys, values)
     out_field = DualField(f, grid, direction, epsilon, tau)
     return DualResult(out_field, (bx, by), float(base_value), direction,
-                      epsilon, "L-paths, x-first", float(defect), quad_tol)
+                      epsilon, "L-paths, x-first", float(defect), QUAD_TOL)
 
 
 # --------------------------------------------------------------------------
 # involution checks and the divergence probe
 # --------------------------------------------------------------------------
 
-def double_dual_check(f: GraphField, res: tuple, epsilon: int,
-                      domain: Rect | None = None,
-                      quad_tol: float = QUAD_TOL) -> dict:
+def double_dual_check(f: GraphField, res: tuple, epsilon: int) -> dict:
     """Apply the duality twice and compare gradients with the source.
 
     eps = +1 chain (to-stream then to-potential): the double dual must
@@ -503,14 +499,12 @@ def double_dual_check(f: GraphField, res: tuple, epsilon: int,
     path-independence defects.
     """
     epsilon = _check_epsilon(epsilon)
-    domain = f.domain if domain is None else domain
+    domain = f.domain
     base = (0.5 * (domain.x0 + domain.x1), 0.5 * (domain.y0 + domain.y1))
-    first = dualize(f, res, base, 0.0, DualDirection.TO_STREAM, epsilon,
-                    domain=domain, quad_tol=quad_tol)
+    first = dualize(f, res, base, 0.0, DualDirection.TO_STREAM, epsilon)
     second_dir = (DualDirection.TO_POTENTIAL if epsilon > 0
                   else DualDirection.TO_STREAM)
-    second = dualize(first.field, res, base, 0.0, second_dir, epsilon,
-                     domain=domain, quad_tol=quad_tol)
+    second = dualize(first.field, res, base, 0.0, second_dir, epsilon)
 
     X, Y = domain.meshgrid(*res)
     g0x, g0y = f.grad_grid(X, Y)
@@ -546,7 +540,7 @@ def divergence_probe(f: GraphField, xs, y: float,
     _check_tol(quad_tol)
     anchor = float(xs[0]) if anchor is None else float(anchor)
     if epsilon is None:
-        epsilon = 1 if b_of_jet(f.jet2(anchor, y)) > 0 else -1
+        epsilon = 1 if b_of_gradient(*f.grad_grid(anchor, y)) > 0 else -1
     epsilon = _check_epsilon(epsilon)
     tau = f.default_tau_light() if tau is None else float(tau)
 

@@ -343,10 +343,6 @@ class Jet2:
     def gradient(self):
         return (self.gx, self.gy)
 
-    @property
-    def hessian(self):
-        return ((self.hxx, self.hxy), (self.hxy, self.hyy))
-
 
 def _jadd(a, b):
     return [p + q for p, q in zip(a, b)]

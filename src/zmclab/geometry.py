@@ -211,13 +211,6 @@ class IdentityReport:
     max_zmc_residual: float
     max_hessian_det: float
 
-    def as_dict(self) -> dict:
-        return {
-            "max_eikonal_defect": self.max_eikonal_defect,
-            "max_zmc_residual": self.max_zmc_residual,
-            "max_hessian_det": self.max_hessian_det,
-        }
-
 
 # --------------------------------------------------------------------------
 # jet-level formulas (work elementwise on scalars and arrays; powers go

@@ -10,6 +10,7 @@ from zmclab import (
     CausalClass,
     DomainViolationError,
     Rect,
+    UnboundParameterError,
     ZeroDerivativeError,
     causal_b,
     classify,
@@ -79,8 +80,19 @@ def test_pair_without_potential_by_default():
 
 
 def test_pair_rejects_g_depending_on_y():
-    with pytest.raises(ValueError):
-        entire_graph_pair("x + y")
+    # g parses with x its only variable: y anywhere, even before another
+    # unbound name, is the y error
+    for g in ("x + y", "-y", "sin(-y)", "x^y", "atan2(x, y)", "y*b"):
+        with pytest.raises(ValueError,
+                           match="g must be a function of x alone"):
+            entire_graph_pair(g)
+
+
+def test_pair_binds_y_as_a_parameter_and_refuses_other_names():
+    psi, _ = entire_graph_pair("x + y", params={"y": 2.0})
+    assert psi.value(0.5, 0.25) == 0.25 + 0.5 + 2.0
+    with pytest.raises(UnboundParameterError, match="'b'"):
+        entire_graph_pair("x + b*y")
 
 
 def test_shear_b_is_minus_gprime_squared():
@@ -116,7 +128,7 @@ def test_potential_lattice_jets_equal_point_jets():
         p = fresh.jet2(X[idx], Y[idx])
         assert (p.value, p.gx, p.gy, p.hxx, p.hxy, p.hyy) == tuple(
             float(c[idx]) for c in (j.value, j.gx, j.gy, j.hxx, j.hxy, j.hyy))
-    # the batch filled the cache that point queries then read
+    # a point query integrates alone and gets the batch's bits
     assert phi.jet2(X[3, 2], Y[3, 2]).value == float(j.value[3, 2])
 
 

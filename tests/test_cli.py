@@ -15,12 +15,12 @@ from hypothesis import example, given, settings, strategies as st
 import zmclab
 from zmclab import catalog, cli
 from zmclab.cli import run
-from zmclab.gridio import (causal_csv, fluid_csv, fluid_text, grid_csv,
-                           grid_text, lines_text, obj_text, read_grid_csv,
-                           samples_text)
+from zmclab.gridio import (causal_csv, dump_json, fluid_csv, fluid_text,
+                           grid_csv, grid_text, lines_text, obj_text,
+                           read_grid_csv, samples_text)
 from zmclab.errors import NonFiniteValueError
 from zmclab.geometry import (CausalClass, CausalSample, CausalSamples,
-                             LightLine)
+                             LightLine, minimal_residual_of_jet)
 
 
 def _read(path):
@@ -810,6 +810,77 @@ def test_usage_errors_exit_2():
         for item in ("a", "a=abc"):
             assert run([*verb, "--param", item, "--domain", "0,1,0,1"]) == 2
         assert run([*verb, "--param", "a=1", "--domain", "0,inf,0,1"]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--res", "9,9"], "solve needs --equation, --boundary and "
+                                "--domain (or --problem FILE)"),
+    (["examples", "emit"], "examples emit needs a name"),
+])
+def test_usage_error_exits_2_and_says_why(capsys, argv, message):
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+def test_epsilon_out_of_range_exits_2(capsys):
+    assert run(["dualize", "--field", "atan2(y, x)", "--domain", "1,2,1,2",
+                "--base", "1.5,1.5", "--epsilon", "2"]) == 2
+    assert "--epsilon must be +1 or -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["residual", "--field", "y + exp(x)", "--domain=-1,1,-1,1",
+     "--res", "9,7"],
+    ["solve", "--equation", "maximal", "--boundary=-asinh(sqrt(x^2+y^2))",
+     "--domain", "1,2,1,2", "--res", "9,9", "--format", "obj"],
+], ids=["residual-csv", "solve-obj"])
+def test_stdout_payload_and_stderr_meta_match_the_files(tmp_path, capsys,
+                                                        argv):
+    # without --out the payload streams to stdout and the sidecar to
+    # stderr, the same bytes except the sidecar's echo of --out
+    out = tmp_path / "o"
+    assert run([*argv, "--out", str(out)]) == 0
+    assert run(argv) == 0
+    streamed = capsys.readouterr()
+    assert streamed.out == out.read_text()
+    meta = json.loads((tmp_path / "o.meta.json").read_text())
+    assert meta["config"].pop("out") == str(out)
+    assert streamed.err == dump_json(meta)
+
+
+def test_residual_minimal_is_the_jet_formula(tmp_path):
+    out = tmp_path / "r.csv"
+    assert run(["residual", "--field", "atan2(y, x)", "--equation",
+                "minimal", "--domain", "1,2,1,2", "--res", "9,7",
+                "--out", str(out)]) == 0
+    f = zmclab.field_from_text("atan2(y, x)", zmclab.Rect(1, 2, 1, 2))
+    X, Y = f.domain.meshgrid(9, 7)
+    want = minimal_residual_of_jet(f.jet2_grid(X, Y))
+    assert np.array_equal(read_grid_csv(_read(out)).values, want)
+    meta = json.loads(_read(tmp_path / "r.csv.meta.json"))
+    assert meta["equation"] == "minimal"
+    assert meta["max_abs"] == float(np.max(np.abs(want)))
+
+
+def test_traced_mode_binds_and_counts(tmp_path):
+    # the benchmark's tracer wraps functions by name in every module that
+    # binds them; it refuses to install if one is gone
+    bench = Path(__file__).parents[1] / "perfbench"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import tracing\n"
+        "from zmclab import cli\n"
+        "t = tracing.Tracer(); t.install(); t.active = True; t.reset()\n"
+        "assert cli.run(['dualize', '--field', 'atan2(y, x)', '--domain',\n"
+        "               '1,2,1,2', '--res', '9,9', '--direction',\n"
+        "               'to-stream', '--base', '1.5,1.5', '--out',\n"
+        "               sys.argv[2]]) == 0\n"
+        "m = t.metrics()\n"
+        "assert m['duality.dualize.calls'] == 1, m\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(zmclab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(bench), str(tmp_path / "d.csv")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("flag, reason", [

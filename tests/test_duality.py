@@ -14,6 +14,7 @@ from zmclab import (
     FlowRegime,
     GridField,
     NonExactFormError,
+    OutOfDomainError,
     Rect,
     SonicPointError,
     chaplygin_state,
@@ -26,6 +27,8 @@ from zmclab import (
     one_form_curl,
 )
 from zmclab import duality, exprfield
+from zmclab.catalog import entire_graph_pair
+from zmclab.cli import run
 from zmclab.duality import dual_jet
 from zmclab.errors import QuadratureError, ZmcError
 from zmclab.exprfield import Jet2
@@ -75,6 +78,16 @@ def test_state_rejects_sonic_point():
     f = field_from_text("y + x^2", SQ)
     with pytest.raises(SonicPointError):
         chaplygin_state(f, 0.0, 0.0)
+
+
+def test_state_needs_only_the_gradient():
+    # sqrt(x) at x = 1e-250: the gradient (5e124, 0) is finite, the second
+    # partial is not; the state reads the gradient alone
+    f = field_from_text("sqrt(x)", Rect(0.0, 1.0, 0.0, 1.0))
+    st = chaplygin_state(f, 1e-250, 0.5)
+    assert st.regime is FlowRegime.SUPERSONIC and st.epsilon == -1
+    assert st.rho == pytest.approx(5e124, rel=1e-15)
+    assert st.velocity == (0.0, -1.0)
 
 
 def test_pressure_reference_shift():
@@ -235,6 +248,30 @@ def test_dualize_propagates_sonic():
     with pytest.raises(SonicPointError):
         dualize(f, (9, 9), base=(-1.0, 0.0),
                 direction=DualDirection.TO_POTENTIAL, epsilon=-1)
+
+
+def test_dualize_refusals():
+    f = field_from_text(HELICOID, ANNULUS_BOX)
+    with pytest.raises(ValueError, match="res >= 3x3"):
+        dualize(f, (2, 9), (1.5, 1.5))
+    with pytest.raises(OutOfDomainError, match=r"base point \(2\.5, 1\.5\)"):
+        dualize(f, (9, 9), (2.5, 1.5))
+    g = GridField(field_from_text(CATENOID, ANNULUS_BOX).sample(9, 9))
+    with pytest.raises(ValueError, match="own grid"):
+        dualize(g, (17, 17), (1.0, 1.0))
+    with pytest.raises(ValueError, match="on a node"):
+        dualize(g, (9, 9), (1.0625, 1.0))
+
+
+@pytest.mark.parametrize("epsilon", [0, 2])
+def test_bad_epsilon_rejected(epsilon):
+    f = field_from_text(HELICOID, ANNULUS_BOX)
+    with pytest.raises(ValueError, match="epsilon must be"):
+        dualize(f, (9, 9), (1.5, 1.5), 0.0, DualDirection.TO_STREAM, epsilon)
+    with pytest.raises(ValueError, match="epsilon must be"):
+        dual_one_form(f, 1.5, 1.5, DualDirection.TO_STREAM, epsilon)
+    with pytest.raises(ValueError, match="epsilon must be"):
+        double_dual_check(f, (9, 9), epsilon)
 
 
 def test_rho_hat_consistency():
@@ -484,12 +521,6 @@ def test_nested_simpson_stall_names_segment():
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
 def test_bad_quad_tol_rejected(tol):
-    f = field_from_text(HELICOID, ANNULUS_BOX)
-    with pytest.raises(ValueError, match="quad_tol"):
-        dualize(f, (9, 9), (1.5, 1.5), 0.0, DualDirection.TO_STREAM, 1,
-                quad_tol=tol)
-    with pytest.raises(ValueError, match="quad_tol"):
-        double_dual_check(f, (9, 9), 1, quad_tol=tol)
     g = field_from_text("y + x^2", Rect(5e-4, 1.0, -1.0, 1.0))
     with pytest.raises(ValueError, match="quad_tol"):
         divergence_probe(g, [0.1, 0.01], y=0.0, anchor=0.5, quad_tol=tol)
@@ -539,6 +570,26 @@ def test_dualize_and_double_dual_make_no_two_jets(monkeypatch):
     phi = field_from_text(HELICOID, ANNULUS_BOX)
     dualize(phi, (33, 33), (1.0, 1.0), 0.0, DualDirection.TO_STREAM, 1)
     double_dual_check(phi, (9, 9), 1)
+    assert orders and set(orders) == {1}
+
+
+def test_gradient_readers_make_no_two_jets(monkeypatch, tmp_path):
+    # flow states, the probe's sign test and the shear potential's g'
+    # probe read gradients: order-1 passes only
+    orders = []
+
+    class Counted(exprfield._Taylor):
+        def __init__(self, env, order):
+            orders.append(order)
+            super().__init__(env, order)
+
+    monkeypatch.setattr(exprfield, "_Taylor", Counted)
+    chaplygin_state(field_from_text(CATENOID, ANNULUS_BOX), 1.5, 1.5)
+    assert run(["fluid", "--field", CATENOID, "--domain", "1,2,1,2",
+                "--res", "9,9", "--out", str(tmp_path / "f.csv")]) == 0
+    divergence_probe(field_from_text("y + x^2", Rect(5e-4, 1.0, -1.0, 1.0)),
+                     [0.3, 0.2], y=0.0)
+    entire_graph_pair("exp(x)", phi_domain=SQ)
     assert orders and set(orders) == {1}
 
 
