@@ -43,7 +43,8 @@ __all__ = [
 ]
 
 DEFAULT_TAU_GRAD = 1e-7
-#: position tolerance for bisection refinement along lattice edges
+#: bracket width at which the refinement along a lattice edge may close;
+#: each refined point lies within it of a zero on its edge
 REFINE_TOL = 1e-10
 #: light-like points found closer than this in both x and y count as one
 DUP_TOL = 1e-9
@@ -380,41 +381,67 @@ def lightlike_identity_check(f: GraphField, nx: int = 101,
 # light-like set detection
 # --------------------------------------------------------------------------
 
-def _bisect_edges(f: GraphField, coords, nodes, n0, n1, comp, g_tol,
+def _refine_edges(f: GraphField, coords, nodes, n0, n1, comp, g_tol,
                   tol: float):
-    """One bisection over arrays of lattice edges, each halving one lattice
-    jet at the midpoints of the edges still open.
+    """Refine a zero of g on each of an array of lattice edges, one lattice
+    jet per pass at one new point on each edge still open.
 
     Edge k runs along one axis from node ``n0[k]`` to node ``n1[k]``, flat
     indices into the (x, y) rows of ``coords`` and the (B, Bx, By) rows of
-    ``nodes``.  It searches for a zero of component ``comp[k]`` of
-    (B, Bx, By), call it g: it bisects to ``tol``, then keeps halving until
-    the smallest |g| seen is within ``g_tol[k]``, stopping at float
-    resolution, an exact zero or 200 halvings.  Returns the points of the
-    smallest |g| seen and B there.
+    ``nodes``; g is component ``comp[k]`` of (B, Bx, By), of opposite signs
+    at the two ends.  Each pass keeps the sign bracket [lo, hi] and puts
+    the new point at the weight w along it given by
+      - false position, w = g_lo / (g_lo - g_hi), on stored ends whose g
+        is halved when that end is kept twice running (Illinois);
+      - moved to at least tol/2 inside each end, so that a zero on a node
+        closes its bracket in one pass;
+      - moved to within tol/2 * 2**(n_max - j) - span/2 of the midpoint on
+        pass j, with n_max = ceil(log2(span0 / tol)) + 2 (the ITP bound: the
+        bracket reaches tol at most 2 passes later than by halving);
+      - the midpoint where w is not finite or both ends have |g| within
+        ``g_tol[k]``: there g is rounding noise with no zero to refine.
+    An edge closes when its bracket is within ``tol`` and the smallest |g|
+    seen within ``g_tol[k]``, at float resolution, at an exact zero or
+    after 200 passes.  Returns the points of the smallest |g| seen and B
+    there.
     """
     lo, hi = coords[:, n0], coords[:, n1]
     g_lo, g_hi = nodes[comp, n0], nodes[comp, n1]
     top = np.abs(g_hi) < np.abs(g_lo)
     best, best_g = np.where(top, hi, lo), np.abs(np.where(top, g_hi, g_lo))
     best_b = nodes[0, np.where(top, n1, n0)]
+    # ceil(log2(span0 / tol)) from the binary exponent, exact
+    frac, exp = np.frexp((hi - lo).sum(axis=0) / tol)
+    n_max = exp - (frac == 0.5) + 2
+    kept = np.zeros(len(comp), dtype=np.int8)  # end kept last: lo -1, hi 1
     open_ = np.ones(len(comp), dtype=bool)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)  # the fixed coordinate stays exact
-        open_ &= (~(((hi - lo).sum(axis=0) <= tol) & (best_g <= g_tol))
+    for j in range(200):
+        mid, step = 0.5 * (lo + hi), hi - lo  # step is 0 on the fixed axis
+        span = step.sum(axis=0)
+        open_ &= (~((span <= tol) & (best_g <= g_tol))
                   & (mid > lo).any(axis=0) & (mid < hi).any(axis=0))
         k = np.flatnonzero(open_)
         if not k.size:
             break
-        t = mid[:, k]
+        a, b, s = g_lo[k], g_hi[k], span[k]
+        with np.errstate(all="ignore"):
+            w = a / (a - b)
+        w = np.where(np.isfinite(w) & (np.maximum(np.abs(a), np.abs(b))
+                                       > g_tol[k]), w, 0.5)
+        reach = np.maximum(0.0, np.minimum(
+            0.5 * (s - tol), np.ldexp(0.5 * tol, n_max[k] - j) - 0.5 * s)) / s
+        t = mid[:, k] + np.clip(w - 0.5, -reach, reach) * step[:, k]
         bm = np.stack(causal_b_grid(f, *t))
         g = bm[comp[k], np.arange(k.size)]
         better = np.abs(g) < best_g[k]
         best[:, k[better]], best_g[k[better]] = t[:, better], np.abs(g[better])
         best_b[k[better]] = bm[0, better]
-        left = (g_lo[k] < 0.0) != (g < 0.0)
-        hi[:, k[left]] = t[:, left]
+        left = (a < 0.0) != (g < 0.0)
+        g_lo[k[left & (kept[k] == -1)]] *= 0.5
+        g_hi[k[~left & (kept[k] == 1)]] *= 0.5
+        hi[:, k[left]], g_hi[k[left]] = t[:, left], g[left]
         lo[:, k[~left]], g_lo[k[~left]] = t[:, ~left], g[~left]
+        kept[k] = np.where(left, -1, 1)
         open_[k[g == 0.0]] = False
     return best, best_b
 
@@ -458,8 +485,11 @@ def detect_lightlike_set(f: GraphField, nx: int, ny: int,
     lattice edge is additionally searched for a sign change of B (a zero
     of B) and for an interior extremum of B (a zero of the directional
     derivative of B; catches lines where B only touches zero), all edges
-    in one bisection (``_bisect_edges``).  Refined positions are accurate
-    to ``REFINE_TOL``; an extremum counts only where |B| <= tau_light.
+    in one bracketed refinement (``_refine_edges``): Illinois false
+    position, whose bracket reaches ``REFINE_TOL`` at most 2 lattice-jet
+    passes after halving would, and in one pass where the zero lies on a
+    node.  Refined positions are accurate to ``REFINE_TOL``; an extremum
+    counts only where |B| <= tau_light.
     Exact-jet fields only get sub-node refinement; lattice-backed fields
     carry no information between nodes, so only node hits are reported
     for them.
@@ -472,16 +502,18 @@ def detect_lightlike_set(f: GraphField, nx: int, ny: int,
     hits = [coords[:, np.abs(nodes[0]) <= tau_light]]
 
     if f.jet_mode == "exact":
-        # every edge as the flat indices of its two ends, x-edges first;
-        # g is B where B changes sign, else B's derivative along the edge
-        idx = np.arange(nx * ny).reshape(nx, ny)
-        n0 = np.concatenate([idx[:-1].ravel(), idx[:, :-1].ravel()])
-        n1 = np.concatenate([idx[1:].ravel(), idx[:, 1:].ravel()])
-        axis = np.repeat([0, 1], [(nx - 1) * ny, nx * (ny - 1)])
-        comp = np.where(nodes[0, n0] * nodes[0, n1] < 0.0, 0, 1 + axis)
-        edge = nodes[comp, n0] * nodes[comp, n1] < 0.0
-        n0, n1, comp = n0[edge], n1[edge], comp[edge]
-        pts, b_at = _bisect_edges(f, coords, nodes, n0, n1, comp,
+        # every edge where B changes sign, else where B's derivative along
+        # it does (g), as the flat indices of its ends, x-edges first
+        b = nodes.reshape(3, nx, ny)
+        edges = []
+        for d, step, e0, e1 in ((1, ny, b[:, :-1], b[:, 1:]),
+                                (2, 1, b[:, :, :-1], b[:, :, 1:])):
+            zero = e0[0] * e1[0] < 0.0
+            i, j = np.nonzero(zero | (e0[d] * e1[d] < 0.0))
+            first = i * ny + j
+            edges.append((first, first + step, np.where(zero[i, j], 0, d)))
+        n0, n1, comp = map(np.concatenate, zip(*edges))
+        pts, b_at = _refine_edges(f, coords, nodes, n0, n1, comp,
                                   np.where(comp == 0, tau_light, tau_grad),
                                   REFINE_TOL)
         hits.append(pts[:, (comp == 0) | (np.abs(b_at) <= tau_light)])

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from zmclab import (
     CausalClass,
@@ -30,8 +30,9 @@ from zmclab import (
     verify_line_theorem,
     zmc_residual,
 )
+from zmclab import geometry
 from zmclab.geometry import (CLASSES, DUP_TOL, REFINE_TOL, _class_codes,
-                             _distinct_points, classify_grid,
+                             _distinct_points, causal_b_grid, classify_grid,
                              zmc_residual_of_jet)
 
 SQ = Rect(-1.0, 1.0, -1.0, 1.0)
@@ -392,14 +393,16 @@ def test_detect_cylinder_branch_line():
 
 
 def test_detect_sign_change_refinement():
-    # B = 1 - 1/r^2 changes sign across r = 1: refined nondegenerate points
-    f = field_from_text("atan2(y, x)", Rect(0.5, 2.0, 0.5, 2.0))
-    samples = detect_lightlike_set(f, 41, 41)
-    assert samples
-    for s in samples:
-        r = math.hypot(s.x, s.y)
-        assert abs(r - 1.0) < 1e-7
-        assert s.cls is CausalClass.LIGHT_NONDEGENERATE
+    # B = 1 - 1/r^2 and B = 1 - r^2 change sign across r = 1: refined
+    # nondegenerate points, each within REFINE_TOL of the circle along its
+    # edge
+    for text, dom in [("atan2(y, x)", Rect(0.5, 2.0, 0.5, 2.0)),
+                      ("0.5*x^2 - 0.5*y^2", SQ)]:
+        samples = detect_lightlike_set(field_from_text(text, dom), 41, 41)
+        assert samples
+        for s in samples:
+            assert abs(math.hypot(s.x, s.y) - 1.0) <= 2 * REFINE_TOL
+            assert s.cls is CausalClass.LIGHT_NONDEGENERATE
 
 
 def _ref_distinct_points(x, y):
@@ -439,40 +442,54 @@ def test_distinct_points_is_the_greedy_rule(points):
     assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
 
 
-def _bisect_zero(eval_b, a, b, fa, fb, tol, f_tol):
-    """The scalar per-edge bisection that batched detection replaced, kept
-    as a reference for sign-change hits."""
+def _refine_zero(eval_g, a, b, fa, fb, tol, f_tol):
+    """The per-edge rule of ``_refine_edges`` on one edge [a, b], kept as
+    the scalar reference for sign-change hits: Illinois false position,
+    moved tol/2 inside the ends and within the ITP bound of the midpoint,
+    the midpoint where g is noise."""
     best_t, best_f = a, abs(fa)
     if abs(fb) < best_f:
         best_t, best_f = b, abs(fb)
-    for _ in range(200):
-        if b - a <= tol and best_f <= f_tol:
-            break
+    frac, exp = math.frexp((b - a) / tol)
+    n_max = exp - (frac == 0.5) + 2
+    kept = 0
+    for j in range(200):
         mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
+        if (b - a <= tol and best_f <= f_tol) or not a < mid < b:
             break
-        fm = eval_b(mid)
-        if abs(fm) < best_f:
-            best_t, best_f = mid, abs(fm)
-        if fm == 0.0:
-            break
-        if (fa < 0.0) != (fm < 0.0):
-            b = mid
+        w = fa / (fa - fb)
+        if not (math.isfinite(w) and max(abs(fa), abs(fb)) > f_tol):
+            w = 0.5
+        s = b - a
+        reach = max(0.0, min(0.5 * (s - tol),
+                             math.ldexp(0.5 * tol, n_max - j) - 0.5 * s)) / s
+        t = mid + min(max(w - 0.5, -reach), reach) * s
+        ft = eval_g(t)
+        if abs(ft) < best_f:
+            best_t, best_f = t, abs(ft)
+        if (fa < 0.0) != (ft < 0.0):
+            if kept == -1:
+                fa *= 0.5
+            b, fb, kept = t, ft, -1
         else:
-            a, fa = mid, fm
+            if kept == 1:
+                fb *= 0.5
+            a, fa, kept = t, ft, 1
+        if ft == 0.0:
+            break
     return best_t
 
 
 def _sign_change_hits(f, n):
-    """One scalar bisection of B, on point jets, per lattice edge where B
+    """One scalar refinement of B, on point jets, per lattice edge where B
     changes sign."""
     xs, ys = (v.tolist() for v in f.domain.lattice(n, n))
     b = np.array([[causal_b(f, x, y)[0] for y in ys] for x in xs])
     tau = f.default_tau_light()
-    hits = [(_bisect_zero(lambda t: causal_b(f, t, ys[j])[0], xs[i],
+    hits = [(_refine_zero(lambda t: causal_b(f, t, ys[j])[0], xs[i],
                           xs[i + 1], b[i, j], b[i + 1, j], REFINE_TOL, tau),
              ys[j]) for i, j in np.argwhere(b[:-1] * b[1:] < 0.0)]
-    hits += [(xs[i], _bisect_zero(lambda t: causal_b(f, xs[i], t)[0], ys[j],
+    hits += [(xs[i], _refine_zero(lambda t: causal_b(f, xs[i], t)[0], ys[j],
                                   ys[j + 1], b[i, j], b[i, j + 1],
                                   REFINE_TOL, tau))
              for i, j in np.argwhere(b[:, :-1] * b[:, 1:] < 0.0)]
@@ -490,6 +507,90 @@ def test_batched_sign_change_hits_equal_scalar_bisection(text, dom):
     assert len(hits) > 10
     assert set(hits) <= got  # bit for bit
     assert got <= set(hits) | nodes
+
+
+@given(st.floats(0.5, 3.0), st.floats(0.0, 3.0), st.integers(16, 90))
+@settings(max_examples=40, deadline=None)
+def test_extremum_hits_lie_on_the_zeros_of_g_prime(a, b, nx):
+    # psi = y + sin(a x + b): B = -a^2 cos^2(a x + b), degenerate exactly
+    # where g' = a cos(a x + b) vanishes, here off the lattice nodes
+    dom = Rect(0.0, 2 * math.pi, -1.0, 1.0)
+    k = np.arange(math.ceil(b / math.pi - 0.5),
+                  math.floor((2 * math.pi * a + b) / math.pi - 0.5) + 1)
+    zeros = ((k + 0.5) * math.pi - b) / a
+    xs = dom.lattice(nx, 3)[0]
+    assume(zeros.size and np.abs(zeros[:, None] - xs).min() > 1e-6)
+    f = field_from_text(f"y + sin({a!r}*x + {b!r})", dom)
+    samples = detect_lightlike_set(f, nx, 3)
+    x = samples.x[samples.in_class(CausalClass.LIGHT_DEGENERATE)]
+    assert x.size
+    assert np.abs(x[:, None] - zeros).min(axis=1).max() <= REFINE_TOL
+
+
+def _halving_passes(f, coords, nodes, n0, n1, comp, g_tol, tol):
+    """Lattice-jet passes of the plain bisection that ``_refine_edges``
+    replaced, on the same edges: the reference for its pass bound."""
+    lo, hi = coords[:, n0], coords[:, n1]
+    g_lo, g_hi = nodes[comp, n0], nodes[comp, n1]
+    best_g = np.abs(np.where(np.abs(g_hi) < np.abs(g_lo), g_hi, g_lo))
+    open_ = np.ones(len(comp), dtype=bool)
+    for passes in range(200):
+        mid = 0.5 * (lo + hi)
+        open_ &= (~(((hi - lo).sum(axis=0) <= tol) & (best_g <= g_tol))
+                  & (mid > lo).any(axis=0) & (mid < hi).any(axis=0))
+        k = np.flatnonzero(open_)
+        if not k.size:
+            return passes
+        t = mid[:, k]
+        g = np.stack(causal_b_grid(f, *t))[comp[k], np.arange(k.size)]
+        better = np.abs(g) < best_g[k]
+        best_g[k[better]] = np.abs(g[better])
+        left = (g_lo[k] < 0.0) != (g < 0.0)
+        hi[:, k[left]] = t[:, left]
+        lo[:, k[~left]], g_lo[k[~left]] = t[:, ~left], g[~left]
+        open_[k[g == 0.0]] = False
+    return 200
+
+
+@pytest.mark.parametrize("text, dom, nx, ny", [
+    ("y + sin(4*x)", Rect(0, 2 * math.pi, -1, 1), 257, 257),  # zeros on nodes
+    ("y + sin(3*x)", Rect(0.1, 6.0, -1, 1), 200, 20),  # zeros off nodes
+    ("atan2(y, x)", Rect(0.5, 2.0, 0.5, 2.0), 41, 41),
+    ("0.5*x^2 - 0.5*y^2", SQ, 41, 41),
+    ("y + tanh(50*(x-0.31))", SQ, 40, 40),
+    ("y + x^3", Rect(-1, 1.3, -1, 1), 40, 40),  # a cubic zero of B'
+    ("sqrt(x^2 + y^2)", Rect(0.5, 2.0, 0.5, 2.0), 21, 21),  # noise edges
+    ("x", SQ, 31, 31),  # no edges
+])
+def test_refinement_takes_at_most_two_passes_more_than_halving(
+        monkeypatch, text, dom, nx, ny):
+    f = field_from_text(text, dom)
+    jets, edges = [0], []
+
+    def counted(*args, _method=f.jet2_grid):
+        jets[0] += 1
+        return _method(*args)
+
+    def refine(*args, _refine=geometry._refine_edges):
+        edges.append(args)
+        return _refine(*args)
+    monkeypatch.setattr(f, "jet2_grid", counted)
+    monkeypatch.setattr(geometry, "_refine_edges", refine)
+    detect_lightlike_set(f, nx, ny)
+    passes = jets[0] - 2  # less the lattice and the classify of the hits
+    assert passes <= _halving_passes(*edges[0]) + 2
+
+
+@pytest.mark.parametrize("n, count, n_lines", [(21, 871, 26), (41, 3346, 96)])
+def test_cone_noise_edges_keep_their_samples_and_lines(n, count, n_lines):
+    # B vanishes on the whole cone: every edge carries rounding noise only,
+    # and halves as plain bisection did
+    f = field_from_text("sqrt(x^2 + y^2)", Rect(0.5, 2.0, 0.5, 2.0))
+    samples = detect_lightlike_set(f, n, n)
+    assert len(samples) == count
+    lines = verify_line_theorem(samples, f)
+    assert len(lines) == n_lines
+    assert all(ln.verified for ln in lines)
 
 
 def test_steep_shear_extrema_are_degenerate():
@@ -516,7 +617,7 @@ def test_detection_makes_no_point_jets(monkeypatch):
         monkeypatch.setattr(f, name, counted)
     assert len(detect_lightlike_set(f, 257, 129)) == 1032
     assert calls["jet2"] == 0
-    assert 0 < calls["jet2_grid"] <= 64
+    assert calls["jet2_grid"] == 3  # lattice, one pass, classify
 
 
 def test_verify_lines_memory_is_linear_in_samples():
