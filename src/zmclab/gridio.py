@@ -10,16 +10,22 @@ CSV headers.
 
 All writers are deterministic (shortest round-trip float formatting, fixed
 row-major node order, no timestamps) so identical inputs give byte-identical
-files.  Floats are written as their ``repr`` (the shortest round-trip form)
-from row templates; each lattice x-line's template holds every coordinate
-written once, filled from ``tolist()`` of that line's values, or from one
-string where a value column is constant along the line.
+files.  Floats are written as their ``repr``.  The CSV and OBJ writers get
+it from ``_floatrepr``, which formats a whole float64 array with numpy and
+is imported on a writer's first call.  One row assembler, ``_text``, serves
+them all: a row is separators and columns, and ``_ROWS`` rows at a time
+become one uint8 matrix of NUL-padded fields whose NUL bytes are dropped.
+The lattice coordinates are formatted once per axis; a column that is
+constant along an x-line (bitwise, so -0.0 is not 0.0) once for that line;
+epsilon and the class and regime names come from small tables of fields.
+A run of x-lines on which every column but y is constant is written as
+text: each line's two ends, formatted once, joined around the y fields.
 
 The causal writer takes ``CausalSamples`` (or a list of ``CausalSample``).
 Its leading lattice block, x constant along each x-line and the same y on
-every line, bit for bit, goes through the lattice templates with the class
-name as one more column; the samples after it fill one row template per
-chunk of rows.
+every line, bit for bit, is written as a lattice; the samples after it as
+rows of one value per column.  The OBJ faces are integers, written from
+each x-line's node indices.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import numpy as np
 from .duality import FlowRegime
 from .errors import NonFiniteValueError
 from .exprfield import SampledGrid
-from .geometry import CausalSample, CausalSamples, LightLine
+from .geometry import CLASSES, CausalSample, CausalSamples, LightLine
 
 __all__ = [
     "SCHEMA",
@@ -56,8 +62,8 @@ FLUID_HEADER = "x,y,epsilon,rho,u,v,c,p,regime"
 #: the keys of a line report's records
 LINE_KEYS = ("base,direction,lifted,sample_count,perp_residual,"
              "lightlike_defect,verified")
-#: rows per format call of the causal writer's rows off the lattice
-_CHUNK = 4096
+#: rows of text assembled per pass
+_ROWS = 2048
 
 
 def _constant_lines(column) -> np.ndarray:
@@ -69,42 +75,174 @@ def _constant_lines(column) -> np.ndarray:
     return (c == c[:, :1]).all(axis=1) & (c.shape[1] > 0)
 
 
-def _line_rows(head: str, tail: str, xs, ys, *columns) -> list[str]:
-    """One string per x-line (x index outermost) of the rows ``head +
-    repr(x) + tail``; ``tail``'s first slot takes y, its ``%%s`` slots the
-    node's entries of ``columns`` (nx-by-ny arrays; ``str`` of a float is
-    its repr).  Each coordinate is formatted once, as a float (numpy 2
-    reprs ``np.float64(...)``), and so is an entry of a column that is
-    constant along its x-line."""
-    xs, ys = (np.asarray(a, dtype=float).tolist() for a in (xs, ys))
-    # a float's repr holds no %, so the filled y parts need no escaping
-    pieces = [head, *[tail % y + head for y in ys]]
-    pieces[-1] = pieces[-1].removesuffix(head)
-    k, out = len(columns), []
-    row = [None] * (k * len(ys))
-    constant = zip(*map(_constant_lines, columns))
-    for x, line, same in zip(xs, zip(*columns, strict=True), constant,
-                             strict=True):
-        for at, (part, one) in enumerate(zip(line, same)):
-            # the columns interleaved per node
-            row[at::k] = ([str(part.item(0))] * part.size if one
-                          else part.tolist())
-        out.append(repr(x).join(pieces) % tuple(row))
+def _bytes(texts) -> np.ndarray:
+    """The UTF-8 bytes of each text, NUL-padded, as a (len, width) uint8
+    array."""
+    raw = [t.encode() for t in texts]
+    out = np.zeros((len(raw), max(map(len, raw), default=0)), dtype=np.uint8)
+    for row, text in zip(out, raw):
+        row[:len(text)] = np.frombuffer(text, dtype=np.uint8)
     return out
+
+
+def _floats(values) -> np.ndarray:
+    """The repr fields of float values, trimmed of NUL columns."""
+    from . import _floatrepr
+    out = _floatrepr.fields(values)
+    used = np.flatnonzero(out.any(axis=0))
+    return out[:, :used[-1] + 1 if used.size else 0]
+
+
+def _texts(rows) -> list[str]:
+    """The text of each row of a uint8 matrix, NUL bytes dropped."""
+    keep = rows != 0
+    ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
+    data = rows[keep].tobytes()
+    return [data[a:b].decode() for a, b in zip([0, *ends], ends)]
+
+
+class _Line:
+    """A column whose rows on x-line i all read ``fields[i]``."""
+
+    def __init__(self, fields):
+        self.fields = fields
+
+    def rows(self, r0, r1, i, j):
+        return self.fields[i]
+
+    def lines(self, l0, l1):
+        return self.fields[l0:l1]
+
+
+class _Place:
+    """A column whose row at place j of every x-line reads ``fields[j]``."""
+
+    def __init__(self, fields):
+        self.fields = fields
+
+    def rows(self, r0, r1, i, j):
+        return self.fields[j]
+
+
+class _Node:
+    """A column of an nx-by-ny array: floats, or indices into a ``table``
+    of fields.  ``same`` marks the x-lines that hold one value throughout
+    (bitwise, on lines of more than one place); such a line's value is
+    formatted once."""
+
+    def __init__(self, values, table=None):
+        self.values, self.flat, self.table = values, np.ravel(values), table
+        self.same = (_constant_lines(values) if values.shape[1] > 1 else
+                     np.zeros(values.shape[0], dtype=bool))
+
+    def _fields(self, values):
+        if self.table is not None:
+            return self.table[values]
+        from . import _floatrepr
+        return _floatrepr.fields(values)
+
+    def rows(self, r0, r1, i, j):
+        flat = self.flat[r0:r1]
+        first, lines = i[0], self.same[i[0]:i[-1] + 1]
+        if not lines.any():
+            return self._fields(flat)
+        out = self.lines(first, i[-1] + 1)[i - first]
+        if not lines.all():
+            rows = np.flatnonzero(~lines[i - first])
+            out[rows] = self._fields(flat[rows])
+        return out
+
+    def lines(self, l0, l1):
+        return self._fields(self.values[l0:l1, 0])
+
+
+def _column(values) -> _Node:
+    """A column of the ``str`` of each entry of an nx-by-ny array: the
+    repr of a float, else through a table of the distinct entries."""
+    values = np.asarray(values)
+    if values.dtype.kind == "f":
+        return _Node(values.astype(float, copy=False))
+    names, codes = np.unique(values, return_inverse=True)
+    codes = codes.astype(np.min_scalar_type(len(names)))
+    return _Node(codes.reshape(np.shape(values)),
+                 _bytes(map(str, names.tolist())))
+
+
+def _matrix(parts, count, fields) -> np.ndarray:
+    """The (count, width) uint8 matrix of ``count`` rows: each str part
+    repeated, and ``fields(column)`` of each column."""
+    return np.concatenate([
+        np.broadcast_to(np.frombuffer(p.encode(), dtype=np.uint8),
+                        (count, len(p))) if isinstance(p, str)
+        else fields(p) for p in parts], axis=1)
+
+
+def _text(head: str, shape, parts) -> str:
+    """``head``, then one row per node of an nx-by-ny lattice (x index
+    outermost): ``parts`` are the row's separators (str) and columns.
+
+    Rows are assembled ``_ROWS`` at a time as one uint8 matrix of fields,
+    whose NUL bytes are dropped.  A run of x-lines on which every column
+    but one ``_Place`` column holds one value is joined as text instead:
+    each line's parts before and after that column are formatted once and
+    joined around the places' texts."""
+    nx, ny = shape
+    place = [k for k, p in enumerate(parts) if isinstance(p, _Place)]
+    flat = np.zeros(nx, dtype=bool)
+    if len(place) == 1 and ny > 1:
+        flat[:] = True
+        for p in parts:
+            if isinstance(p, _Node):
+                flat &= p.same
+        k = place[0]
+        left, places, right = parts[:k], _texts(parts[k].fields), parts[k + 1:]
+    out = [head]
+    bounds = [0, *(np.flatnonzero(flat[1:] != flat[:-1]) + 1).tolist(), nx]
+    for l0, l1 in zip(bounds[:-1], bounds[1:]):
+        if l0 < l1 and flat[l0]:
+            for a in range(l0, l1, _ROWS):
+                b = min(l1, a + _ROWS)
+                heads, tails = (_texts(_matrix(end, b - a, lambda p: p.lines(
+                    a, b))) for end in (left, right))
+                out += [h + (t + h).join(places) + t
+                        for h, t in zip(heads, tails)]
+            continue
+        for r0 in range(l0 * ny, l1 * ny, _ROWS):
+            r1 = min(l1 * ny, r0 + _ROWS)
+            i, j = np.divmod(np.arange(r0, r1), ny)
+            rows = _matrix(parts, r1 - r0, lambda p: p.rows(r0, r1, i, j))
+            out.append(rows.tobytes().translate(None, b"\0").decode())
+    return "".join(out)
+
+
+def _lattice(xs, ys, *columns):
+    """(shape, x column, y column) of a lattice whose nx-by-ny columns
+    must all have that shape."""
+    xs, ys = (np.asarray(a, dtype=float).ravel() for a in (xs, ys))
+    shape = (xs.size, ys.size)
+    for c in columns:
+        if np.shape(c) != shape:
+            raise ValueError(f"values of shape {np.shape(c)} do not fit a "
+                             f"lattice of {shape[0]} by {shape[1]} nodes")
+    return shape, _Line(_floats(xs)), _Place(_floats(ys))
 
 
 def grid_csv(xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> str:
     """Grid CSV, header ``x,y,value``; rows row-major (x index outermost)."""
-    return "".join([GRID_HEADER + "\n", *_line_rows(
-        "", ",%r,%%s\n", xs, ys, np.asarray(values, dtype=float))])
+    shape, x, y = _lattice(xs, ys, values)
+    return _text(GRID_HEADER + "\n", shape, [
+        x, ",", y, ",", _Node(np.asarray(values, dtype=float)), "\n"])
 
 
 def fluid_csv(xs: np.ndarray, ys: np.ndarray, parts, regimes) -> str:
     """Chaplygin-state CSV, header ``x,y,epsilon,rho,u,v,c,p,regime``, rows
     row-major: ``parts`` are the (epsilon, rho, u, v, c, p) arrays and
     ``regimes`` the regime names, all of shape (nx, ny)."""
-    return "".join([FLUID_HEADER + "\n", *_line_rows(
-        "", ",%r" + ",%%s" * 7 + "\n", xs, ys, *parts, regimes)])
+    shape, x, y = _lattice(xs, ys, *parts, regimes)
+    row = [x, ",", y]
+    for c in (*parts, regimes):
+        row += [",", _column(c)]
+    return _text(FLUID_HEADER + "\n", shape, row + ["\n"])
 
 
 def read_grid_csv(text: str) -> SampledGrid:
@@ -138,24 +276,23 @@ def _lattice_block(x, y) -> tuple[int, int]:
 
 def causal_csv(samples: CausalSamples | list[CausalSample]) -> str:
     """Causal-sample CSV, header ``x,y,b,bx,by,class``.  A leading lattice
-    block goes through the per-line templates of ``_line_rows``; the rows
-    after it fill one row template per chunk of rows."""
+    block formats each x and each y once; the rows after it format every
+    value."""
     s = CausalSamples.of(samples)
     nx, ny = _lattice_block(s.x, s.y)
-    n, names = nx * ny, s.names
-    out = [CAUSAL_HEADER + "\n"]
-    if n:
-        out += _line_rows("", ",%r" + ",%%s" * 4 + "\n", s.x[:n:ny], s.y[:ny],
-                          *(a[:n].reshape(nx, ny)
-                            for a in (s.b, s.bx, s.by, names)))
-    columns = (*s.columns[:5], names)
-    for at in range(n, len(s), _CHUNK):
-        part = [c[at:at + _CHUNK].tolist() for c in columns]
-        row = [None] * (6 * len(part[0]))
-        for k, col in enumerate(part):
-            row[k::6] = col
-        out.append("%r,%r,%r,%r,%r,%s\n" * len(part[0]) % tuple(row))
-    return "".join(out)
+    n = nx * ny
+    classes = _bytes(c.value for c in CLASSES)
+    lattice = [_Line(_floats(s.x[:n:max(ny, 1)])), ",",
+               _Place(_floats(s.y[:ny]))]
+    for c in (s.b, s.bx, s.by):
+        lattice += [",", _Node(c[:n].reshape(nx, ny))]
+    text = _text(CAUSAL_HEADER + "\n", (nx, ny), lattice + [
+        ",", _Node(s.code[:n].reshape(nx, ny), classes), "\n"])
+    rest = []
+    for c in s.columns[:5]:
+        rest += [_Node(c[n:, None]), ","]
+    return _text(text, (len(s) - n, 1),
+                 rest + [_Node(s.code[n:, None], classes), "\n"])
 
 
 def obj_text(xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> str:
@@ -168,7 +305,8 @@ def obj_text(xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> str:
         raise NonFiniteValueError(
             f"refusing OBJ export: non-finite value at node "
             f"({int(bad[0])}, {int(bad[1])})")
-    nx, ny = values.shape
+    shape, x, y = _lattice(xs, ys, values)
+    nx, ny = shape
     # the two triangles of each cell between x-lines i - 1 and i, from the
     # OBJ indices (1-based) of each x-line's nodes, formatted once per line
     row = ["f ", "", " ", "", " ", "", "\nf ", "", " ", "", " ", "", "\n"]
@@ -182,7 +320,8 @@ def obj_text(xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> str:
         row[11::13] = a[1:]
         faces.append("".join(row))
         a = b
-    return "".join([*_line_rows("v ", " %r %%s\n", xs, ys, values), *faces])
+    return "".join([_text("", shape, ["v ", x, " ", y, " ",
+                                      _Node(values), "\n"]), *faces])
 
 
 def dump_json(payload: dict) -> str:

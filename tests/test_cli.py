@@ -595,6 +595,62 @@ def test_causal_csv_rows_off_the_lattice_in_chunks():
     assert causal_csv(samples) == _ref_causal_csv(samples)
 
 
+# values of every layout: both zeros, subnormals, both sides of the fixed
+# notation's ends (1e-05, 0.0001, 1e16) and exponents of three digits
+_POOL = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+                  1e-05, -0.0001, 0.001, 9999999999999998.0, -1e16,
+                  1.5e300, -7.25, 123456789.0, 0.1, 1.0, -100.0])
+
+
+def _mixed_lattice(rng, nx, ny):
+    """Random magnitudes and signs over 60 decades, some nodes from
+    ``_POOL``, every third x-line one value throughout, lines 40-59 (a run)
+    too, and line 5 all 0.0 but for one -0.0."""
+    values = rng.normal(size=(nx, ny)) * 10.0 ** rng.integers(-30, 30,
+                                                              (nx, ny))
+    picked = rng.random((nx, ny)) < 0.2
+    values[picked] = rng.choice(_POOL, picked.sum())
+    values[::3] = rng.choice(_POOL, (len(values[::3]), 1))
+    values[40:60] = rng.choice(_POOL, (20, 1))
+    values[5], values[5, 7] = 0.0, -0.0
+    return values
+
+
+def test_writers_match_per_node_reference_across_chunks():
+    # 70 x 71 = 4970 rows: more than one pass of rows and not a multiple of
+    # it, with runs of constant x-lines between varying ones
+    rng = np.random.default_rng(22)
+    nx, ny = 70, 71
+    xs = np.linspace(-1.0, 1.0, nx) * 10.0 ** rng.integers(-8, 8, nx)
+    xs[[3, 4]] = -0.0, 5e-324
+    ys = np.linspace(-3.0, 3.0, ny)
+    ys[[0, 9]] = 0.0, -1e-5
+    values = _mixed_lattice(rng, nx, ny)
+    assert grid_csv(xs, ys, values) == _ref_grid_csv(xs, ys, values)
+    assert obj_text(xs, ys, values) == _ref_obj_text(xs, ys, values)
+    special = values.copy()
+    special[1, 1:30:3], special[7, 4], special[8] = np.nan, -np.inf, np.inf
+    assert grid_csv(xs, ys, special) == _ref_grid_csv(xs, ys, special)
+    eps = np.where(rng.random((nx, ny)) < 0.5, 1, -1)
+    eps[::2] = 1
+    eps[40:60] = -1
+    parts = [eps, *(_mixed_lattice(rng, nx, ny) for _ in range(5))]
+    regimes = np.where(eps > 0, "sub-sonic", "super-sonic")
+    assert (fluid_csv(xs, ys, parts, regimes)
+            == _ref_fluid_csv(xs, ys, parts, regimes))
+    codes = rng.integers(0, 4, (nx, ny))
+    codes[::3] = codes[::3, :1]
+    codes[40:60] = 3
+    tail = rng.normal(size=(5, 4500)) * 10.0 ** rng.integers(-30, 30, 4500)
+    tail[:, ::7] = rng.choice(_POOL, (5, len(tail[0, ::7])))
+    samples = CausalSamples.concat(
+        CausalSamples(np.repeat(xs, ny), np.tile(ys, nx),
+                      *(_mixed_lattice(rng, nx, ny).ravel() for _ in range(3)),
+                      codes.ravel()),
+        CausalSamples(*tail, rng.integers(0, 4, 4500)))
+    assert causal_csv(samples) == _ref_causal_csv(samples)
+
+
 def _ref_json(**payload):
     return json.dumps({"schema": 1, **payload}, indent=2,
                       sort_keys=True) + "\n"
@@ -739,6 +795,39 @@ def test_obj_text_memory_is_bounded_by_its_output():
     tracemalloc.start()
     try:
         text = obj_text(xs, ys, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * len(text)
+
+
+def test_fluid_csv_memory_is_bounded_by_its_output():
+    # the output chunks and the joined text are about twice the output
+    rng = np.random.default_rng(1)
+    xs = ys = np.linspace(1.0, 2.0, 257)
+    eps = np.where(rng.normal(size=(257, 257)) > 0, 1, -1)
+    parts = [eps, *rng.normal(size=(5, 257, 257))]
+    regimes = np.where(eps > 0, "sub-sonic", "super-sonic")
+    tracemalloc.start()
+    try:
+        text = fluid_csv(xs, ys, parts, regimes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * len(text)
+
+
+def test_causal_csv_memory_is_bounded_by_its_output():
+    # a lattice block and rows off the lattice after it
+    rng = np.random.default_rng(1)
+    X, Y = np.meshgrid(*[np.linspace(1.0, 2.0, 257)] * 2, indexing="ij")
+    samples = CausalSamples.concat(
+        CausalSamples(X.ravel(), Y.ravel(), *rng.normal(size=(3, X.size)),
+                      np.arange(X.size) % 4),
+        CausalSamples(*rng.normal(size=(5, 9000)), np.arange(9000) % 4))
+    tracemalloc.start()
+    try:
+        text = causal_csv(samples)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -550,6 +550,31 @@ def test_singular_newton_jacobian_reports_linear_failure(monkeypatch):
     assert 1e-10 < rep["krylov_residual"] < 1.0
 
 
+def test_line_search_stagnation_reports_max_iterations(monkeypatch):
+    # an ascent direction: every trial raises the residual, so the first
+    # step's line search gives up after MAX_HALVINGS halvings
+    problem = DirichletProblem("maximal", DOM, 9, 9, CATENOID)
+    start = solve(problem).residual_history[0]
+    newton_step = solver._newton_step
+
+    def ascent(jacobian, res, hx, hy, rtol):
+        step, its = newton_step(jacobian, res, hx, hy, rtol)
+        return -step, its
+
+    monkeypatch.setattr(solver, "_newton_step", ascent)
+    with pytest.raises(MaxIterationsError) as err:
+        solve(problem)
+    assert str(err.value) == (f"line search stagnated after "
+                              f"{solver.MAX_HALVINGS} halvings "
+                              f"(residual {start:.3e})")
+    rep = convergence_report(err.value)
+    assert rep["status"] == "failed"
+    assert rep["error"] == "max-iterations"
+    assert rep["equation"] == "maximal"
+    assert rep["iterations"] == 1
+    assert rep["last_residual"] == start
+
+
 def test_steep_minimal_data_converges_at_65():
     # the round-off floor weighs the stencil coefficients 1 + p^2, which
     # grow past 1 where the minimal data is steep
