@@ -85,19 +85,27 @@ def _bytes(texts) -> np.ndarray:
     return out
 
 
-def _floats(values) -> np.ndarray:
-    """The repr fields of float values, trimmed of NUL columns."""
+def _floats(values, trim=False) -> np.ndarray:
+    """The repr fields of float values; ``trim`` drops the NUL columns
+    past the widest field, which pays for fields that many rows gather
+    (a lattice axis) and not for fields used once."""
     from . import _floatrepr
     out = _floatrepr.fields(values)
-    used = np.flatnonzero(out.any(axis=0))
-    return out[:, :used[-1] + 1 if used.size else 0]
+    if trim:
+        used = np.flatnonzero(out.any(axis=0))
+        out = out[:, :used[-1] + 1 if used.size else 0]
+    return out
+
+
+def _packed(rows) -> bytes:
+    """The bytes of a uint8 matrix, row after row, NUL bytes dropped."""
+    return rows.tobytes().translate(None, b"\0")
 
 
 def _texts(rows) -> list[str]:
     """The text of each row of a uint8 matrix, NUL bytes dropped."""
-    keep = rows != 0
-    ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
-    data = rows[keep].tobytes()
+    ends = np.cumsum(np.count_nonzero(rows, axis=1)).tolist()
+    data = _packed(rows)
     return [data[a:b].decode() for a, b in zip([0, *ends], ends)]
 
 
@@ -107,11 +115,8 @@ class _Line:
     def __init__(self, fields):
         self.fields = fields
 
-    def rows(self, r0, r1, i, j):
+    def rows(self, i, j):
         return self.fields[i]
-
-    def lines(self, l0, l1):
-        return self.fields[l0:l1]
 
 
 class _Place:
@@ -120,7 +125,7 @@ class _Place:
     def __init__(self, fields):
         self.fields = fields
 
-    def rows(self, r0, r1, i, j):
+    def rows(self, i, j):
         return self.fields[j]
 
 
@@ -131,29 +136,26 @@ class _Node:
     formatted once."""
 
     def __init__(self, values, table=None):
-        self.values, self.flat, self.table = values, np.ravel(values), table
+        self.values, self.table = values, table
         self.same = (_constant_lines(values) if values.shape[1] > 1 else
                      np.zeros(values.shape[0], dtype=bool))
 
     def _fields(self, values):
-        if self.table is not None:
-            return self.table[values]
-        from . import _floatrepr
-        return _floatrepr.fields(values)
+        return _floats(values) if self.table is None else self.table[values]
 
-    def rows(self, r0, r1, i, j):
-        flat = self.flat[r0:r1]
-        first, lines = i[0], self.same[i[0]:i[-1] + 1]
-        if not lines.any():
-            return self._fields(flat)
-        out = self.lines(first, i[-1] + 1)[i - first]
-        if not lines.all():
-            rows = np.flatnonzero(~lines[i - first])
-            out[rows] = self._fields(flat[rows])
-        return out
-
-    def lines(self, l0, l1):
-        return self._fields(self.values[l0:l1, 0])
+    def rows(self, i, j):
+        """The fields of the nodes (i, j), i ascending."""
+        same = self.same[i]
+        if not same.any():
+            return self._fields(self.values[i, j])
+        # one value per x-line from i[0] to i[-1], then the rows off those
+        # lines' constants
+        lines = self.values[i[0]:i[-1] + 1, 0]
+        loose = np.flatnonzero(~same)
+        pick = i - i[0]
+        pick[loose] = lines.size + np.arange(loose.size)
+        return self._fields(np.concatenate(
+            [lines, self.values[i[loose], j[loose]]]))[pick]
 
 
 def _column(values) -> _Node:
@@ -168,13 +170,13 @@ def _column(values) -> _Node:
                  _bytes(map(str, names.tolist())))
 
 
-def _matrix(parts, count, fields) -> np.ndarray:
-    """The (count, width) uint8 matrix of ``count`` rows: each str part
-    repeated, and ``fields(column)`` of each column."""
+def _rows(parts, i, j) -> np.ndarray:
+    """The uint8 matrix of the rows of nodes (i, j): each str part
+    repeated, and each column's fields."""
     return np.concatenate([
         np.broadcast_to(np.frombuffer(p.encode(), dtype=np.uint8),
-                        (count, len(p))) if isinstance(p, str)
-        else fields(p) for p in parts], axis=1)
+                        (i.size, len(p))) if isinstance(p, str)
+        else p.rows(i, j) for p in parts], axis=1)
 
 
 def _text(head: str, shape, parts) -> str:
@@ -182,36 +184,32 @@ def _text(head: str, shape, parts) -> str:
     outermost): ``parts`` are the row's separators (str) and columns.
 
     Rows are assembled ``_ROWS`` at a time as one uint8 matrix of fields,
-    whose NUL bytes are dropped.  A run of x-lines on which every column
-    but one ``_Place`` column holds one value is joined as text instead:
-    each line's parts before and after that column are formatted once and
-    joined around the places' texts."""
+    whose NUL bytes are dropped.  On a run of x-lines where every column
+    but the ``_Place`` one holds one value, each line's parts before and
+    after that column are assembled once, one row per line, and joined as
+    text around the places' texts."""
     nx, ny = shape
-    place = [k for k, p in enumerate(parts) if isinstance(p, _Place)]
-    flat = np.zeros(nx, dtype=bool)
-    if len(place) == 1 and ny > 1:
-        flat[:] = True
-        for p in parts:
-            if isinstance(p, _Node):
-                flat &= p.same
-        k = place[0]
-        left, places, right = parts[:k], _texts(parts[k].fields), parts[k + 1:]
+    k = next((k for k, p in enumerate(parts) if isinstance(p, _Place)), None)
+    flat = np.full(nx, k is not None)
+    for p in parts:
+        if isinstance(p, _Node):
+            flat &= p.same
+    if flat.any():
+        places = _texts(parts[k].fields)
     out = [head]
-    bounds = [0, *(np.flatnonzero(flat[1:] != flat[:-1]) + 1).tolist(), nx]
-    for l0, l1 in zip(bounds[:-1], bounds[1:]):
-        if l0 < l1 and flat[l0]:
+    bounds = [0, *(np.flatnonzero(np.diff(flat)) + 1).tolist(), nx]
+    for l0, l1 in zip(bounds, bounds[1:]):
+        if flat[l0:l1].any():
             for a in range(l0, l1, _ROWS):
-                b = min(l1, a + _ROWS)
-                heads, tails = (_texts(_matrix(end, b - a, lambda p: p.lines(
-                    a, b))) for end in (left, right))
+                i = np.arange(a, min(l1, a + _ROWS))
+                heads, tails = (_texts(_rows(end, i, np.zeros_like(i)))
+                                for end in (parts[:k], parts[k + 1:]))
                 out += [h + (t + h).join(places) + t
                         for h, t in zip(heads, tails)]
             continue
         for r0 in range(l0 * ny, l1 * ny, _ROWS):
-            r1 = min(l1 * ny, r0 + _ROWS)
-            i, j = np.divmod(np.arange(r0, r1), ny)
-            rows = _matrix(parts, r1 - r0, lambda p: p.rows(r0, r1, i, j))
-            out.append(rows.tobytes().translate(None, b"\0").decode())
+            i, j = np.divmod(np.arange(r0, min(l1 * ny, r0 + _ROWS)), ny)
+            out.append(_packed(_rows(parts, i, j)).decode())
     return "".join(out)
 
 
@@ -224,7 +222,7 @@ def _lattice(xs, ys, *columns):
         if np.shape(c) != shape:
             raise ValueError(f"values of shape {np.shape(c)} do not fit a "
                              f"lattice of {shape[0]} by {shape[1]} nodes")
-    return shape, _Line(_floats(xs)), _Place(_floats(ys))
+    return shape, _Line(_floats(xs, True)), _Place(_floats(ys, True))
 
 
 def grid_csv(xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> str:
@@ -282,8 +280,8 @@ def causal_csv(samples: CausalSamples | list[CausalSample]) -> str:
     nx, ny = _lattice_block(s.x, s.y)
     n = nx * ny
     classes = _bytes(c.value for c in CLASSES)
-    lattice = [_Line(_floats(s.x[:n:max(ny, 1)])), ",",
-               _Place(_floats(s.y[:ny]))]
+    lattice = [_Line(_floats(s.x[:n:max(ny, 1)], True)), ",",
+               _Place(_floats(s.y[:ny], True))]
     for c in (s.b, s.bx, s.by):
         lattice += [",", _Node(c[:n].reshape(nx, ny))]
     text = _text(CAUSAL_HEADER + "\n", (nx, ny), lattice + [
