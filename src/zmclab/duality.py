@@ -58,8 +58,9 @@ QUAD_TOL = 1e-10
 #: tolerance means the one-form is not closed
 NONEXACT_FACTOR = 100.0
 #: column segments dualize integrates per batch, and points per jet call;
-#: together they keep peak memory independent of the lattice size
-SEGMENT_BLOCK = 1024
+#: together they keep peak memory independent of the lattice size (a
+#: block's first-pass node table is five floats per segment)
+SEGMENT_BLOCK = 4096
 JET_POINTS = 8192
 #: lattice nodes whose x-first and y-first paths give the defect
 DEFECT_NODES = 20
@@ -221,16 +222,26 @@ def _check_tol(quad_tol: float) -> None:
         raise ValueError("quad_tol must be finite and above 0")
 
 
-def nested_simpson(g, a, b, tol: float, where=lambda s: f"segment {s}"):
+def _same_bits(u, v):
+    return u.view(np.int64) == v.view(np.int64)
+
+
+def nested_simpson(g, a, b, tol: float, where=lambda s: f"segment {s}",
+                   runs=None):
     """Integrals of ``g`` over the segments [a[s], b[s]] by composite
     Simpson with doubling refinement, each segment until two successive
     refinements differ by less than tol (relative once the integral
     outgrows unit scale; float accumulation forbids more).
 
     ``g(ts, segs)`` returns the integrand at the abscissae ``ts`` of the
-    segments ``segs`` (flat arrays of one length).  All segments refine
-    together; each doubling evaluates only the new midpoints of the
-    segments still open, at most JET_POINTS per call of ``g``.  Nodes and
+    segments ``segs`` (flat arrays of one length).  The first pass samples
+    the five nodes of every segment's 2- and 4-panel sums at once and
+    makes the first check; each doubling after it evaluates only the new
+    midpoints of the segments still open.  No call of ``g`` passes more
+    than JET_POINTS points.  ``runs``, if given, holds a key per segment
+    that names the line it lies on (its fixed coordinate): a segment that
+    starts where the one before it ends, on the same line, both bit for
+    bit, takes that end's value instead of evaluating it again.  Nodes and
     sums are those of a per-segment np.linspace refinement, bit for bit.
     A segment still open past 2^18 panels raises QuadratureError, named
     by ``where(s)``.
@@ -240,20 +251,48 @@ def nested_simpson(g, a, b, tol: float, where=lambda s: f"segment {s}"):
     out = np.zeros(a.size)
 
     def sample(ts, segs):
-        flat_ts, flat_segs = ts.ravel(), np.repeat(segs, ts.shape[1])
-        vals = np.empty(flat_ts.size)
-        for k in range(0, flat_ts.size, JET_POINTS):
+        vals = np.empty(ts.size)
+        for k in range(0, ts.size, JET_POINTS):
             part = slice(k, k + JET_POINTS)
-            vals[part] = g(flat_ts[part], flat_segs[part])
-        return vals.reshape(ts.shape)
+            vals[part] = g(ts[part], segs[part])
+        return vals
+
+    def settle(segs, grown, prev, n):
+        # check the n-panel sums against the previous ones; the segments
+        # still open go on from these nodes
+        h = (b[segs] - a[segs]) / n
+        cur = h / 3.0 * (grown[:, 0] + grown[:, -1]
+                         + 4.0 * np.sum(grown[:, 1:-1:2], axis=1)
+                         + 2.0 * np.sum(grown[:, 2:-1:2], axis=1))
+        delta = np.abs(cur - prev)
+        done = delta < tol * np.maximum(1.0, np.abs(cur))
+        out[segs[done]] = cur[done]
+        if done.all():
+            return []
+        if n > 2 ** 18:
+            s = segs[~done][0]
+            raise QuadratureError(
+                f"Simpson refinement stalled on {where(s)}, [{a[s]}, {b[s]}] "
+                f"(last delta {delta[~done][0]:.3e} vs tol {tol:.1e})")
+        return [(segs[~done], grown[~done], cur[~done], n)]
 
     segs = np.flatnonzero(a != b)
-    h = (b[segs] - a[segs]) / 2
-    ts = np.arange(3) * h[:, None] + a[segs, None]
+    ts = np.arange(5) * ((b[segs] - a[segs]) / 4)[:, None] + a[segs, None]
     ts[:, -1] = b[segs]
-    vals = sample(ts, segs)
-    groups = [(segs, vals, h / 3.0 * (vals[:, 0] + 4.0 * vals[:, 1]
-                                      + vals[:, 2]), 2)]
+    chained = np.zeros(segs.size, dtype=bool)
+    if runs is not None:
+        runs = np.asarray(runs, dtype=float)
+        chained[1:] = (_same_bits(a[segs[1:]], b[segs[:-1]])
+                       & _same_bits(runs[segs[1:]], runs[segs[:-1]]))
+    fresh = np.ones(ts.shape, dtype=bool)
+    fresh[:, 0] = ~chained
+    vals = np.empty(ts.shape)
+    vals[fresh] = sample(ts[fresh],
+                         np.broadcast_to(segs[:, None], ts.shape)[fresh])
+    vals[chained, 0] = vals[np.flatnonzero(chained) - 1, -1]
+    prev = (b[segs] - a[segs]) / 2 / 3.0 * (vals[:, 0] + 4.0 * vals[:, 2]
+                                            + vals[:, 4])
+    groups = settle(segs, vals, prev, 4)
     while groups:
         segs, vals, prev, n = groups.pop()
         if segs.size > 1 and segs.size * n > JET_POINTS:
@@ -267,21 +306,9 @@ def nested_simpson(g, a, b, tol: float, where=lambda s: f"segment {s}"):
         grown = np.empty((segs.size, n + 1))
         grown[:, ::2] = vals
         grown[:, 1::2] = sample(
-            np.arange(1, n, 2) * h[:, None] + a[segs, None], segs)
-        cur = h / 3.0 * (grown[:, 0] + grown[:, -1]
-                         + 4.0 * np.sum(grown[:, 1:-1:2], axis=1)
-                         + 2.0 * np.sum(grown[:, 2:-1:2], axis=1))
-        delta = np.abs(cur - prev)
-        done = delta < tol * np.maximum(1.0, np.abs(cur))
-        out[segs[done]] = cur[done]
-        if done.all():
-            continue
-        if n > 2 ** 18:
-            s = segs[~done][0]
-            raise QuadratureError(
-                f"Simpson refinement stalled on {where(s)}, [{a[s]}, {b[s]}] "
-                f"(last delta {delta[~done][0]:.3e} vs tol {tol:.1e})")
-        groups.append((segs[~done], grown[~done], cur[~done], n))
+            (np.arange(1, n, 2) * h[:, None] + a[segs, None]).ravel(),
+            np.repeat(segs, n // 2)).reshape(segs.size, n // 2)
+        groups += settle(segs, grown, prev, n)
     return out
 
 
@@ -355,10 +382,20 @@ def _segment_integrals(f, a, b, fixed, along_x: bool, *form):
         return _integrals(f, a, b, fixed, along_x, *form).reshape(shape)
     except ZmcError:
         # the first failing segment in path order decides the error, as
-        # when the segments are integrated one at a time
-        for s in range(a.size):
-            _integrals(f, a[s:s + 1], b[s:s + 1], fixed[s:s + 1], along_x,
-                       *form)
+        # when the segments are integrated one at a time; every rule is
+        # checked per point, so a range of segments fails exactly when it
+        # holds a failing one, and halving the range that does finds it
+        lo, hi = 0, a.size
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                _integrals(f, a[lo:mid], b[lo:mid], fixed[lo:mid], along_x,
+                           *form)
+            except ZmcError:
+                hi = mid
+            else:
+                lo = mid
+        _integrals(f, a[lo:hi], b[lo:hi], fixed[lo:hi], along_x, *form)
         raise
 
 
@@ -374,7 +411,7 @@ def _integrals(f, a, b, fixed, along_x, direction, epsilon, tau, quad_tol):
         axis, other = ("x", "y") if along_x else ("y", "x")
         return nested_simpson(
             w, a, b, quad_tol,
-            lambda s: f"the {axis}-segment at {other} = {fixed[s]}")
+            lambda s: f"the {axis}-segment at {other} = {fixed[s]}", fixed)
 
     # lattice-backed source, jets at nodes only: endpoint-corrected
     # trapezoid (Euler-Maclaurin, O(h^4))

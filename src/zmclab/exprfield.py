@@ -391,46 +391,56 @@ def _layout(n: int, order: int):
                    if order == 2]
 
 
-def _atan2(a, b):
-    r2 = a * a + b * b
-    r4 = r2 * r2
-    return (np.arctan2(a, b), b / r2, -a / r2, -2.0 * a * b / r4,
-            (a * a - b * b) / r4, 2.0 * a * b / r4)
+def _atan2(k, a, b):
+    r2 = k and a * a + b * b
+    r4 = k > 1 and r2 * r2
+    return (np.arctan2(a, b), k and b / r2, k and -a / r2,
+            k > 1 and -2.0 * a * b / r4, k > 1 and (a * a - b * b) / r4,
+            k > 1 and 2.0 * a * b / r4)
 
 
 _POSITIVE = (lambda u: u <= 0.0, "log needs a positive argument")
 
-# name: (f and its partials through order two at the arguments, the rule
-# for the value, the rule for derivatives); a rule is (where undefined,
-# message), None where every argument is fine
+# name: (f and its partials through the pass order k at the arguments, the
+# rule for the value, the rule for derivatives); partials above order k
+# short-circuit to False and are never read, so an order-1 pass computes
+# no second partial.  A rule is (where undefined, message), None where
+# every argument is fine.
 _FUNCTIONS = {
-    "sin": (lambda u: ((s := np.sin(u)), np.cos(u), -s), None, None),
-    "cos": (lambda u: ((c := np.cos(u)), -np.sin(u), -c), None, None),
-    "tan": (lambda u: ((t := np.tan(u)), (d := 1.0 + t * t), 2.0 * t * d),
+    "sin": (lambda k, u: ((s := np.sin(u)), k and np.cos(u), k > 1 and -s),
             None, None),
-    "exp": (lambda u: ((f := np.exp(u)), f, f), None, None),
-    "log": (lambda u: (np.log(u), (d := 1.0 / u), -d * d),
+    "cos": (lambda k, u: ((c := np.cos(u)), k and -np.sin(u), k > 1 and -c),
+            None, None),
+    "tan": (lambda k, u: ((t := np.tan(u)), k and (d := 1.0 + t * t),
+                          k > 1 and 2.0 * t * d), None, None),
+    "exp": (lambda k, u: ((f := np.exp(u)), f, f), None, None),
+    "log": (lambda k, u: (np.log(u), k and (d := 1.0 / u), k > 1 and -d * d),
             _POSITIVE, _POSITIVE),
-    "sqrt": (lambda u: ((r := np.sqrt(u)), 0.5 / r, -0.25 / (r * u)),
+    "sqrt": (lambda k, u: ((r := np.sqrt(u)), k and 0.5 / r,
+                           k > 1 and -0.25 / (r * u)),
              (lambda u: u < 0.0, "sqrt needs a nonnegative argument"),
              (lambda u: u <= 0.0,
               "sqrt differentiable only for positive argument")),
-    "sinh": (lambda u: ((s := np.sinh(u)), np.cosh(u), s), None, None),
-    "cosh": (lambda u: ((c := np.cosh(u)), np.sinh(u), c), None, None),
-    "tanh": (lambda u: ((t := np.tanh(u)), (d := 1.0 - t * t), -2.0 * t * d),
+    "sinh": (lambda k, u: ((s := np.sinh(u)), k and np.cosh(u), s),
              None, None),
-    "atan": (lambda u: (np.arctan(u), (d := 1.0 / (1.0 + u * u)),
-                        -2.0 * u * d * d), None, None),
+    "cosh": (lambda k, u: ((c := np.cosh(u)), k and np.sinh(u), c),
+             None, None),
+    "tanh": (lambda k, u: ((t := np.tanh(u)), k and (d := 1.0 - t * t),
+                           k > 1 and -2.0 * t * d), None, None),
+    "atan": (lambda k, u: (np.arctan(u), k and (d := 1.0 / (1.0 + u * u)),
+                           k > 1 and -2.0 * u * d * d), None, None),
     "atan2": (_atan2, None, (lambda a, b: a * a + b * b == 0.0,
                              "atan2 undefined at the origin")),
-    "asinh": (lambda u: (np.arcsinh(u), 1.0 / (r := np.sqrt(q := 1.0 + u * u)),
-                         -u / (q * r)), None, None),
-    "acosh": (lambda u: (np.arccosh(u), 1.0 / (r := np.sqrt(q := u * u - 1.0)),
-                         -u / (q * r)),
+    "asinh": (lambda k, u: (np.arcsinh(u),
+                            k and 1.0 / (r := np.sqrt(q := 1.0 + u * u)),
+                            k > 1 and -u / (q * r)), None, None),
+    "acosh": (lambda k, u: (np.arccosh(u),
+                            k and 1.0 / (r := np.sqrt(q := u * u - 1.0)),
+                            k > 1 and -u / (q * r)),
               (lambda u: u < 1.0, "acosh needs argument >= 1"),
               (lambda u: u <= 1.0,
                "acosh differentiable only for argument > 1")),
-    "abs": (lambda u: (np.abs(u), np.sign(u), 0.0), None,
+    "abs": (lambda k, u: (np.abs(u), k and np.sign(u), 0.0), None,
             (lambda u: u == 0.0, "abs not differentiable at zero")),
 }
 
@@ -498,13 +508,14 @@ class _Taylor:
         if rule is not None:
             self.refuse(rule[0](*at), rule[1])
         chain = _chain if len(args) == 1 else _chain2
-        return chain(*args, *partials(*at), self.first, self.second)
+        return chain(*args, *partials(self.order, *at), self.first,
+                     self.second)
 
     def recip(self, u, message):
         self.refuse(u[0] == 0.0, message)
-        inv = 1.0 / u[0]
-        return _chain(u, inv, -inv * inv, 2.0 * inv * inv * inv,
-                      self.first, self.second)
+        inv, k = 1.0 / u[0], self.order
+        return _chain(u, inv, k and -inv * inv,
+                      k > 1 and 2.0 * inv * inv * inv, self.first, self.second)
 
     def power(self, a, b, expo):
         # integer exponents multiply out (left-to-right square-and-multiply
@@ -528,10 +539,10 @@ class _Taylor:
             jet = self.call("exp", _jmul(b, self.call("log", a), self.first,
                                          self.second))
             return [np.float_power(a[0], b[0]), *jet[1:]]
-        p = b[0]
+        p, k = b[0], self.order
         return _chain(a, np.float_power(a[0], p),
-                      p * np.float_power(a[0], p - 1.0),
-                      p * (p - 1.0) * np.float_power(a[0], p - 2.0),
+                      k and p * np.float_power(a[0], p - 1.0),
+                      k > 1 and p * (p - 1.0) * np.float_power(a[0], p - 2.0),
                       self.first, self.second)
 
     def walk(self, e):

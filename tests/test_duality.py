@@ -1,6 +1,7 @@
 """Chaplygin states, dual one-forms, dualize, involution, divergence probe."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -30,7 +31,11 @@ from zmclab import duality, exprfield
 from zmclab.catalog import entire_graph_pair
 from zmclab.cli import run
 from zmclab.duality import dual_jet
-from zmclab.errors import QuadratureError, ZmcError
+from zmclab.errors import (
+    NonDifferentiablePointError,
+    QuadratureError,
+    ZmcError,
+)
 from zmclab.exprfield import Jet2
 from zmclab.geometry import minimal_residual_of_jet, zmc_residual_of_jet
 
@@ -519,6 +524,76 @@ def test_nested_simpson_stall_names_segment():
                                where=lambda s: "the probe")
 
 
+def _keyed_simpson(a, b, runs, integrand):
+    """nested_simpson of integrand(ts, key) with the keys ``runs``, and the
+    number of points of each call of the integrand."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    keys = np.zeros(a.size) if runs is None else np.asarray(runs, float)
+    sizes = []
+
+    def g(ts, segs):
+        sizes.append(ts.size)
+        return integrand(ts, keys[segs])
+
+    return duality.nested_simpson(g, a, b, 1e-10, runs=runs), sizes
+
+
+@pytest.mark.parametrize("n", [1, 1000, 5000])
+def test_nested_simpson_shares_the_ends_of_chained_segments(n):
+    # a quadratic settles at the first check: a chained run of n segments
+    # costs 4n + 1 evaluations, in one call per JET_POINTS of them (two
+    # calls for 1,000 segments when the first pass sampled 3 nodes and the
+    # first doubling 2 more); unchained segments still cost 5 each
+    xs = np.linspace(0.0, 1.0, n + 1)
+
+    def quadratic(ts, keys):
+        return ts * ts + keys
+
+    for runs, points in ((np.full(n, 0.25), 4 * n + 1), (None, 5 * n)):
+        got, sizes = _keyed_simpson(xs[:-1], xs[1:], runs, quadratic)
+        assert sum(sizes) == points
+        assert len(sizes) == -(-points // duality.JET_POINTS)
+        assert max(sizes) <= duality.JET_POINTS
+        for s in range(0, n, 97):
+            key = 0.0 if runs is None else runs[s]
+            ref = _ref_simpson(lambda ts: quadratic(ts, key), xs[s],
+                               xs[s + 1], 1e-10)
+            assert got[s] == ref
+
+
+@pytest.mark.parametrize("runs, points", [
+    ([0.5, 0.5], 9),      # one line: the shared end is evaluated once
+    ([0.5, 1.5], 10),     # they meet in t on different lines
+    ([0.0, -0.0], 10),    # the keys differ in their bits alone
+])
+def test_nested_simpson_chains_only_segments_on_one_line(runs, points):
+    def quadratic(ts, keys):
+        return ts * ts + keys
+
+    got, sizes = _keyed_simpson([0.0, 1.0], [1.0, 2.0], runs, quadratic)
+    assert sum(sizes) == points
+    for s, key in enumerate(runs):
+        ref = _ref_simpson(lambda ts: quadratic(ts, key), s, s + 1.0, 1e-10)
+        assert got[s] == ref
+
+
+def test_nested_simpson_chained_refinement_matches_per_segment():
+    # segments that refine past the first check, runs of two lines with a
+    # gap on the second: every sum is the per-segment reference's
+    a = np.array([0.0, 0.3, 0.7, 0.0, 0.5, 0.6])
+    b = np.array([0.3, 0.7, 1.0, 0.5, 0.55, 0.9])
+    runs = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+
+    def wave(ts, keys):
+        return np.sin(40.0 * ts * keys)
+
+    got, sizes = _keyed_simpson(a, b, runs, wave)
+    assert sizes[0] == 5 * 6 - 3
+    for s in range(a.size):
+        ref = _ref_simpson(lambda ts: wave(ts, runs[s]), a[s], b[s], 1e-10)
+        assert got[s] == ref
+
+
 @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
 def test_bad_quad_tol_rejected(tol):
     g = field_from_text("y + x^2", Rect(5e-4, 1.0, -1.0, 1.0))
@@ -554,6 +629,59 @@ def test_dualize_batches_one_form_calls(monkeypatch):
     phi = field_from_text(HELICOID, ANNULUS_BOX)
     dualize(phi, (65, 65), (1.0, 1.0), 0.0, DualDirection.TO_STREAM, 1)
     assert 0 < len(calls) < 100
+
+
+def test_dualize_one_form_counts_are_pinned(monkeypatch):
+    # the 129^2 helicoid to-stream: 5 column blocks, one first pass per
+    # block, the shared end of two chained segments evaluated once (before
+    # the five-node first pass, 4,096-segment blocks and shared ends: 49
+    # calls and 84,848 points)
+    sizes = []
+    real = duality.dual_one_form
+
+    def counted(f, x, y, *args, **kwargs):
+        sizes.append(np.size(x))
+        return real(f, x, y, *args, **kwargs)
+
+    monkeypatch.setattr(duality, "dual_one_form", counted)
+    phi = field_from_text(HELICOID, ANNULUS_BOX)
+    dualize(phi, (129, 129), (1.25, 1.75), 0.0, DualDirection.TO_STREAM, 1)
+    assert (len(sizes), sum(sizes)) == (17, 68342)
+    assert max(sizes) <= duality.JET_POINTS
+
+
+def test_failing_segment_search_is_logarithmic(monkeypatch):
+    # a failure in the last segment of a block: halving the failing range
+    # makes at most 2 log2(block) + 2 calls of _integrals, where integrating
+    # the segments one at a time made one call per segment
+    n = duality.SEGMENT_BLOCK
+    xs = np.linspace(0.0, 1.0, n + 1)
+    sizes = []
+    real = duality._integrals
+
+    def counted(f, a, *args):
+        sizes.append(a.size)
+        return real(f, a, *args)
+
+    monkeypatch.setattr(duality, "_integrals", counted)
+    # a node of segment 1000 that only its first doubling samples, where
+    # the first pass already fails on the last segment
+    kink = float((xs[1001] - xs[1000]) / 8 + xs[1000])
+    for text, at in (("0.1*abs(x - 1) + 0.2*y", 1.0),
+                     # the first failing segment in path order names it
+                     (f"0.2*y + 0.3*x + 0.1*abs(x - {kink!r}) "
+                      "+ 0.1*abs(x - 1)", kink)):
+        f = field_from_text(text, SQ)
+        sizes.clear()
+        with pytest.raises(NonDifferentiablePointError,
+                           match=rf"^abs not differentiable at zero at "
+                                 rf"\(x, y\) = \({re.escape(repr(at))}, "
+                                 rf"0\.0\)$"):
+            duality._segment_integrals(
+                f, xs[:-1], xs[1:], 0.0, True, DualDirection.TO_STREAM, 1,
+                f.default_tau_light(), duality.QUAD_TOL)
+        assert len(sizes) <= 2 * math.log2(n) + 2
+        assert sizes[-1] == 1
 
 
 def test_dualize_and_double_dual_make_no_two_jets(monkeypatch):

@@ -20,6 +20,9 @@ from zmclab import (
 )
 from zmclab.catalog import entire_graph_pair
 from zmclab.exprfield import (
+    _FUNCTION_ARITY,
+    _FUNCTIONS,
+    _NON_FINITE,
     BinOp,
     Call,
     GridField,
@@ -109,7 +112,8 @@ _leaf = st.one_of(
 
 
 def _node(children):
-    unary = st.sampled_from(["sin", "cos", "exp", "sqrt", "tanh", "asinh"])
+    unary = st.sampled_from(
+        sorted(f for f, arity in _FUNCTION_ARITY.items() if arity == 1))
     return st.one_of(
         st.builds(Neg, children),
         st.builds(BinOp, st.sampled_from("+-*/^"), children, children),
@@ -332,27 +336,102 @@ def test_undefined_points_are_named():
 _POINT = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
 
-@given(st.recursive(_leaf, _node, max_leaves=12), _POINT, _POINT)
-@settings(max_examples=150, deadline=None)
-def test_value_gradient_and_jet_agree(tree, x, y):
+def _orders_agree(tree, x, y):
+    """Run the order 0, 1 and 2 passes of ``tree`` at (x, y), a point or
+    arrays, and check that they agree: where a higher order answers, every
+    lower one answers with the same bits (and types) in the components it
+    shares; where the order-1 pass breaks a rule, the order-2 pass breaks
+    the same one.  (Only the order-2 pass may fail alone: its second
+    partials can overflow where the gradient does not.)"""
     env = {"x": x, "y": y}
     outcomes = []
-    for query in (lambda: evaluate(tree, env), lambda: gradient(tree, env),
-                  lambda: expression_jet2(tree, x, y)):
+    for query in (lambda: [evaluate(tree, env)],
+                  lambda: (lambda v, g: [v, g["x"], g["y"]])(
+                      *gradient(tree, env)),
+                  lambda: list(vars(expression_jet2(tree, x, y)).values())):
         try:
             outcomes.append(query())
-        except NonDifferentiablePointError:
-            outcomes.append(None)
-    value, grad, jet = outcomes
-    if jet is not None:
-        assert value is not None and grad is not None
-    if value is None:
-        assert grad is None and jet is None
-    if grad is not None:
-        assert grad[0] == value
-        if jet is not None:
-            assert (jet.value, jet.gx, jet.gy) == (value, grad[1]["x"],
-                                                   grad[1]["y"])
+        except NonDifferentiablePointError as err:
+            outcomes.append(str(err))
+    for k, low in enumerate(outcomes):
+        for high in outcomes[k + 1:]:
+            if not isinstance(high, str):
+                assert not isinstance(low, str), (tree, x, y, low)
+                assert all(_same_bits(p, q) for p, q in zip(low, high)), \
+                    (tree, x, y)
+    grad, jet = outcomes[1:]
+    if isinstance(grad, str) and not grad.startswith(_NON_FINITE):
+        assert jet == grad
+    return outcomes
+
+
+def _rooted(children):
+    """One tree per head over random children: every function of the
+    table, division, and powers with a literal non-integer exponent and
+    with an expression for an exponent."""
+    heads = [st.builds(lambda *args, f=f: Call(f, args),
+                       *[children] * _FUNCTION_ARITY[f]) for f in _FUNCTIONS]
+    literal = st.floats(min_value=-4.0, max_value=4.0).filter(
+        lambda p: not p.is_integer())
+    return st.tuples(
+        *heads, st.builds(BinOp, st.just("/"), children, children),
+        st.builds(BinOp, st.just("^"), children, st.builds(Num, literal)),
+        st.builds(BinOp, st.just("^"), children, children))
+
+
+@given(_rooted(st.recursive(_leaf, _node, max_leaves=8)),
+       st.lists(st.tuples(_POINT, _POINT), min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_value_gradient_and_jet_agree(trees, points):
+    x, y = (np.array(c) for c in zip(*points))
+    for tree in trees:
+        _orders_agree(tree, float(x[0]), float(y[0]))  # a point query
+        _orders_agree(tree, x, y)                      # a lattice query
+
+
+def _sweep(tree, x, y):
+    """_orders_agree on the arrays, halving every range where some pass
+    raises, down to point queries, so that each point is checked alone."""
+    if not any(isinstance(o, str) for o in _orders_agree(tree, x, y)):
+        return
+    if x.size <= 16:
+        for p, q in zip(x.tolist(), y.tolist()):
+            _orders_agree(tree, p, q)
+        return
+    half = x.size // 2
+    _sweep(tree, x[:half], y[:half])
+    _sweep(tree, x[half:], y[half:])
+
+
+#: abscissae on and next to the boundary of every rule: zeros of both
+#: signs and subnormals, 1 and its neighbours (acosh), the overflow of
+#: exp, sinh and cosh, a pole of tan, and non-finite inputs
+_EDGES = np.array([
+    0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-200,
+    1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+    709.78, 709.79, 710.0, -745.2, -746.0, math.pi / 2, 1e154, 1e155,
+    1e308, -1e308, math.inf, -math.inf, math.nan])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("text", [
+    *(f"{f}(x)" for f in _FUNCTIONS if f != "atan2"), "atan2(y, x)",
+    "y / x", "x^2.5", "x^-1.5", "x^y"])
+def test_orders_agree_on_a_sweep(text):
+    # opt in with ``-m slow``: 10^5 seeded points per function, a fifth of
+    # them of tiny or huge magnitude, plus every pair of boundary values
+    rng = np.random.default_rng(23)
+    n = 10 ** 5
+    big = 700.0 if text in ("exp(x)", "sinh(x)", "cosh(x)") else 1e300
+    mag = np.where(rng.random(n) < 0.8, rng.uniform(0.0, 4.0, n),
+                   10.0 ** rng.uniform(-300.0, math.log10(big), n))
+    x = np.where(rng.random(n) < 0.95, 1.0, -1.0) * mag
+    y = rng.uniform(-4.0, 4.0, n)
+    ex, ey = (e.ravel() for e in np.meshgrid(_EDGES, _EDGES))
+    tree = parse(text)
+    for xs, ys in ((x, y), (ex, ey)):
+        for k in range(0, xs.size, 4096):
+            _sweep(tree, xs[k:k + 4096], ys[k:k + 4096])
 
 
 @pytest.mark.parametrize("text, dom", [
