@@ -458,22 +458,48 @@ def _literal(node):
     return sign * node.value if isinstance(node, (Num, Param, Const)) else None
 
 
+def _on_its_axes(p: np.ndarray) -> np.ndarray:
+    """A lattice p (two axes or more) cut to one contiguous slice of
+    length 1 on every axis it is constant along; broadcasting restores it.
+    A batch of points (one axis or none) stays as it is: its points seldom
+    share a coordinate, and the many small batches of the quadrature would
+    pay for the check alone.  (After ``+ 0.0`` no zero carries a sign, so
+    ``==`` compares bits; a NaN never matches and keeps its axis.)"""
+    if p.ndim < 2 or p.size == 0:
+        return p
+    for axis, n in enumerate(p.shape):
+        # the second entry along the axis before the whole array: on a
+        # lattice an axis that varies differs there
+        k = math.prod(p.shape[axis + 1:])
+        if n > 1 and p.item(0) == p.item(k):
+            first = p[(slice(None),) * axis + (slice(0, 1),)]
+            if (p == first).all():
+                p = first.copy()
+    return p
+
+
 class _Taylor:
     """The truncated Taylor jet of order 0, 1 or 2 of an expression at the
     point ``env`` (variable name -> number or array), in one pass: the
     value, one first partial per variable, then the upper-triangle second
     partials.  Components are floats at a single point and arrays of the
-    broadcast shape otherwise.  An undefined or non-finite component raises
-    NonDifferentiablePointError naming the rule and the first failing point
-    in row-major order.  (A class, not closures: a self-referencing closure
-    would keep the point's arrays alive until the cyclic collector runs.)"""
+    broadcast shape otherwise.  On a lattice each subexpression is
+    evaluated on the axes it depends on: a variable's array is cut to the
+    axes it varies along, so ``sin(4*x)`` on an nx-by-ny meshgrid runs on
+    nx values and only subexpressions that mix x and y run at full size,
+    with the bits of the node-by-node evaluation.  An undefined or
+    non-finite component raises NonDifferentiablePointError naming the rule
+    and the first failing point in row-major order.  (A class, not
+    closures: a self-referencing closure would keep the point's arrays
+    alive until the cyclic collector runs.)"""
 
     def __init__(self, env: Mapping, order: int):
         self.order = order
         self.names = tuple(env)
-        self.point = [np.asarray(env[name], dtype=float) + 0.0
-                      for name in self.names]
-        self.shape = np.broadcast_shapes(*(p.shape for p in self.point))
+        point = [np.asarray(env[name], dtype=float) + 0.0
+                 for name in self.names]
+        self.shape = np.broadcast_shapes(*(p.shape for p in point))
+        self.point = [_on_its_axes(p) for p in point]
         self.first, self.second = _layout(len(self.names), order)
         self.zeros = [0.0] * (len(self.first) + len(self.second))
         self.variables = {

@@ -389,6 +389,96 @@ def test_value_gradient_and_jet_agree(trees, points):
         _orders_agree(tree, x, y)                      # a lattice query
 
 
+def _rule(message):
+    return message.split(" at (")[0]
+
+
+def _lattice_agrees(tree, X, Y):
+    """_orders_agree on the lattice query (X, Y), and each order against
+    the point queries at its nodes: every component an array of the
+    lattice's shape with the bits of the point answers, or the error that
+    the first node in row-major order breaking the same rule gives."""
+    shape = np.broadcast_shapes(np.shape(X), np.shape(Y))
+    nodes = [_orders_agree(tree, x, y) for x, y in zip(
+        np.broadcast_to(X, shape).ravel().tolist(),
+        np.broadcast_to(Y, shape).ravel().tolist())]
+    for k, got in enumerate(_orders_agree(tree, X, Y)):
+        answers = [node[k] for node in nodes]
+        if isinstance(got, str):
+            assert got == next(a for a in answers if isinstance(a, str)
+                               and _rule(a) == _rule(got)), (tree, X, Y)
+            continue
+        assert not any(isinstance(a, str) for a in answers), (tree, X, Y)
+        for c, comp in enumerate(got):
+            assert type(comp) is np.ndarray and comp.dtype == float
+            assert comp.shape == shape and comp.flags.writeable
+            want = np.array([a[c] for a in answers]).reshape(shape)
+            assert comp.tobytes() == want.tobytes(), (tree, X, Y, k, c)
+
+
+@given(_rooted(st.recursive(_leaf, _node, max_leaves=8)),
+       st.lists(st.tuples(_POINT, _POINT), min_size=1, max_size=4))
+@settings(max_examples=30, deadline=None)
+def test_lattice_queries_agree_with_their_nodes(trees, points):
+    # lattice queries evaluate each subexpression on the axes it depends
+    # on; the bits, types and errors stay those of the nodes one by one
+    x, y = (np.array(c) for c in zip(*points))
+    lattices = [
+        # a meshgrid whose first row and column come twice, and again last
+        np.meshgrid(np.r_[x[0], x, x[0]], np.r_[y[0], y, y[0]],
+                    indexing="ij"),
+        [np.repeat(x[:, None], 3, 1), np.repeat(y[:, None], 3, 1)],
+        [np.full_like(y, x[0]), y],       # a ring's side, a 1-D batch
+    ]
+    for tree in trees:
+        for X, Y in lattices:
+            _lattice_agrees(tree, X, Y)
+
+
+@pytest.mark.parametrize("text, rule, first, first_transposed", [
+    ("log(x - 1.5)", "log needs a positive argument", "1.0, -1.0",
+     "1.0, -1.0"),
+    ("1/(x - y)", "division by zero", "2.0, 2.0", "1.0, 1.0"),
+    ("sqrt(y - x) + log(y)", "sqrt differentiable only for positive "
+     "argument", "2.0, -1.0", "2.0, -1.0"),
+])
+def test_lattice_errors_name_the_first_failing_node(text, rule, first,
+                                                    first_transposed):
+    # the first node breaking the rule in row-major order, on a meshgrid
+    # and on its transpose, whose inputs are cut along the other axis
+    xs, ys = np.array([2.0, 1.0, 3.0]), np.array([-1.0, 1.0, 2.0])
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    tree = parse(text)
+    for lattice, node in (((X, Y), first), ((X.T, Y.T), first_transposed)):
+        _lattice_agrees(tree, *lattice)
+        with pytest.raises(NonDifferentiablePointError) as err:
+            expression_jet2(tree, *lattice)
+        assert str(err.value) == f"{rule} at (x, y) = ({node})"
+
+
+def test_lattice_jets_run_each_subexpression_on_its_axes(monkeypatch):
+    from zmclab import exprfield
+    sizes = {}
+
+    def counted(name):
+        partials, *rules = _FUNCTIONS[name]
+
+        def at(k, *args):
+            sizes.setdefault(name, []).append(np.size(args[0]))
+            return partials(k, *args)
+        monkeypatch.setitem(exprfield._FUNCTIONS, name, (at, *rules))
+
+    counted("sin")
+    counted("asinh")
+    # sin(4*x) depends on x alone: 257 values, not the 33,153 nodes
+    shear = expression_jet2(parse("y + sin(4*x)"),
+                            *Rect(0, 2 * math.pi, -1, 1).meshgrid(257, 129))
+    assert sizes["sin"] == [257] and shear.value.shape == (257, 129)
+    catenoid = expression_jet2(parse("-asinh(sqrt(x^2 + y^2))"),
+                               *Rect(1, 2, 1, 2).meshgrid(129, 129))
+    assert sizes["asinh"] == [129 * 129] and catenoid.hxy.shape == (129, 129)
+
+
 def _sweep(tree, x, y):
     """_orders_agree on the arrays, halving every range where some pass
     raises, down to point queries, so that each point is checked alone."""
