@@ -196,6 +196,10 @@ def entire_graph_pair(g_text: str, params: dict | None = None,
 # explicit surfaces
 # --------------------------------------------------------------------------
 
+#: the null cylinder's graph branches t = x -/+ sqrt(a^2 - y^2)
+_CYLINDER_BRANCHES = ("x - sqrt(a^2 - y^2)", "x + sqrt(a^2 - y^2)")
+
+
 def null_cylinder(a: float = 1.0, x_extent: float = 1.0,
                   u_range: tuple = (-1.5, 1.5), y_frac: float = 0.9):
     """Circular cylinder of radius ``a`` along the light-like axis (1,0,1).
@@ -216,11 +220,10 @@ def null_cylinder(a: float = 1.0, x_extent: float = 1.0,
         parse("(x - t)^2 + y^2 - a^2", p, variables=("x", "y", "t")))
     ylim = y_frac * a
     dom = Rect(-x_extent, x_extent, -ylim, ylim)
-    lower = ExpressionField(parse("x - sqrt(a^2 - y^2)", p), dom,
-                            name="null cylinder, lower branch")
-    upper = ExpressionField(parse("x + sqrt(a^2 - y^2)", p), dom,
-                            name="null cylinder, upper branch")
-    return surface, validator, (lower, upper)
+    return surface, validator, tuple(
+        ExpressionField(parse(text, p), dom,
+                        name=f"null cylinder, {side} branch")
+        for text, side in zip(_CYLINDER_BRANCHES, ("lower", "upper")))
 
 
 def mixed_type_surface(a: float = 1.0, r_range: tuple = (1.2, 3.0)):
@@ -230,7 +233,7 @@ def mixed_type_surface(a: float = 1.0, r_range: tuple = (1.2, 3.0)):
     (r + L(r) + r cos(theta), r sin(theta), L(r)) with
     L(r) = log((a r - 1)/(a r + 1)) / (2 a); the closure satisfies
     a sinh(a t) ((x - t)^2 + y^2) + 2 (x - t) cosh(a t) = 0 with a nowhere
-    vanishing gradient along it, which `regularity_min_gradient` samples.
+    vanishing gradient along it (see ImplicitValidator.min_gradient_norm_on).
     """
     if a <= 0:
         raise ValueError("a must be positive")
@@ -275,13 +278,26 @@ def helicoid_catenoid_pair(domain: Rect = Rect(1.0, 2.0, 1.0, 2.0)):
 # CLI-facing registry
 # --------------------------------------------------------------------------
 
-def _field_entry(expr_text, domain, params=None, note=""):
-    return {
-        "kind": "field",
-        "field": {"expr": expr_text, "params": params or {},
-                  "domain": [domain.x0, domain.x1, domain.y0, domain.y1]},
-        "note": note,
-    }
+def _corners(r: Rect) -> list:
+    return [r.x0, r.x1, r.y0, r.y1]
+
+
+def _field_entry(expr_text, domain, note):
+    return {"kind": "field",
+            "field": {"expr": expr_text, "params": {},
+                      "domain": _corners(domain)},
+            "note": note}
+
+
+def _parametric_entry(surface, validator, note, **extra):
+    """The entry of a parametric surface and its implicit validator."""
+    parametric = {k: to_text(getattr(surface, k + "_expr"))
+                  for k in "xyt"}
+    return {"kind": "parametric",
+            "parametric": {**parametric, "u_range": list(surface.u_range),
+                           "v_range": list(surface.v_range),
+                           "params": surface.params},
+            "implicit": to_text(validator.expr), "note": note, **extra}
 
 
 def _catalog():
@@ -289,8 +305,7 @@ def _catalog():
     slab = timelike_slab()
     shear_dom = Rect(-1.0, 1.0, -1.0, 1.0)
     sin_dom = Rect(0.0, 2.0 * math.pi, -1.0, 1.0)
-    cyl_surface, cyl_validator, cyl_branches = null_cylinder()
-    mix_surface, mix_validator = mixed_type_surface()
+    cylinder, cylinder_validator, branches = null_cylinder()
     return {
         "plane": _field_entry("0.3*x + 0.4*y", Rect(-1, 1, -1, 1),
                               note="space-like plane, B = 0.75"),
@@ -312,44 +327,16 @@ def _catalog():
             note="shear graph; degenerate lines at the zeros of cos"),
         "shear-exp": _field_entry("y + exp(x)", shear_dom,
                                   note="shear graph, no light-like points"),
-        "null-cylinder": {
-            "kind": "parametric",
-            "parametric": {
-                "x": to_text(cyl_surface.x_expr),
-                "y": to_text(cyl_surface.y_expr),
-                "t": to_text(cyl_surface.t_expr),
-                "u_range": list(cyl_surface.u_range),
-                "v_range": list(cyl_surface.v_range),
-                "params": cyl_surface.params,
-            },
-            "implicit": to_text(cyl_validator.expr),
-            "branches": [
-                {"expr": "x - sqrt(a^2 - y^2)", "params": {"a": 1.0},
-                 "domain": [cyl_branches[0].domain.x0,
-                            cyl_branches[0].domain.x1,
-                            cyl_branches[0].domain.y0,
-                            cyl_branches[0].domain.y1]},
-                {"expr": "x + sqrt(a^2 - y^2)", "params": {"a": 1.0},
-                 "domain": [cyl_branches[1].domain.x0,
-                            cyl_branches[1].domain.x1,
-                            cyl_branches[1].domain.y0,
-                            cyl_branches[1].domain.y1]},
-            ],
-            "note": "cylinder along a light-like axis; degenerate lines y = 0",
-        },
-        "mixed-type-surface": {
-            "kind": "parametric",
-            "parametric": {
-                "x": to_text(mix_surface.x_expr),
-                "y": to_text(mix_surface.y_expr),
-                "t": to_text(mix_surface.t_expr),
-                "u_range": list(mix_surface.u_range),
-                "v_range": list(mix_surface.v_range),
-                "params": mix_surface.params,
-            },
-            "implicit": to_text(mix_validator.expr),
-            "note": "properly embedded mixed-type surface foliated by circles",
-        },
+        "null-cylinder": _parametric_entry(
+            cylinder, cylinder_validator,
+            "cylinder along a light-like axis; degenerate lines y = 0",
+            branches=[{"expr": text, "params": cylinder.params,
+                       "domain": _corners(branch.domain)}
+                      for text, branch in zip(_CYLINDER_BRANCHES,
+                                              branches)]),
+        "mixed-type-surface": _parametric_entry(
+            *mixed_type_surface(),
+            "properly embedded mixed-type surface foliated by circles"),
     }
 
 

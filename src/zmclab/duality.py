@@ -100,7 +100,9 @@ def chaplygin_of_gradient(gx, gy, p0: float, tau_light: float, x, y):
     the points (x, y): epsilon = sign(B), rho = sqrt(eps * B), (u, v) =
     (psi_y, -psi_x)/rho, c = 1/rho, p = p0 - 1/rho.  Raises
     SonicPointError at the first point where |B| is inside the light-like
-    tolerance."""
+    tolerance, and ValueError when p0 is not finite."""
+    if not math.isfinite(p0):
+        raise ValueError(f"p0 must be finite, got {p0}")
     b = b_of_gradient(gx, gy)
     refuse_lightlike(b, tau_light, x, y, SonicPointError,
                      "flow state undefined at sonic point")
@@ -461,8 +463,11 @@ def dualize(f: GraphField, res: tuple, base: tuple,
     by nested Simpson (lattice-backed sources: corrected trapezoid).  A
     defect above 100x the quadrature tolerance raises NonExactFormError:
     the source does not solve the PDE matching the requested direction.
+    A base value that is not finite raises ValueError.
     """
     epsilon = _check_epsilon(epsilon)
+    if not math.isfinite(base_value):
+        raise ValueError(f"base value must be finite, got {base_value}")
     nx, ny = res
     if nx < 3 or ny < 3:
         raise ValueError("dualize needs res >= 3x3")

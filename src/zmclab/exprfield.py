@@ -103,11 +103,6 @@ class Call:
 
 Expression = Union[Num, Const, Var, Param, Neg, BinOp, Call]
 
-_FUNCTION_ARITY = {
-    "sin": 1, "cos": 1, "tan": 1, "exp": 1, "log": 1, "sqrt": 1,
-    "sinh": 1, "cosh": 1, "tanh": 1, "atan": 1, "atan2": 2,
-    "asinh": 1, "acosh": 1, "abs": 1,
-}
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
@@ -232,7 +227,7 @@ class _Parser:
         if tok.kind == "name":
             name = tok.text
             if self.peek().kind == "lparen":
-                if name not in _FUNCTION_ARITY:
+                if name not in _FUNCTIONS:
                     raise ExpressionSyntaxError(f"unknown function {name!r}", tok.pos)
                 self.next()
                 args = [self.parse_expr()]
@@ -240,9 +235,10 @@ class _Parser:
                     self.next()
                     args.append(self.parse_expr())
                 self.expect("rparen", "')'")
-                if len(args) != _FUNCTION_ARITY[name]:
+                arity = _FUNCTIONS[name][3]
+                if len(args) != arity:
                     raise ExpressionSyntaxError(
-                        f"{name} takes {_FUNCTION_ARITY[name]} argument(s)", tok.pos)
+                        f"{name} takes {arity} argument(s)", tok.pos)
                 return Call(name, tuple(args))
             if name in self.variables:
                 return Var(name)
@@ -402,46 +398,47 @@ def _atan2(k, a, b):
 _POSITIVE = (lambda u: u <= 0.0, "log needs a positive argument")
 
 # name: (f and its partials through the pass order k at the arguments, the
-# rule for the value, the rule for derivatives); partials above order k
-# short-circuit to False and are never read, so an order-1 pass computes
-# no second partial.  A rule is (where undefined, message), None where
-# every argument is fine.
+# rule for the value, the rule for derivatives, the number of arguments);
+# partials above order k short-circuit to False and are never read, so an
+# order-1 pass computes no second partial.  A rule is (where undefined,
+# message), None where every argument is fine.  The parser knows a
+# function by its entry here, so a new function is one entry.
 _FUNCTIONS = {
     "sin": (lambda k, u: ((s := np.sin(u)), k and np.cos(u), k > 1 and -s),
-            None, None),
+            None, None, 1),
     "cos": (lambda k, u: ((c := np.cos(u)), k and -np.sin(u), k > 1 and -c),
-            None, None),
+            None, None, 1),
     "tan": (lambda k, u: ((t := np.tan(u)), k and (d := 1.0 + t * t),
-                          k > 1 and 2.0 * t * d), None, None),
-    "exp": (lambda k, u: ((f := np.exp(u)), f, f), None, None),
+                          k > 1 and 2.0 * t * d), None, None, 1),
+    "exp": (lambda k, u: ((f := np.exp(u)), f, f), None, None, 1),
     "log": (lambda k, u: (np.log(u), k and (d := 1.0 / u), k > 1 and -d * d),
-            _POSITIVE, _POSITIVE),
+            _POSITIVE, _POSITIVE, 1),
     "sqrt": (lambda k, u: ((r := np.sqrt(u)), k and 0.5 / r,
                            k > 1 and -0.25 / (r * u)),
              (lambda u: u < 0.0, "sqrt needs a nonnegative argument"),
              (lambda u: u <= 0.0,
-              "sqrt differentiable only for positive argument")),
+              "sqrt differentiable only for positive argument"), 1),
     "sinh": (lambda k, u: ((s := np.sinh(u)), k and np.cosh(u), s),
-             None, None),
+             None, None, 1),
     "cosh": (lambda k, u: ((c := np.cosh(u)), k and np.sinh(u), c),
-             None, None),
+             None, None, 1),
     "tanh": (lambda k, u: ((t := np.tanh(u)), k and (d := 1.0 - t * t),
-                           k > 1 and -2.0 * t * d), None, None),
+                           k > 1 and -2.0 * t * d), None, None, 1),
     "atan": (lambda k, u: (np.arctan(u), k and (d := 1.0 / (1.0 + u * u)),
-                           k > 1 and -2.0 * u * d * d), None, None),
+                           k > 1 and -2.0 * u * d * d), None, None, 1),
     "atan2": (_atan2, None, (lambda a, b: a * a + b * b == 0.0,
-                             "atan2 undefined at the origin")),
+                             "atan2 undefined at the origin"), 2),
     "asinh": (lambda k, u: (np.arcsinh(u),
                             k and 1.0 / (r := np.sqrt(q := 1.0 + u * u)),
-                            k > 1 and -u / (q * r)), None, None),
+                            k > 1 and -u / (q * r)), None, None, 1),
     "acosh": (lambda k, u: (np.arccosh(u),
                             k and 1.0 / (r := np.sqrt(q := u * u - 1.0)),
                             k > 1 and -u / (q * r)),
               (lambda u: u < 1.0, "acosh needs argument >= 1"),
               (lambda u: u <= 1.0,
-               "acosh differentiable only for argument > 1")),
+               "acosh differentiable only for argument > 1"), 1),
     "abs": (lambda k, u: (np.abs(u), k and np.sign(u), 0.0), None,
-            (lambda u: u == 0.0, "abs not differentiable at zero")),
+            (lambda u: u == 0.0, "abs not differentiable at zero"), 1),
 }
 
 _NON_FINITE = ("expression value is non-finite",
@@ -508,8 +505,7 @@ class _Taylor:
             for k, (name, p) in enumerate(zip(self.names, self.point), 1)}
 
     def __call__(self, expr: Expression) -> list:
-        with np.errstate(all="ignore"):
-            comps = self.walk(expr)
+        comps = self.walk_root(expr)
         out = np.empty((len(comps),) + self.shape)
         for k, comp in enumerate(comps):
             out[k] = comp
@@ -518,17 +514,27 @@ class _Taylor:
             self.refuse(~finite.all(axis=0), _NON_FINITE[self.order])
         return list(out) if self.shape else out.tolist()
 
+    def walk_root(self, expr: Expression) -> list:
+        """The walk of ``expr`` from its root, which ``refuse`` keeps."""
+        self.expr = expr
+        with np.errstate(all="ignore"):
+            return self.walk(expr)
+
     def refuse(self, bad, message):
         if np.any(bad):
             k = int(np.argmax(np.broadcast_to(bad, self.shape)))
-            coords = [repr(float(np.broadcast_to(p, self.shape).flat[k]))
-                      for p in self.point]
+            point = [np.broadcast_to(p, self.shape).flat[:k + 1]
+                     for p in self.point]
+            if k:  # a node before k may break a rule the walk meets later
+                _Taylor(dict(zip(self.names, [c[:k] for c in point])),
+                        self.order).walk_root(self.expr)
+            coords = [repr(float(c[k])) for c in point]
             raise NonDifferentiablePointError(
                 f"{message} at ({', '.join(self.names)}) = "
                 f"({', '.join(coords)})")
 
     def call(self, func, *args):
-        partials, value_rule, rule = _FUNCTIONS[func]
+        partials, value_rule, rule, _ = _FUNCTIONS[func]
         rule = rule if self.order else value_rule
         at = [u[0] for u in args]
         if rule is not None:

@@ -259,10 +259,10 @@ def refuse_lightlike(b, tau_light: float, x, y, error, message: str):
     """Raise ``error`` naming the first point, in row-major order, where
     |B| is at or below tau_light."""
     _check_tolerances(tau_light)
-    bad = np.abs(b) <= tau_light
+    x, y, bad = np.broadcast_arrays(x, y, np.abs(b) <= tau_light)
     if np.any(bad):
-        k = np.unravel_index(np.argmax(bad), np.shape(bad))
-        raise error(f"{message} ({np.asarray(x)[k]}, {np.asarray(y)[k]})")
+        k = np.argmax(bad)
+        raise error(f"{message} ({x.flat[k]}, {y.flat[k]})")
 
 
 def mean_curvature_of_jet(j: Jet2, tau_light: float, x, y):

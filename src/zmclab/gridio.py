@@ -21,11 +21,11 @@ epsilon and the class and regime names come from small tables of fields.
 A run of x-lines on which every column but y is constant is written as
 text: each line's two ends, formatted once, joined around the y fields.
 
-The causal writer takes ``CausalSamples`` (or a list of ``CausalSample``).
-Its leading lattice block, x constant along each x-line and the same y on
-every line, bit for bit, is written as a lattice; the samples after it as
-rows of one value per column.  The OBJ faces are integers, written from
-each x-line's node indices.
+The causal writer takes ``CausalSamples``.  Its leading lattice block, x
+constant along each x-line and the same y on every line, bit for bit, is
+written as a lattice; the samples after it as rows of one value per
+column.  The OBJ faces are integers, written from each x-line's node
+indices.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from .duality import FlowRegime
 from .errors import NonFiniteValueError
 from .exprfield import SampledGrid
-from .geometry import CLASSES, CausalSample, CausalSamples, LightLine
+from .geometry import CLASSES, CausalSamples, LightLine
 
 __all__ = [
     "SCHEMA",
@@ -272,25 +272,24 @@ def _lattice_block(x, y) -> tuple[int, int]:
     return int(np.logical_and.accumulate(lines).sum()), ny
 
 
-def causal_csv(samples: CausalSamples | list[CausalSample]) -> str:
+def causal_csv(samples: CausalSamples) -> str:
     """Causal-sample CSV, header ``x,y,b,bx,by,class``.  A leading lattice
     block formats each x and each y once; the rows after it format every
     value."""
-    s = CausalSamples.of(samples)
-    nx, ny = _lattice_block(s.x, s.y)
+    nx, ny = _lattice_block(samples.x, samples.y)
     n = nx * ny
     classes = _bytes(c.value for c in CLASSES)
-    lattice = [_Line(_floats(s.x[:n:max(ny, 1)], True)), ",",
-               _Place(_floats(s.y[:ny], True))]
-    for c in (s.b, s.bx, s.by):
+    lattice = [_Line(_floats(samples.x[:n:max(ny, 1)], True)), ",",
+               _Place(_floats(samples.y[:ny], True))]
+    for c in (samples.b, samples.bx, samples.by):
         lattice += [",", _Node(c[:n].reshape(nx, ny))]
     text = _text(CAUSAL_HEADER + "\n", (nx, ny), lattice + [
-        ",", _Node(s.code[:n].reshape(nx, ny), classes), "\n"])
+        ",", _Node(samples.code[:n].reshape(nx, ny), classes), "\n"])
     rest = []
-    for c in s.columns[:5]:
+    for c in samples.columns[:5]:
         rest += [_Node(c[n:, None]), ","]
-    return _text(text, (len(s) - n, 1),
-                 rest + [_Node(s.code[n:, None], classes), "\n"])
+    return _text(text, (len(samples) - n, 1),
+                 rest + [_Node(samples.code[n:, None], classes), "\n"])
 
 
 def obj_text(xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> str:

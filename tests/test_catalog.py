@@ -31,7 +31,7 @@ from zmclab.catalog import (
     emit,
 )
 from zmclab.duality import DualDirection, dual_one_form
-from zmclab.exprfield import expression_jet2
+from zmclab.exprfield import expression_jet2, parse, to_text
 from zmclab.geometry import zmc_residual_of_jet
 
 
@@ -294,6 +294,60 @@ def test_catalog_entries_emit():
         assert doc["kind"] in ("field", "parametric")
     with pytest.raises(KeyError):
         emit("does-not-exist")
+
+
+def _constructed_fields():
+    """For each field and branch entry of the registry, the fields that
+    the catalog's constructors build ("plane" has no constructor)."""
+    helicoid, catenoid = helicoid_catenoid_pair()
+    square = Rect(-1.0, 1.0, -1.0, 1.0)
+    return {
+        "helicoid": [helicoid],
+        "lorentzian-catenoid": [catenoid],
+        "timelike-slab": [timelike_slab()],
+        "shear-linear": [entire_graph_pair("x", domain=square)[0]],
+        "shear-parabola": [entire_graph_pair("x^2", domain=square)[0]],
+        "shear-sine": [entire_graph_pair(
+            "sin(x)", domain=Rect(0.0, 2.0 * math.pi, -1.0, 1.0))[0]],
+        "shear-exp": [entire_graph_pair("exp(x)", domain=square)[0]],
+        "null-cylinder": list(null_cylinder()[2]),
+    }
+
+
+def test_catalog_texts_give_the_constructors_jets():
+    # a text restated in the registry cannot drift from the constructor
+    fields = _constructed_fields()
+    assert sorted(fields) == sorted(
+        n for n, e in CATALOG.items() if n != "plane"
+        and (e["kind"] == "field" or "branches" in e))
+    for name, built in fields.items():
+        entry = CATALOG[name]
+        docs = entry["branches"] if "branches" in entry else [entry["field"]]
+        assert len(docs) == len(built)
+        for doc, f in zip(docs, built):
+            parsed = field_from_text(doc["expr"], Rect(*doc["domain"]),
+                                     doc["params"])
+            assert parsed.domain == f.domain
+            X, Y = f.domain.meshgrid(9, 7)
+            for a, b in zip(vars(parsed.jet2_grid(X, Y)).values(),
+                            vars(f.jet2_grid(X, Y)).values()):
+                assert np.array_equal(a, b), (name, doc["expr"])
+
+
+@pytest.mark.parametrize("name, build", [("null-cylinder", null_cylinder),
+                                         ("mixed-type-surface",
+                                          mixed_type_surface)])
+def test_catalog_parametric_entries_are_the_constructors(name, build):
+    surface, validator = build()[:2]
+    entry = CATALOG[name]
+    block = entry["parametric"]
+    for k in "xyt":
+        assert parse(block[k], block["params"],
+                     variables=(surface.u_name, surface.v_name)) \
+            == getattr(surface, k + "_expr")
+    assert block["u_range"] == list(surface.u_range)
+    assert block["v_range"] == list(surface.v_range)
+    assert entry["implicit"] == to_text(validator.expr)
 
 
 def test_catalog_field_entries_parse_and_classify():

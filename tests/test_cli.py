@@ -103,6 +103,26 @@ def test_bad_tolerance_is_invalid_input(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["dualize", "--field", "atan2(y, x)", "--domain", "1,2,1,2",
+     "--base", "1.5,1.5", "--base-value", "inf"],
+    ["dualize", "--field", "atan2(y, x)", "--domain", "1,2,1,2",
+     "--base", "1.5,1.5", "--base-value", "nan"],
+    ["fluid", "--field", "0.3*x + 0.4*y", "--domain=-1,1,-1,1",
+     "--p0", "nan"],
+    ["fluid", "--field", "0.3*x + 0.4*y", "--domain=-1,1,-1,1",
+     "--p0=-inf"],
+], ids=["dualize-inf", "dualize-nan", "fluid-nan", "fluid-minus-inf"])
+def test_non_finite_reference_value_is_invalid_input(tmp_path, capsys,
+                                                     argv):
+    out = tmp_path / "out.csv"
+    assert run([*argv, "--res", "9,9", "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-input"
+    assert "must be finite" in err["message"]
+    assert not out.exists()
+
+
 def test_curvature_errors_on_lightlike_lattice(tmp_path):
     code = run(["curvature", "--field", "y + x^2", "--kind", "mean",
                 "--domain=-1,1,-1,1", "--res", "9,9",
@@ -462,8 +482,8 @@ def test_writers_match_per_node_reference():
                             CausalClass.SPACE_LIKE),
                CausalSample(np.float64(0.1), -np.inf, 0.0, -1e-5, 2.5,
                             CausalClass.LIGHT_DEGENERATE)]
-    assert causal_csv(samples) == _ref_causal_csv(samples)
-    assert causal_csv([]) == _ref_causal_csv([])
+    assert causal_csv(CausalSamples.of(samples)) == _ref_causal_csv(samples)
+    assert causal_csv(CausalSamples.of([])) == _ref_causal_csv([])
     # more rows than one format call takes
     xs, ys = np.linspace(-1.0, 1.0, 70), np.linspace(0.0, 3.0, 70)
     values = np.random.default_rng(7).normal(size=(70, 70))
@@ -584,7 +604,7 @@ def _causal_samples(draw):
 def test_causal_csv_matches_per_sample_reference(samples):
     ref = _ref_causal_csv(samples)
     assert causal_csv(samples) == ref
-    assert causal_csv(list(samples)) == ref
+    assert causal_csv(CausalSamples.of(list(samples))) == ref
 
 
 def test_causal_csv_rows_off_the_lattice_in_chunks():
@@ -953,7 +973,9 @@ def test_residual_minimal_is_the_jet_formula(tmp_path):
 
 def test_traced_mode_binds_and_counts(tmp_path):
     # the benchmark's tracer wraps functions by name in every module that
-    # binds them; it refuses to install if one is gone
+    # binds them; it refuses to install if one is gone.  It counts the
+    # degenerate samples that verify_line_theorem gets by iterating them
+    # as samples with a class
     bench = Path(__file__).parents[1] / "perfbench"
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import tracing\n"
@@ -962,12 +984,18 @@ def test_traced_mode_binds_and_counts(tmp_path):
         "assert cli.run(['dualize', '--field', 'atan2(y, x)', '--domain',\n"
         "               '1,2,1,2', '--res', '9,9', '--direction',\n"
         "               'to-stream', '--base', '1.5,1.5', '--out',\n"
-        "               sys.argv[2]]) == 0\n"
+        "               sys.argv[2] + '/d.csv']) == 0\n"
+        "for verb in ('classify', 'verify-lines'):\n"
+        "    assert cli.run([verb, '--field', 'y + sin(x)', '--domain',\n"
+        "                    '0,6.3,0,1', '--res', '33,9', '--out',\n"
+        "                    sys.argv[2] + '/' + verb]) == 0\n"
         "m = t.metrics()\n"
-        "assert m['duality.dualize.calls'] == 1, m\n")
+        "assert m['duality.dualize.calls'] == 1, m\n"
+        "assert m['geometry.detect_lightlike_set.calls'] == 2, m\n"
+        "assert m['geometry.verify_line_theorem.samples'] > 0, m\n")
     env = dict(os.environ, PYTHONPATH=str(Path(zmclab.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(bench), str(tmp_path / "d.csv")],
+        [sys.executable, "-c", code, str(bench), str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 

@@ -234,6 +234,19 @@ def test_dualize_base_value_additivity():
                        rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_reference_values_are_refused(value):
+    # an infinite base value once gave all-infinite values and a NaN
+    # defect that the exactness check passed over
+    f = field_from_text(HELICOID, ANNULUS_BOX)
+    with pytest.raises(ValueError, match="base value must be finite"):
+        dualize(f, (9, 9), base=(1.5, 1.5), base_value=value,
+                direction=DualDirection.TO_STREAM, epsilon=1)
+    with pytest.raises(ValueError, match="p0 must be finite"):
+        chaplygin_state(field_from_text("0.3*x + 0.4*y", SQ), 0.0, 0.0,
+                        p0=value)
+
+
 def test_dualize_base_anchoring():
     f = field_from_text(HELICOID, ANNULUS_BOX)
     out = dualize(f, (9, 9), base=(1.5, 1.5), base_value=-3.25,

@@ -20,7 +20,6 @@ from zmclab import (
 )
 from zmclab.catalog import entire_graph_pair
 from zmclab.exprfield import (
-    _FUNCTION_ARITY,
     _FUNCTIONS,
     _NON_FINITE,
     BinOp,
@@ -88,6 +87,26 @@ def test_syntax_errors_carry_offsets():
         parse("x $ y")
 
 
+_UNARY = ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh", "tanh",
+          "atan", "asinh", "acosh", "abs")
+
+
+@pytest.mark.parametrize("text, message, offset", [
+    ("y + foo(x)", "unknown function 'foo'", 4),
+    ("y + Sin(x)", "unknown function 'Sin'", 4),
+    ("x*atan2(x)", "atan2 takes 2 argument(s)", 2),
+    ("x*atan2(x, y, 1)", "atan2 takes 2 argument(s)", 2),
+    *((f"1 + {f}(x, y)", f"{f} takes 1 argument(s)", 4) for f in _UNARY),
+])
+def test_function_syntax_errors_keep_message_and_offset(text, message,
+                                                        offset):
+    assert sorted(_FUNCTIONS) == sorted((*_UNARY, "atan2"))
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse(text)
+    assert err.value.offset == offset
+    assert str(err.value) == f"{message} (at offset {offset})"
+
+
 def test_parameters_bound_at_parse_time():
     tree = parse("a*x + b", {"a": 2.0, "b": -1.0})
     assert float(evaluate(tree, {"x": 3.0, "y": 0.0})) == 5.0
@@ -113,7 +132,7 @@ _leaf = st.one_of(
 
 def _node(children):
     unary = st.sampled_from(
-        sorted(f for f, arity in _FUNCTION_ARITY.items() if arity == 1))
+        sorted(f for f, entry in _FUNCTIONS.items() if entry[3] == 1))
     return st.one_of(
         st.builds(Neg, children),
         st.builds(BinOp, st.sampled_from("+-*/^"), children, children),
@@ -370,7 +389,8 @@ def _rooted(children):
     table, division, and powers with a literal non-integer exponent and
     with an expression for an exponent."""
     heads = [st.builds(lambda *args, f=f: Call(f, args),
-                       *[children] * _FUNCTION_ARITY[f]) for f in _FUNCTIONS]
+                       *[children] * entry[3])
+             for f, entry in _FUNCTIONS.items()]
     literal = st.floats(min_value=-4.0, max_value=4.0).filter(
         lambda p: not p.is_integer())
     return st.tuples(
@@ -441,6 +461,9 @@ def test_lattice_queries_agree_with_their_nodes(trees, points):
     ("1/(x - y)", "division by zero", "2.0, 2.0", "1.0, 1.0"),
     ("sqrt(y - x) + log(y)", "sqrt differentiable only for positive "
      "argument", "2.0, -1.0", "2.0, -1.0"),
+    # the inner sqrt fails first at x = 1, the outer log already at x = 2
+    ("log(sqrt(x - 1.5) - 1)", "log needs a positive argument", "2.0, -1.0",
+     "2.0, -1.0"),
 ])
 def test_lattice_errors_name_the_first_failing_node(text, rule, first,
                                                     first_transposed):

@@ -17,6 +17,7 @@ from zmclab import (
     LightLikePointError,
     OutOfDomainError,
     Rect,
+    SonicPointError,
     causal_b,
     classify,
     detect_lightlike_set,
@@ -31,9 +32,10 @@ from zmclab import (
     zmc_residual,
 )
 from zmclab import geometry
+from zmclab.duality import chaplygin_of_gradient
 from zmclab.geometry import (CLASSES, DUP_TOL, REFINE_TOL, _class_codes,
                              _distinct_points, causal_b_grid, classify_grid,
-                             zmc_residual_of_jet)
+                             mean_curvature_of_jet, zmc_residual_of_jet)
 
 SQ = Rect(-1.0, 1.0, -1.0, 1.0)
 
@@ -312,6 +314,21 @@ def test_mean_curvature_rejects_lightlike_points():
     f = field_from_text("y + x^2", SQ)
     with pytest.raises(LightLikePointError):
         mean_curvature(f, 0.0, 0.5)
+
+
+def test_lightlike_refusals_name_the_first_point_on_broadcast_axes():
+    # B = 1 - x^2 - y^2 vanishes at the nodes (0, 1) and (1, 0); on axes
+    # that broadcast to a lattice, the first in row-major order (x index
+    # outermost) is named
+    xs, ys = np.array([0.0, 0.5, 1.0])[:, None], np.array([0.0, 0.5, 1.0])
+    f = field_from_text("x*y", Rect(0.0, 1.0, 0.0, 1.0))
+    j = f.jet2_grid(xs, ys)
+    with pytest.raises(LightLikePointError,
+                       match=r"light-like point \(0\.0, 1\.0\)$"):
+        mean_curvature_of_jet(j, 1e-12, xs, ys)
+    with pytest.raises(SonicPointError,
+                       match=r"sonic point \(0\.0, 1\.0\)$"):
+        chaplygin_of_gradient(j.gx, j.gy, 0.0, 1e-12, xs, ys)
 
 
 def test_residual_curvature_identity():
