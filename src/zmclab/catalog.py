@@ -294,7 +294,9 @@ def _parametric_entry(surface, validator, note, **extra):
     parametric = {k: to_text(getattr(surface, k + "_expr"))
                   for k in "xyt"}
     return {"kind": "parametric",
-            "parametric": {**parametric, "u_range": list(surface.u_range),
+            "parametric": {**parametric, "u_name": surface.u_name,
+                           "v_name": surface.v_name,
+                           "u_range": list(surface.u_range),
                            "v_range": list(surface.v_range),
                            "params": surface.params},
             "implicit": to_text(validator.expr), "note": note, **extra}

@@ -236,7 +236,6 @@ def _cmd_residual(ns):
         vals = geometry.minimal_residual_of_jet(j)
     else:
         vals = geometry.zmc_residual_of_jet(j)
-    vals = np.broadcast_to(vals, X.shape)
     _emit(ns, gridio.grid_text(ns.format, *f.domain.lattice(nx, ny), vals),
           {"equation": ns.equation, "max_abs": float(np.max(np.abs(vals)))})
 

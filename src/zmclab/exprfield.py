@@ -484,11 +484,14 @@ class _Taylor:
     evaluated on the axes it depends on: a variable's array is cut to the
     axes it varies along, so ``sin(4*x)`` on an nx-by-ny meshgrid runs on
     nx values and only subexpressions that mix x and y run at full size,
-    with the bits of the node-by-node evaluation.  An undefined or
-    non-finite component raises NonDifferentiablePointError naming the rule
-    and the first failing point in row-major order.  (A class, not
-    closures: a self-referencing closure would keep the point's arrays
-    alive until the cyclic collector runs.)"""
+    with the bits of the node-by-node evaluation.  One walk decides a
+    refusal (NonDifferentiablePointError): it names the first node in
+    row-major order that breaks any rule, with the first rule the walk met
+    at that node; a non-finite component is refused, at its first node,
+    only where no rule broke.  A variable with no value is refused
+    whatever the points.  (A class, not closures: a self-referencing
+    closure would keep the point's arrays alive until the cyclic collector
+    runs.)"""
 
     def __init__(self, env: Mapping, order: int):
         self.order = order
@@ -505,33 +508,28 @@ class _Taylor:
             for k, (name, p) in enumerate(zip(self.names, self.point), 1)}
 
     def __call__(self, expr: Expression) -> list:
-        comps = self.walk_root(expr)
+        self.broken = []  # (first failing node, message) per broken rule
+        with np.errstate(all="ignore"):
+            comps = self.walk(expr)
         out = np.empty((len(comps),) + self.shape)
         for k, comp in enumerate(comps):
             out[k] = comp
         finite = np.isfinite(out)
-        if not finite.all():
+        if not (self.broken or finite.all()):
             self.refuse(~finite.all(axis=0), _NON_FINITE[self.order])
-        return list(out) if self.shape else out.tolist()
-
-    def walk_root(self, expr: Expression) -> list:
-        """The walk of ``expr`` from its root, which ``refuse`` keeps."""
-        self.expr = expr
-        with np.errstate(all="ignore"):
-            return self.walk(expr)
-
-    def refuse(self, bad, message):
-        if np.any(bad):
-            k = int(np.argmax(np.broadcast_to(bad, self.shape)))
-            point = [np.broadcast_to(p, self.shape).flat[:k + 1]
-                     for p in self.point]
-            if k:  # a node before k may break a rule the walk meets later
-                _Taylor(dict(zip(self.names, [c[:k] for c in point])),
-                        self.order).walk_root(self.expr)
-            coords = [repr(float(c[k])) for c in point]
+        if self.broken:  # min keeps the walk's first rule at the first node
+            k, message = min(self.broken, key=lambda rule: rule[0])
+            coords = [repr(float(np.broadcast_to(p, self.shape).flat[k]))
+                      for p in self.point]
             raise NonDifferentiablePointError(
                 f"{message} at ({', '.join(self.names)}) = "
                 f"({', '.join(coords)})")
+        return list(out) if self.shape else out.tolist()
+
+    def refuse(self, bad, message):
+        if np.any(bad):
+            self.broken.append(
+                (int(np.argmax(np.broadcast_to(bad, self.shape))), message))
 
     def call(self, func, *args):
         partials, value_rule, rule, _ = _FUNCTIONS[func]

@@ -538,7 +538,7 @@ def _tls_fit(pts: np.ndarray):
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     direction = vt[0]
     normal = np.array([-direction[1], direction[0]])
-    perp = float(np.max(np.abs(centered @ normal))) if len(pts) else 0.0
+    perp = float(np.max(np.abs(centered @ normal)))
     return centroid, direction, perp
 
 

@@ -72,7 +72,7 @@ def _constant_lines(column) -> np.ndarray:
     c = np.asarray(column)
     if c.dtype.kind == "f":
         c = c.view(f"i{c.itemsize}")
-    return (c == c[:, :1]).all(axis=1) & (c.shape[1] > 0)
+    return (c == c[:, :1]).all(axis=1)
 
 
 def _bytes(texts) -> np.ndarray:

@@ -343,7 +343,7 @@ def test_catalog_parametric_entries_are_the_constructors(name, build):
     block = entry["parametric"]
     for k in "xyt":
         assert parse(block[k], block["params"],
-                     variables=(surface.u_name, surface.v_name)) \
+                     variables=(block["u_name"], block["v_name"])) \
             == getattr(surface, k + "_expr")
     assert block["u_range"] == list(surface.u_range)
     assert block["v_range"] == list(surface.v_range)

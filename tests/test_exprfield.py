@@ -479,6 +479,54 @@ def test_lattice_errors_name_the_first_failing_node(text, rule, first,
         assert str(err.value) == f"{rule} at (x, y) = ({node})"
 
 
+@pytest.mark.parametrize("text, error", [
+    # two rules break first at the same node: the walk meets the left first
+    ("log(x - 1.5) + 1/(x - 1)",
+     "log needs a positive argument at (x, y) = (1.0, -1.0)"),
+    ("1/(x - 1) + log(x - 1.5)", "division by zero at (x, y) = (1.0, -1.0)"),
+    # a rule at a later node outranks a non-finite component at an earlier
+    # one (exp overflows at x = 1 and 2, log breaks at x = 3)
+    ("exp(2000*(2.5 - x)) + log(2.5 - x)",
+     "log needs a positive argument at (x, y) = (3.0, -1.0)"),
+    # a variable with no value, whatever node breaks a rule first
+    ("log(x - 2.5) + z", "no value for variable 'z'"),
+    ("log(x - 1.5) + z", "no value for variable 'z'"),
+])
+def test_lattice_refusals_are_decided_by_one_walk(monkeypatch, text, error):
+    from zmclab import exprfield
+    xs, ys = np.array([2.0, 1.0, 3.0]), np.array([-1.0, 1.0, 2.0])
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    tree = parse(text, variables=("x", "y", "z"))
+    built = []
+
+    class Counted(exprfield._Taylor):
+        def __init__(self, env, order):
+            built.append(order)
+            super().__init__(env, order)
+
+    for lattice in ((X, Y), (X.T, Y.T)):
+        _lattice_agrees(tree, *lattice)
+        env = dict(zip("xy", lattice))
+        with monkeypatch.context() as m:
+            m.setattr(exprfield, "_Taylor", Counted)
+            for query in (lambda: evaluate(tree, env),
+                          lambda: gradient(tree, env),
+                          lambda: expression_jet2(tree, *lattice)):
+                built.clear()
+                with pytest.raises(NonDifferentiablePointError) as err:
+                    query()
+                assert str(err.value) == error
+                assert len(built) == 1  # no second walk over a prefix
+
+
+def test_missing_variable_outranks_every_rule():
+    tree = parse("log(x) + z", variables=("x", "y", "z"))
+    for x in (-1.0, [-1.0, 2.0], [2.0, -1.0]):
+        with pytest.raises(NonDifferentiablePointError,
+                           match="^no value for variable 'z'$"):
+            evaluate(tree, {"x": np.array(x), "y": 0.0})
+
+
 def test_lattice_jets_run_each_subexpression_on_its_axes(monkeypatch):
     from zmclab import exprfield
     sizes = {}
