@@ -31,7 +31,7 @@ import numpy as np
 
 #: bytes per field: a sign, 17 digits, a point and ``e-308``
 WIDTH = 24
-#: values per pass, so that the temporaries stay small
+#: values per formatter pass at most, so that the temporaries stay small
 CHUNK = 4096
 
 _U = np.uint64
@@ -256,7 +256,8 @@ def fields(values) -> np.ndarray:
     ``repr(float(values.flat[i]))``."""
     v = np.ascontiguousarray(values, dtype=np.float64).ravel()
     out = np.empty((v.size, WIDTH), dtype=np.uint8)
-    for at in range(0, v.size, CHUNK):
-        out[at:at + CHUNK] = _fill(v[at:at + CHUNK]).T
+    step = -(-v.size // (-(-v.size // CHUNK) or 1)) or 1  # equal chunks
+    for at in range(0, v.size, step):
+        out[at:at + step] = _fill(v[at:at + step]).T
     return out
 

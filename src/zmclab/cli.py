@@ -338,6 +338,8 @@ def _problem_from_file(path: Path) -> DirichletProblem:
 def _cmd_solve(ns):
     if ns.problem is not None:
         problem = _problem_from_file(ns.problem)
+        # the sidecar echoes what was solved, not the flags' defaults
+        ns.res, ns.initial = (problem.nx, problem.ny), problem.initial_guess
     else:
         if not (ns.equation and ns.boundary and ns.domain):
             raise UsageError("solve needs --equation, --boundary and "

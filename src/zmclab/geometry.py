@@ -301,14 +301,19 @@ def _class_codes(b, bx, by, tau_light: float, tau_grad: float):
     space-like for B > tau_light, time-like for B < -tau_light, otherwise
     light-like, degenerate when hypot(Bx, By) <= tau_grad (never for a NaN
     hypot).  np.hypot may differ from math.hypot in the last bit, so
-    math.hypot settles the points within 4 ulps of tau_grad."""
-    g = np.hypot(bx, by)
+    math.hypot settles the points within 4 ulps of tau_grad.  Only the
+    light-like points (NaN B among them) take the gradient test."""
+    code = np.select([b > tau_light, b < -tau_light], [0, 1], 2
+                     ).astype(np.int8)
+    light = np.flatnonzero(code == 2)
+    p, q = bx[light], by[light]
+    g = np.hypot(p, q)
     degenerate = g <= tau_grad
     near = np.flatnonzero(np.abs(g - tau_grad) <= 4.0 * np.spacing(tau_grad))
-    degenerate[near] = [math.hypot(p, q) <= tau_grad for p, q in
-                        zip(bx[near].tolist(), by[near].tolist())]
-    return np.select([b > tau_light, b < -tau_light, degenerate], [0, 1, 3],
-                     2).astype(np.int8)
+    degenerate[near] = [math.hypot(u, v) <= tau_grad for u, v in
+                        zip(p[near].tolist(), q[near].tolist())]
+    code[light[degenerate]] = 3
+    return code
 
 
 def classify(f: GraphField, x: float, y: float,

@@ -13,13 +13,15 @@ row-major node order, no timestamps) so identical inputs give byte-identical
 files.  Floats are written as their ``repr``.  The CSV and OBJ writers get
 it from ``_floatrepr``, which formats a whole float64 array with numpy and
 is imported on a writer's first call.  One row assembler, ``_text``, serves
-them all: a row is separators and columns, and ``_ROWS`` rows at a time
-become one uint8 matrix of NUL-padded fields whose NUL bytes are dropped.
-The lattice coordinates are formatted once per axis; a column that is
-constant along an x-line (bitwise, so -0.0 is not 0.0) once for that line;
-epsilon and the class and regime names come from small tables of fields.
-A run of x-lines on which every column but y is constant is written as
-text: each line's two ends, formatted once, joined around the y fields.
+them all: a row is separators and columns.  It works in passes of whole
+x-lines, each holding about 12k floats over all its columns, which take
+one formatter call; a pass's rows become one uint8 block of NUL-padded
+fields whose NUL bytes are dropped.  The lattice coordinates take one call
+for both axes; a column that is constant along an x-line (bitwise, so
+-0.0 is not 0.0) is formatted once for that line; epsilon and the class
+and regime names come from small tables of fields.  A run of x-lines on
+which every column but y is constant is written as text: each line's two
+ends, formatted once, joined around the y fields.
 
 The causal writer takes ``CausalSamples``.  Its leading lattice block, x
 constant along each x-line and the same y on every line, bit for bit, is
@@ -62,17 +64,8 @@ FLUID_HEADER = "x,y,epsilon,rho,u,v,c,p,regime"
 #: the keys of a line report's records
 LINE_KEYS = ("base,direction,lifted,sample_count,perp_residual,"
              "lightlike_defect,verified")
-#: rows of text assembled per pass
-_ROWS = 2048
-
-
-def _constant_lines(column) -> np.ndarray:
-    """Whether each x-line of an nx-by-ny array holds one value throughout,
-    bit for bit for floats (-0.0 and 0.0 print differently)."""
-    c = np.asarray(column)
-    if c.dtype.kind == "f":
-        c = c.view(f"i{c.itemsize}")
-    return (c == c[:, :1]).all(axis=1)
+#: float values formatted per pass: three of ``_floatrepr.CHUNK``
+_PASS = 3 * 4096
 
 
 def _bytes(texts) -> np.ndarray:
@@ -85,25 +78,20 @@ def _bytes(texts) -> np.ndarray:
     return out
 
 
-def _floats(values, trim=False) -> np.ndarray:
-    """The repr fields of float values; ``trim`` drops the NUL columns
-    past the widest field, which pays for fields that many rows gather
-    (a lattice axis) and not for fields used once."""
+def _floats(values) -> np.ndarray:
+    """The repr fields of float values, in one formatter call."""
     from . import _floatrepr
-    out = _floatrepr.fields(values)
-    if trim:
-        used = np.flatnonzero(out.any(axis=0))
-        out = out[:, :used[-1] + 1 if used.size else 0]
-    return out
+    return _floatrepr.fields(values)
 
 
 def _packed(rows) -> bytes:
-    """The bytes of a uint8 matrix, row after row, NUL bytes dropped."""
+    """The bytes of a uint8 array, row after row, NUL bytes dropped."""
     return rows.tobytes().translate(None, b"\0")
 
 
 def _texts(rows) -> list[str]:
-    """The text of each row of a uint8 matrix, NUL bytes dropped."""
+    """The text of each row of a uint8 array, NUL bytes dropped."""
+    rows = rows.reshape(len(rows), -1)
     ends = np.cumsum(np.count_nonzero(rows, axis=1)).tolist()
     data = _packed(rows)
     return [data[a:b].decode() for a, b in zip([0, *ends], ends)]
@@ -113,49 +101,66 @@ class _Line:
     """A column whose rows on x-line i all read ``fields[i]``."""
 
     def __init__(self, fields):
-        self.fields = fields
+        self.fields, self.width = fields, fields.shape[1]
 
-    def rows(self, i, j):
-        return self.fields[i]
+    def put(self, out, a, b):
+        out[...] = self.fields[a:b, None]
 
 
-class _Place:
-    """A column whose row at place j of every x-line reads ``fields[j]``."""
+class _Place(_Line):
+    """A column whose row at place j of every x-line reads ``fields[j]``;
+    a separator is one of a single field, which every place repeats."""
 
-    def __init__(self, fields):
-        self.fields = fields
+    def put(self, out, a, b):
+        out[...] = self.fields
 
-    def rows(self, i, j):
-        return self.fields[j]
+
+def _axes(xs, ys) -> tuple[_Line, _Place]:
+    """The x values as a ``_Line`` and the y values as a ``_Place``, from
+    one formatter call; every row gathers one of each, so both drop the
+    NUL columns past their widest field."""
+    f = _floats(np.concatenate((xs, ys)))
+    x, y = (a[:, :np.max(np.flatnonzero(a.any(axis=0)), initial=-1) + 1]
+            for a in (f[:len(xs)], f[len(xs):]))
+    return _Line(x), _Place(y)
 
 
 class _Node:
     """A column of an nx-by-ny array: floats, or indices into a ``table``
     of fields.  ``same`` marks the x-lines that hold one value throughout
-    (bitwise, on lines of more than one place); such a line's value is
-    formatted once."""
+    (bit for bit, as -0.0 and 0.0 print differently, on lines of more than
+    one place); such a line's value is formatted once."""
 
     def __init__(self, values, table=None):
         self.values, self.table = values, table
-        self.same = (_constant_lines(values) if values.shape[1] > 1 else
-                     np.zeros(values.shape[0], dtype=bool))
+        c = values.view(f"i{values.itemsize}") if table is None else values
+        self.same = (c == c[:, :1]).all(axis=1) & (values.shape[1] > 1)
+        self.width = None if table is None else table.shape[1]
 
-    def _fields(self, values):
-        return _floats(values) if self.table is None else self.table[values]
+    def floats(self, a, b) -> np.ndarray:
+        """The floats that a pass over x-lines a..b formats: the nodes of
+        the lines that vary, then one value per line that does not."""
+        v, same = self.values[a:b], self.same[a:b]
+        self.start, self.ends = a, np.cumsum(np.insert(~same, 0, False))
+        return np.concatenate((v[~same].ravel(), v[same, 0]))
 
-    def rows(self, i, j):
-        """The fields of the nodes (i, j), i ascending."""
-        same = self.same[i]
-        if not same.any():
-            return self._fields(self.values[i, j])
-        # one value per x-line from i[0] to i[-1], then the rows off those
-        # lines' constants
-        lines = self.values[i[0]:i[-1] + 1, 0]
-        loose = np.flatnonzero(~same)
-        pick = i - i[0]
-        pick[loose] = lines.size + np.arange(loose.size)
-        return self._fields(np.concatenate(
-            [lines, self.values[i[loose], j[loose]]]))[pick]
+    def load(self, fields):
+        """Take the fields of the pass's ``floats``."""
+        lines, ny = self.ends[-1], self.values.shape[1]
+        self.width = fields.shape[1]
+        self.vary = fields[:lines * ny].reshape(lines, ny, self.width)
+        self.const = fields[lines * ny:]
+
+    def put(self, out, a, b):
+        """The fields of x-lines a..b, of the loaded pass for floats, at
+        their first ``out.shape[1]`` places."""
+        if self.table is not None:
+            out[...] = self.table[self.values[a:b, :out.shape[1]]]
+            return
+        same, i0, i1 = self.same[a:b], a - self.start, b - self.start
+        v0, v1 = self.ends[i0], self.ends[i1]
+        out[~same] = self.vary[v0:v1, :out.shape[1]]
+        out[same] = self.const[i0 - v0:i1 - v1, None]
 
 
 def _column(values) -> _Node:
@@ -170,46 +175,60 @@ def _column(values) -> _Node:
                  _bytes(map(str, names.tolist())))
 
 
-def _rows(parts, i, j) -> np.ndarray:
-    """The uint8 matrix of the rows of nodes (i, j): each str part
-    repeated, and each column's fields."""
-    return np.concatenate([
-        np.broadcast_to(np.frombuffer(p.encode(), dtype=np.uint8),
-                        (i.size, len(p))) if isinstance(p, str)
-        else p.rows(i, j) for p in parts], axis=1)
+def _block(parts, a, b, places) -> np.ndarray:
+    """The (b - a, places, width) uint8 block of the rows of x-lines a..b
+    at their first ``places`` places: ``_Line`` fields along axis 0,
+    ``_Place`` fields along axis 1, node fields in place."""
+    out = np.empty((b - a, places, sum(p.width for p in parts)),
+                   dtype=np.uint8)
+    at = 0
+    for p in parts:
+        p.put(out[:, :, at:at + p.width], a, b)
+        at += p.width
+    return out
 
 
 def _text(head: str, shape, parts) -> str:
     """``head``, then one row per node of an nx-by-ny lattice (x index
     outermost): ``parts`` are the row's separators (str) and columns.
 
-    Rows are assembled ``_ROWS`` at a time as one uint8 matrix of fields,
-    whose NUL bytes are dropped.  On a run of x-lines where every column
-    but the ``_Place`` one holds one value, each line's parts before and
-    after that column are assembled once, one row per line, and joined as
-    text around the places' texts."""
+    A pass takes whole x-lines, as many as hold ``_PASS`` floats (at least
+    one line): of each float column, the nodes of the lines that vary and
+    one value per line that does not, formatted in one call.  Its rows
+    are one uint8 block of fields whose NUL bytes are dropped.  On a run
+    of x-lines where every column but the ``_Place`` one holds one value,
+    each line's parts before and after that column make a block of one
+    place per line, joined as text around the places' texts."""
     nx, ny = shape
     k = next((k for k, p in enumerate(parts) if isinstance(p, _Place)), None)
-    flat = np.full(nx, k is not None)
-    for p in parts:
-        if isinstance(p, _Node):
-            flat &= p.same
-    if flat.any():
-        places = _texts(parts[k].fields)
-    out = [head]
-    bounds = [0, *(np.flatnonzero(np.diff(flat)) + 1).tolist(), nx]
-    for l0, l1 in zip(bounds, bounds[1:]):
-        if flat[l0:l1].any():
-            for a in range(l0, l1, _ROWS):
-                i = np.arange(a, min(l1, a + _ROWS))
-                heads, tails = (_texts(_rows(end, i, np.zeros_like(i)))
-                                for end in (parts[:k], parts[k + 1:]))
-                out += [h + (t + h).join(places) + t
-                        for h, t in zip(heads, tails)]
-            continue
-        for r0 in range(l0 * ny, l1 * ny, _ROWS):
-            i, j = np.divmod(np.arange(r0, min(l1 * ny, r0 + _ROWS)), ny)
-            out.append(_packed(_rows(parts, i, j)).decode())
+    parts = [_Place(np.frombuffer(p.encode(), dtype=np.uint8)[None])
+             if isinstance(p, str) else p for p in parts]
+    nodes = [p for p in parts if isinstance(p, _Node)]
+    floats = [p for p in nodes if p.table is None]
+    flat = np.all([np.full(nx, k is not None), *(p.same for p in nodes)], 0)
+    places = _texts(parts[k].fields) if flat.any() else None
+    cuts = np.flatnonzero(np.diff(flat)) + 1
+    # the floats formatted before each x-line
+    ends = np.cumsum(np.insert(sum(np.where(p.same, 1, ny) for p in floats),
+                               0, 0))
+    out, l0 = [head], 0
+    while l0 < nx:
+        l1 = max(l0 + 1, int(np.searchsorted(ends, ends[l0] + _PASS,
+                                             "right")) - 1)
+        values = [p.floats(l0, l1) for p in floats]
+        for p, f in zip(floats, np.split(_floats(np.concatenate(values)),
+                                         np.cumsum([v.size for v in values]))):
+            p.load(f)
+        bounds = [l0, *cuts[(cuts > l0) & (cuts < l1)].tolist(), l1]
+        for a, b in zip(bounds, bounds[1:]):
+            if not flat[a]:
+                out.append(_packed(_block(parts, a, b, ny)).decode())
+                continue
+            heads, tails = (_texts(_block(end, a, b, 1))
+                            for end in (parts[:k], parts[k + 1:]))
+            out += [h + (t + h).join(places) + t
+                    for h, t in zip(heads, tails)]
+        l0 = l1
     return "".join(out)
 
 
@@ -222,7 +241,7 @@ def _lattice(xs, ys, *columns):
         if np.shape(c) != shape:
             raise ValueError(f"values of shape {np.shape(c)} do not fit a "
                              f"lattice of {shape[0]} by {shape[1]} nodes")
-    return shape, _Line(_floats(xs, True)), _Place(_floats(ys, True))
+    return (shape, *_axes(xs, ys))
 
 
 def grid_csv(xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> str:
@@ -279,8 +298,8 @@ def causal_csv(samples: CausalSamples) -> str:
     nx, ny = _lattice_block(samples.x, samples.y)
     n = nx * ny
     classes = _bytes(c.value for c in CLASSES)
-    lattice = [_Line(_floats(samples.x[:n:max(ny, 1)], True)), ",",
-               _Place(_floats(samples.y[:ny], True))]
+    x, y = _axes(samples.x[:n:max(ny, 1)], samples.y[:ny])
+    lattice = [x, ",", y]
     for c in (samples.b, samples.bx, samples.by):
         lattice += [",", _Node(c[:n].reshape(nx, ny))]
     text = _text(CAUSAL_HEADER + "\n", (nx, ny), lattice + [

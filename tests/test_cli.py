@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import zmclab
-from zmclab import catalog, cli
+from zmclab import catalog, cli, gridio
 from zmclab.cli import run
 from zmclab.gridio import (causal_csv, dump_json, fluid_csv, fluid_text,
                            grid_csv, grid_text, lines_text, obj_text,
@@ -280,6 +280,22 @@ def test_solve_problem_file(tmp_path):
     grid = read_grid_csv(_read(out))
     X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
     assert float(np.max(np.abs(grid.values - (0.5 * X - Y)))) < 1e-12
+
+
+def test_solve_problem_file_sidecar_echoes_the_problem(tmp_path):
+    # the sidecar gives the file's resolution and initial guess, not the
+    # defaults of --res and --initial
+    doc = {"equation": "minimal", "domain": [1, 2, 1, 2],
+           "resolution": [9, 9], "boundary": "0.5*x - y",
+           "initial_guess": "flat"}
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps(doc))
+    out = tmp_path / "sol.csv"
+    assert run(["solve", "--problem", str(pfile), "--out", str(out)]) == 0
+    grid = read_grid_csv(_read(out))
+    assert grid.values.shape == (9, 9)
+    config = json.loads(_read(tmp_path / "sol.csv.meta.json"))["config"]
+    assert config["res"] == [9, 9] and config["initial"] == "flat"
 
 
 def test_steep_minimal_solve_stops_at_floor(tmp_path):
@@ -636,18 +652,37 @@ def _mixed_lattice(rng, nx, ny):
     return values
 
 
-def test_writers_match_per_node_reference_across_chunks():
-    # 70 x 71 = 4970 rows: more than one pass of rows and not a multiple of
-    # it, with runs of constant x-lines between varying ones
+def _formatter_calls(monkeypatch, write, *args):
+    """The text of ``write(*args)`` and how many times it called the float
+    formatter: once for the lattice axes, once per pass."""
+    calls = []
+    floats = gridio._floats
+    monkeypatch.setattr(gridio, "_floats",
+                        lambda v: calls.append(1) or floats(v))
+    text = write(*args)
+    monkeypatch.undo()
+    return text, len(calls)
+
+
+def test_writers_match_per_node_reference_across_chunks(monkeypatch):
+    # 331 x 127 nodes: every writer spans at least 3 passes of whole
+    # x-lines, its float count no multiple of the pass size, with runs of
+    # constant x-lines between varying ones
     rng = np.random.default_rng(22)
-    nx, ny = 70, 71
+    nx, ny = 331, 127
     xs = np.linspace(-1.0, 1.0, nx) * 10.0 ** rng.integers(-8, 8, nx)
     xs[[3, 4]] = -0.0, 5e-324
     ys = np.linspace(-3.0, 3.0, ny)
     ys[[0, 9]] = 0.0, -1e-5
     values = _mixed_lattice(rng, nx, ny)
-    assert grid_csv(xs, ys, values) == _ref_grid_csv(xs, ys, values)
-    assert obj_text(xs, ys, values) == _ref_obj_text(xs, ys, values)
+
+    def check(write, ref, *args):
+        text, calls = _formatter_calls(monkeypatch, write, *args)
+        assert text == ref(*args)
+        return calls
+
+    assert check(grid_csv, _ref_grid_csv, xs, ys, values) >= 1 + 3
+    assert check(obj_text, _ref_obj_text, xs, ys, values) >= 1 + 3
     special = values.copy()
     special[1, 1:30:3], special[7, 4], special[8] = np.nan, -np.inf, np.inf
     assert grid_csv(xs, ys, special) == _ref_grid_csv(xs, ys, special)
@@ -656,19 +691,34 @@ def test_writers_match_per_node_reference_across_chunks():
     eps[40:60] = -1
     parts = [eps, *(_mixed_lattice(rng, nx, ny) for _ in range(5))]
     regimes = np.where(eps > 0, "sub-sonic", "super-sonic")
-    assert (fluid_csv(xs, ys, parts, regimes)
-            == _ref_fluid_csv(xs, ys, parts, regimes))
+    assert check(fluid_csv, _ref_fluid_csv, xs, ys, parts, regimes) >= 1 + 3
     codes = rng.integers(0, 4, (nx, ny))
     codes[::3] = codes[::3, :1]
     codes[40:60] = 3
-    tail = rng.normal(size=(5, 4500)) * 10.0 ** rng.integers(-30, 30, 4500)
+    # 5,200 rows of 5 floats after the lattice block: 3 passes
+    tail = rng.normal(size=(5, 5200)) * 10.0 ** rng.integers(-30, 30, 5200)
     tail[:, ::7] = rng.choice(_POOL, (5, len(tail[0, ::7])))
     samples = CausalSamples.concat(
         CausalSamples(np.repeat(xs, ny), np.tile(ys, nx),
                       *(_mixed_lattice(rng, nx, ny).ravel() for _ in range(3)),
                       codes.ravel()),
-        CausalSamples(*tail, rng.integers(0, 4, 4500)))
-    assert causal_csv(samples) == _ref_causal_csv(samples)
+        CausalSamples(*tail, rng.integers(0, 4, 5200)))
+    assert check(causal_csv, _ref_causal_csv, samples) >= 1 + 3 + 3
+    # one x-line of many places, and many x-lines of one place
+    for shape in ((1, 30001), (30001, 1)):
+        a, b = (np.linspace(-2.0, 2.0, n) for n in shape)
+        v = rng.normal(size=shape) * 10.0 ** rng.integers(-30, 30, shape)
+        v[:, ::7] = 0.0
+        assert grid_csv(a, b, v) == _ref_grid_csv(a, b, v)
+        assert obj_text(a, b, v) == _ref_obj_text(a, b, v)
+        e = np.where(v > 0, 1, -1)
+        p = [e, *(v * k for k in range(1, 6))]
+        r = np.where(e > 0, "sub-sonic", "super-sonic")
+        assert fluid_csv(a, b, p, r) == _ref_fluid_csv(a, b, p, r)
+        X, Y = np.meshgrid(a, b, indexing="ij")
+        s = CausalSamples(X.ravel(), Y.ravel(), v.ravel(), -v.ravel(),
+                          2.0 * v.ravel(), np.arange(v.size) % 4)
+        assert causal_csv(s) == _ref_causal_csv(s)
 
 
 def _ref_json(**payload):
@@ -835,6 +885,25 @@ def test_fluid_csv_memory_is_bounded_by_its_output():
     finally:
         tracemalloc.stop()
     assert peak < 2.2 * len(text)
+
+
+def test_writers_format_in_few_passes(monkeypatch):
+    # the formatter's cost is mostly fixed per call: the axes take one call
+    # and each pass of whole x-lines about three
+    from zmclab import _floatrepr
+    calls = []
+    fill = _floatrepr._fill
+    monkeypatch.setattr(_floatrepr, "_fill",
+                        lambda v: calls.append(v.size) or fill(v))
+    rng = np.random.default_rng(1)
+    xs = ys = np.linspace(1.0, 2.0, 129)
+    grid_csv(xs, ys, rng.normal(size=(129, 129)))
+    assert len(calls) <= 6
+    calls.clear()
+    eps = np.where(rng.normal(size=(129, 129)) > 0, 1, -1)
+    fluid_csv(xs, ys, [eps, *rng.normal(size=(5, 129, 129))],
+              np.where(eps > 0, "sub-sonic", "super-sonic"))
+    assert len(calls) <= 24
 
 
 def test_causal_csv_memory_is_bounded_by_its_output():

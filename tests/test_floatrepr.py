@@ -68,6 +68,16 @@ def test_fields_are_chunked_and_laid_out():
                           _floatrepr.fields(values.ravel()))
 
 
+@pytest.mark.parametrize("size", [k * _floatrepr.CHUNK + d
+                                  for k in (1, 3) for d in (-1, 0, 1)])
+def test_fields_match_repr_around_chunk_multiples(size):
+    # the values are cut into equal chunks of at most CHUNK
+    values = np.random.default_rng(size).normal(size=size)
+    values *= 10.0 ** np.random.default_rng(1).integers(-30, 30, size)
+    values[::11] = -0.0
+    _assert_repr(values)
+
+
 @pytest.mark.slow
 def test_exhaustive_patterns_match_repr():
     # opt in with ``-m slow``: 10^7 random patterns and the 2^20 smallest

@@ -187,6 +187,40 @@ def test_class_codes_follow_the_rule_on_special_values():
         _assert_codes_follow_reference(b, bx, by, tau_light, tau_grad)
 
 
+def _full_array_class_codes(b, bx, by, tau_light, tau_grad):
+    """The rule that tested the gradient of every point, light-like or
+    not, kept as the reference of the one that tests light-like points
+    only."""
+    g = np.hypot(bx, by)
+    degenerate = g <= tau_grad
+    near = np.flatnonzero(np.abs(g - tau_grad) <= 4.0 * np.spacing(tau_grad))
+    degenerate[near] = [math.hypot(p, q) <= tau_grad for p, q in
+                        zip(bx[near].tolist(), by[near].tolist())]
+    return np.select([b > tau_light, b < -tau_light, degenerate], [0, 1, 3],
+                     2).astype(np.int8)
+
+
+_TAU_GRAD = 1e-7
+# values within 4 ulps of tau_grad; with 0.0 beside them, or as the legs
+# 0.6 and 0.8 of a hypotenuse, their hypot is too
+_NEAR_TAU = [_TAU_GRAD + k * math.ulp(_TAU_GRAD) for k in range(-4, 5)]
+_CODE_INPUTS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-9, -1e-9,
+                     0.6 * _TAU_GRAD, -0.8 * _TAU_GRAD, *_NEAR_TAU]),
+    st.floats(-1e-6, 1e-6), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@given(st.lists(st.tuples(_CODE_INPUTS, _CODE_INPUTS, _CODE_INPUTS),
+                max_size=40), st.sampled_from([_TAU_GRAD, *_NEAR_TAU]))
+@settings(max_examples=300, deadline=None)
+def test_class_codes_equal_the_full_array_rule(points, tau_grad):
+    b, bx, by = np.array(points, dtype=float).reshape(-1, 3).T
+    got = _class_codes(b, bx, by, 1e-9, tau_grad)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, _full_array_class_codes(b, bx, by, 1e-9,
+                                                       tau_grad))
+
+
 def test_causal_samples_read_like_a_list():
     samples = classify_grid(field_from_text("y + sin(x)", SQ),
                             *SQ.meshgrid(5, 3))
