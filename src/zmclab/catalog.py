@@ -112,7 +112,7 @@ class ImplicitValidator:
         k = max(2, int(math.ceil(math.sqrt(n))))
         x, y, t = surface.grid(k, k)
         norms = self.gradient_norm(x.ravel(), y.ravel(), t.ravel())
-        return float(np.min(norms[: n] if norms.size >= n else norms))
+        return float(np.min(norms[:n]))
 
 
 # --------------------------------------------------------------------------
@@ -135,11 +135,8 @@ class PotentialField(GraphField):
         self.g_expr = g_expr
         self.x_ref = min(max(0.0, domain.x0), domain.x1)
 
-    def _gjet(self, x):
-        return expression_jet2(self.g_expr, x, 0.0)
-
     def _gprime(self, x):
-        """g'(x) by an order-1 pass: the gx of ``_gjet``, bit for bit."""
+        """g'(x) by an order-1 pass: the gx of g's two-jet, bit for bit."""
         return gradient(self.g_expr, {"x": x, "y": 0.0})[1]["x"]
 
     def _jet2_grid(self, X, Y) -> Jet2:
@@ -151,7 +148,7 @@ class PotentialField(GraphField):
             lambda ts, _segs: 1.0 / self._gprime(ts),
             np.full(xs.size, self.x_ref), xs, self.QUAD_TOL,
             lambda s: f"the integral to x = {xs[s]}")[inverse]
-        j = self._gjet(X)
+        j = expression_jet2(self.g_expr, X, 0.0)
         gp = j.gx
         return Jet2(Y - integral.reshape(X.shape), -1.0 / gp,
                     np.ones_like(gp), j.hxx / (gp * gp), np.zeros_like(gp),

@@ -80,11 +80,11 @@ def _parse_epsilon(text):
     raise argparse.ArgumentTypeError("--epsilon must be +1 or -1")
 
 
-def _add_field_flags(p, domain_required=True):
+def _add_field_flags(p):
     p.add_argument("--field", required=True, help="expression in x and y")
     p.add_argument("--param", action="append", type=_param_item,
                    metavar="NAME=VALUE", help="bind a parameter (repeatable)")
-    p.add_argument("--domain", required=domain_required, type=_parse_domain,
+    p.add_argument("--domain", required=True, type=_parse_domain,
                    metavar="X0,X1,Y0,Y1")
     p.add_argument("--res", type=_parse_res, default=(65, 65), metavar="NX,NY")
 
@@ -154,12 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", action="append", type=_param_item,
                    metavar="NAME=VALUE")
     p.add_argument("--domain", type=_parse_domain, metavar="X0,X1,Y0,Y1")
-    p.add_argument("--res", type=_parse_res, default=(33, 33), metavar="NX,NY")
+    # no default: --problem refuses it, and a flag run takes 33,33
+    p.add_argument("--res", type=_parse_res, metavar="NX,NY")
     p.add_argument("--problem", type=Path,
                    help="JSON problem file {equation, domain, resolution, "
                         "boundary, tolerances}")
-    p.add_argument("--initial", choices=("harmonic", "flat"),
-                   default="harmonic")
+    p.add_argument("--initial", choices=("harmonic", "flat"))  # likewise
     _add_out_flags(p, formats=("csv", "obj", "json"))
 
     p = sub.add_parser("examples", help="list or emit catalog surfaces")
@@ -337,13 +337,20 @@ def _problem_from_file(path: Path) -> DirichletProblem:
 
 def _cmd_solve(ns):
     if ns.problem is not None:
+        mixed = [f"--{k}" for k in ("equation", "boundary", "domain", "param",
+                                    "res", "initial")
+                 if getattr(ns, k) is not None]
+        if mixed:
+            raise UsageError(f"solve --problem FILE refuses {', '.join(mixed)}"
+                             " beside it")
         problem = _problem_from_file(ns.problem)
-        # the sidecar echoes what was solved, not the flags' defaults
+        # the sidecar echoes the file's lattice and initial guess
         ns.res, ns.initial = (problem.nx, problem.ny), problem.initial_guess
     else:
         if not (ns.equation and ns.boundary and ns.domain):
             raise UsageError("solve needs --equation, --boundary and "
                              "--domain (or --problem FILE)")
+        ns.res, ns.initial = ns.res or (33, 33), ns.initial or "harmonic"
         problem = DirichletProblem(
             equation=EquationKind(ns.equation), domain=ns.domain,
             nx=ns.res[0], ny=ns.res[1], boundary=ns.boundary,

@@ -13,15 +13,15 @@ row-major node order, no timestamps) so identical inputs give byte-identical
 files.  Floats are written as their ``repr``.  The CSV and OBJ writers get
 it from ``_floatrepr``, which formats a whole float64 array with numpy and
 is imported on a writer's first call.  One row assembler, ``_text``, serves
-them all: a row is separators and columns.  It works in passes of whole
-x-lines, each holding about 12k floats over all its columns, which take
-one formatter call; a pass's rows become one uint8 block of NUL-padded
-fields whose NUL bytes are dropped.  The lattice coordinates take one call
-for both axes; a column that is constant along an x-line (bitwise, so
--0.0 is not 0.0) is formatted once for that line; epsilon and the class
-and regime names come from small tables of fields.  A run of x-lines on
-which every column but y is constant is written as text: each line's two
-ends, formatted once, joined around the y fields.
+them all: a row is separators and columns of three kinds, floats, codes
+into a table of fields (x by its x-line, the fluid epsilon and regime by
+epsilon's sign, the causal class) and places (y and the separators).  It
+works in passes of whole x-lines, each holding about 12k floats, which take
+one formatter call, as both axes take one; a pass's rows are one uint8
+block of NUL-padded fields, NUL bytes dropped.  A column constant along an
+x-line (bitwise, so -0.0 is not 0.0) takes its field once for that line; a
+run of x-lines on which every column but y is constant is written as text,
+each line's two ends joined around the y fields.
 
 The causal writer takes ``CausalSamples``.  Its leading lattice block, x
 constant along each x-line and the same y on every line, bit for bit, is
@@ -66,6 +66,9 @@ LINE_KEYS = ("base,direction,lifted,sample_count,perp_residual,"
              "lightlike_defect,verified")
 #: float values formatted per pass: three of ``_floatrepr.CHUNK``
 _PASS = 3 * 4096
+#: epsilon and the flow regime of each sign code: 0 for +1, 1 for -1
+_EPSILONS = (1, -1)
+_REGIMES = (FlowRegime.SUBSONIC.value, FlowRegime.SUPERSONIC.value)
 
 
 def _bytes(texts) -> np.ndarray:
@@ -97,88 +100,55 @@ def _texts(rows) -> list[str]:
     return [data[a:b].decode() for a, b in zip([0, *ends], ends)]
 
 
-class _Line:
-    """A column whose rows on x-line i all read ``fields[i]``."""
+class _Place:
+    """A column whose row at place j of every x-line reads ``fields[j]``;
+    a separator is one of a single field, which every place repeats."""
 
     def __init__(self, fields):
         self.fields, self.width = fields, fields.shape[1]
 
     def put(self, out, a, b):
-        out[...] = self.fields[a:b, None]
-
-
-class _Place(_Line):
-    """A column whose row at place j of every x-line reads ``fields[j]``;
-    a separator is one of a single field, which every place repeats."""
-
-    def put(self, out, a, b):
         out[...] = self.fields
 
 
-def _axes(xs, ys) -> tuple[_Line, _Place]:
-    """The x values as a ``_Line`` and the y values as a ``_Place``, from
-    one formatter call; every row gathers one of each, so both drop the
-    NUL columns past their widest field."""
-    f = _floats(np.concatenate((xs, ys)))
-    x, y = (a[:, :np.max(np.flatnonzero(a.any(axis=0)), initial=-1) + 1]
-            for a in (f[:len(xs)], f[len(xs):]))
-    return _Line(x), _Place(y)
-
-
 class _Node:
-    """A column of an nx-by-ny array: floats, or indices into a ``table``
-    of fields.  ``same`` marks the x-lines that hold one value throughout
+    """A column of an nx-by-ny array: floats, or codes into a ``table`` of
+    fields.  ``same`` marks the x-lines that hold one value throughout
     (bit for bit, as -0.0 and 0.0 print differently, on lines of more than
-    one place); such a line's value is formatted once."""
+    one place); such a line's field is formatted or looked up once."""
 
     def __init__(self, values, table=None):
         self.values, self.table = values, table
         c = values.view(f"i{values.itemsize}") if table is None else values
         self.same = (c == c[:, :1]).all(axis=1) & (values.shape[1] > 1)
-        self.width = None if table is None else table.shape[1]
 
-    def floats(self, a, b) -> np.ndarray:
-        """The floats that a pass over x-lines a..b formats: the nodes of
-        the lines that vary, then one value per line that does not."""
+    def pick(self, a, b) -> np.ndarray:
+        """The values whose fields a pass over x-lines a..b takes: the
+        nodes of the lines that vary, then one per line that does not."""
         v, same = self.values[a:b], self.same[a:b]
-        self.start, self.ends = a, np.cumsum(np.insert(~same, 0, False))
+        self.start, self.ends = a, np.concatenate(([0], np.cumsum(~same)))
         return np.concatenate((v[~same].ravel(), v[same, 0]))
 
     def load(self, fields):
-        """Take the fields of the pass's ``floats``."""
+        """Take the fields of the pass's ``pick``."""
         lines, ny = self.ends[-1], self.values.shape[1]
         self.width = fields.shape[1]
         self.vary = fields[:lines * ny].reshape(lines, ny, self.width)
         self.const = fields[lines * ny:]
 
     def put(self, out, a, b):
-        """The fields of x-lines a..b, of the loaded pass for floats, at
-        their first ``out.shape[1]`` places."""
-        if self.table is not None:
-            out[...] = self.table[self.values[a:b, :out.shape[1]]]
-            return
+        """The fields of x-lines a..b of the loaded pass at their first
+        ``out.shape[1]`` places."""
         same, i0, i1 = self.same[a:b], a - self.start, b - self.start
         v0, v1 = self.ends[i0], self.ends[i1]
         out[~same] = self.vary[v0:v1, :out.shape[1]]
         out[same] = self.const[i0 - v0:i1 - v1, None]
 
 
-def _column(values) -> _Node:
-    """A column of the ``str`` of each entry of an nx-by-ny array: the
-    repr of a float, else through a table of the distinct entries."""
-    values = np.asarray(values)
-    if values.dtype.kind == "f":
-        return _Node(values.astype(float, copy=False))
-    names, codes = np.unique(values, return_inverse=True)
-    codes = codes.astype(np.min_scalar_type(len(names)))
-    return _Node(codes.reshape(np.shape(values)),
-                 _bytes(map(str, names.tolist())))
-
-
 def _block(parts, a, b, places) -> np.ndarray:
     """The (b - a, places, width) uint8 block of the rows of x-lines a..b
-    at their first ``places`` places: ``_Line`` fields along axis 0,
-    ``_Place`` fields along axis 1, node fields in place."""
+    at their first ``places`` places: ``_Place`` fields along axis 1,
+    node fields in place."""
     out = np.empty((b - a, places, sum(p.width for p in parts)),
                    dtype=np.uint8)
     at = 0
@@ -193,9 +163,9 @@ def _text(head: str, shape, parts) -> str:
     outermost): ``parts`` are the row's separators (str) and columns.
 
     A pass takes whole x-lines, as many as hold ``_PASS`` floats (at least
-    one line): of each float column, the nodes of the lines that vary and
-    one value per line that does not, formatted in one call.  Its rows
-    are one uint8 block of fields whose NUL bytes are dropped.  On a run
+    one line): of each column, the nodes of the lines that vary and one
+    value per line that does not, floats formatted in one call and codes
+    looked up.  Its rows are one uint8 block of fields, NULs dropped.  On a run
     of x-lines where every column but the ``_Place`` one holds one value,
     each line's parts before and after that column make a block of one
     place per line, joined as text around the places' texts."""
@@ -209,16 +179,19 @@ def _text(head: str, shape, parts) -> str:
     places = _texts(parts[k].fields) if flat.any() else None
     cuts = np.flatnonzero(np.diff(flat)) + 1
     # the floats formatted before each x-line
-    ends = np.cumsum(np.insert(sum(np.where(p.same, 1, ny) for p in floats),
-                               0, 0))
+    ends = np.concatenate(([0], np.cumsum(sum(np.where(p.same, 1, ny)
+                                              for p in floats))))
     out, l0 = [head], 0
     while l0 < nx:
         l1 = max(l0 + 1, int(np.searchsorted(ends, ends[l0] + _PASS,
                                              "right")) - 1)
-        values = [p.floats(l0, l1) for p in floats]
+        values = [p.pick(l0, l1) for p in floats]
         for p, f in zip(floats, np.split(_floats(np.concatenate(values)),
                                          np.cumsum([v.size for v in values]))):
             p.load(f)
+        for p in nodes:
+            if p.table is not None:
+                p.load(p.table[p.pick(l0, l1)])
         bounds = [l0, *cuts[(cuts > l0) & (cuts < l1)].tolist(), l1]
         for a, b in zip(bounds, bounds[1:]):
             if not flat[a]:
@@ -233,15 +206,22 @@ def _text(head: str, shape, parts) -> str:
 
 
 def _lattice(xs, ys, *columns):
-    """(shape, x column, y column) of a lattice whose nx-by-ny columns
-    must all have that shape."""
+    """(shape, x, y) of a lattice whose nx-by-ny columns must all have that
+    shape: x as the codes of its x-lines into a table of fields, and y as a
+    ``_Place``, from one formatter call; every row gathers one of each, so
+    both drop the NUL columns past their widest field."""
     xs, ys = (np.asarray(a, dtype=float).ravel() for a in (xs, ys))
-    shape = (xs.size, ys.size)
+    nx, ny = xs.size, ys.size
     for c in columns:
-        if np.shape(c) != shape:
+        if np.shape(c) != (nx, ny):
             raise ValueError(f"values of shape {np.shape(c)} do not fit a "
-                             f"lattice of {shape[0]} by {shape[1]} nodes")
-    return (shape, *_axes(xs, ys))
+                             f"lattice of {nx} by {ny} nodes")
+    f = _floats(np.concatenate((xs, ys)))
+    x, y = (a[:, :np.max(np.flatnonzero(a.any(axis=0)), initial=-1) + 1]
+            for a in (f[:nx], f[nx:]))
+    lines = np.arange(nx, dtype=np.min_scalar_type(nx))[:, None]
+    x = _Node(np.broadcast_to(lines, (nx, ny)), x)
+    return (nx, ny), x, _Place(y)
 
 
 def grid_csv(xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> str:
@@ -251,15 +231,29 @@ def grid_csv(xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> str:
         x, ",", y, ",", _Node(np.asarray(values, dtype=float)), "\n"])
 
 
-def fluid_csv(xs: np.ndarray, ys: np.ndarray, parts, regimes) -> str:
+def _sign_codes(eps) -> np.ndarray:
+    """0 where epsilon is +1 and 1 where it is -1; a ValueError names the
+    first node that holds anything else."""
+    minus = np.equal(eps, -1)
+    bad = ~minus & np.not_equal(eps, 1)
+    if bad.any():
+        raise ValueError("epsilon is not +1 or -1 at node "
+                         f"{tuple(np.argwhere(bad)[0].tolist())}")
+    return minus.view(np.uint8)
+
+
+def fluid_csv(xs: np.ndarray, ys: np.ndarray, parts) -> str:
     """Chaplygin-state CSV, header ``x,y,epsilon,rho,u,v,c,p,regime``, rows
-    row-major: ``parts`` are the (epsilon, rho, u, v, c, p) arrays and
-    ``regimes`` the regime names, all of shape (nx, ny)."""
-    shape, x, y = _lattice(xs, ys, *parts, regimes)
-    row = [x, ",", y]
-    for c in (*parts, regimes):
-        row += [",", _column(c)]
-    return _text(FLUID_HEADER + "\n", shape, row + ["\n"])
+    row-major: ``parts`` are the (epsilon, rho, u, v, c, p) arrays of shape
+    (nx, ny).  Epsilon must be +1 or -1; it prints as ``1`` or ``-1``, and
+    the regime is read from it."""
+    shape, x, y = _lattice(xs, ys, *parts)
+    sign = _sign_codes(parts[0])
+    row = [x, ",", y, ",", _Node(sign, _bytes(map(str, _EPSILONS)))]
+    for c in parts[1:]:
+        row += [",", _Node(np.asarray(c, dtype=float))]
+    return _text(FLUID_HEADER + "\n", shape,
+                 row + [",", _Node(sign, _bytes(_REGIMES)), "\n"])
 
 
 def read_grid_csv(text: str) -> SampledGrid:
@@ -298,7 +292,7 @@ def causal_csv(samples: CausalSamples) -> str:
     nx, ny = _lattice_block(samples.x, samples.y)
     n = nx * ny
     classes = _bytes(c.value for c in CLASSES)
-    x, y = _axes(samples.x[:n:max(ny, 1)], samples.y[:ny])
+    _, x, y = _lattice(samples.x[:n:max(ny, 1)], samples.y[:ny])
     lattice = [x, ",", y]
     for c in (samples.b, samples.bx, samples.by):
         lattice += [",", _Node(c[:n].reshape(nx, ny))]
@@ -373,15 +367,16 @@ def samples_text(fmt: str, samples: CausalSamples) -> str:
 
 def fluid_text(fmt: str, xs, ys, parts) -> str:
     """Chaplygin states, ``parts`` the (epsilon, rho, u, v, c, p) arrays of
-    shape (nx, ny), as fluid CSV or JSON ``{states}``; the regime is read
-    from epsilon."""
-    regimes = np.where(parts[0] > 0, FlowRegime.SUBSONIC.value,
-                       FlowRegime.SUPERSONIC.value)
+    shape (nx, ny), as fluid CSV or JSON ``{states}``; epsilon must be +1
+    or -1, and the regime is read from it."""
     if fmt == "csv":
-        return fluid_csv(xs, ys, parts, regimes)
+        return fluid_csv(xs, ys, parts)
+    sign = _sign_codes(parts[0])
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     return dump_json({"states": _records(FLUID_HEADER, zip(
-        *(np.ravel(a).tolist() for a in (X, Y, *parts, regimes))))})
+        *(np.ravel(a).tolist() for a in (
+            X, Y, np.take(_EPSILONS, sign), *parts[1:],
+            np.take(_REGIMES, sign)))))})
 
 
 def lines_text(lines: list[LightLine]) -> str:

@@ -298,6 +298,38 @@ def test_solve_problem_file_sidecar_echoes_the_problem(tmp_path):
     assert config["res"] == [9, 9] and config["initial"] == "flat"
 
 
+@pytest.mark.parametrize("flags", [
+    ["--equation", "maximal"], ["--boundary", "y"], ["--domain", "0,1,0,1"],
+    ["--param", "a=2"], ["--res", "5,5"], ["--initial", "flat"],
+    ["--domain", "0,1,0,1", "--equation", "maximal", "--boundary", "y",
+     "--param", "a=2", "--res", "5,5"],
+])
+def test_solve_problem_file_refuses_the_problem_flags(tmp_path, capsys,
+                                                      flags):
+    # the file gives the whole problem: a flag beside it would be ignored
+    # and echoed as if it had been solved
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps(
+        {"equation": "minimal", "domain": [1, 2, 1, 2],
+         "resolution": [9, 9], "boundary": "x"}))
+    out = tmp_path / "sol.csv"
+    assert run(["solve", "--problem", str(pfile), *flags,
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    assert all(f in err for f in flags if f.startswith("--"))
+    assert not out.exists()
+
+
+def test_solve_flag_run_echoes_the_default_lattice_and_guess(tmp_path):
+    out = tmp_path / "sol.csv"
+    assert run(["solve", "--equation", "minimal", "--boundary", "x",
+                "--domain", "1,2,1,2", "--out", str(out)]) == 0
+    config = json.loads(_read(tmp_path / "sol.csv.meta.json"))["config"]
+    assert config["res"] == [33, 33] and config["initial"] == "harmonic"
+    assert read_grid_csv(_read(out)).values.shape == (33, 33)
+
+
 def test_steep_minimal_solve_stops_at_floor(tmp_path):
     # 1e-10 lies below what rounding puts into this residual; the floor
     # weighs the coefficients 1 + p^2 and the solve stops there
@@ -473,11 +505,11 @@ def _ref_obj_text(xs, ys, values):
     return "".join(out)
 
 
-def _ref_fluid_csv(xs, ys, parts, regimes):
+def _ref_fluid_csv(xs, ys, parts):
     eps, *rest = parts
     rows = [f"{float(x)!r},{float(y)!r},{int(eps[i, j])},"
             + "".join(f"{float(a[i, j])!r}," for a in rest)
-            + f"{regimes[i, j]}\n"
+            + ("sub-sonic" if eps[i, j] > 0 else "super-sonic") + "\n"
             for i, x in enumerate(xs) for j, y in enumerate(ys)]
     return "x,y,epsilon,rho,u,v,c,p,regime\n" + "".join(rows)
 
@@ -536,9 +568,8 @@ def test_writers_match_per_node_reference_on_random_lattices(lattice):
     xs, ys, finite, values, eps, floats = lattice
     assert obj_text(xs, ys, finite) == _ref_obj_text(xs, ys, finite)
     assert grid_csv(xs, ys, values) == _ref_grid_csv(xs, ys, values)
-    parts, regimes = [eps, *floats], np.where(eps > 0, "sub", "super")
-    assert (fluid_csv(xs, ys, parts, regimes)
-            == _ref_fluid_csv(xs, ys, parts, regimes))
+    parts = [eps, *floats]
+    assert fluid_csv(xs, ys, parts) == _ref_fluid_csv(xs, ys, parts)
 
 
 _GRID_VERBS = {
@@ -585,7 +616,7 @@ def test_fluid_file_matches_per_node_reference(tmp_path):
     parts = [table[k] for k in ("epsilon", "rho", "u", "v", "c", "p")]
     assert run(argv + [str(tmp_path / "f.csv")]) == 0
     assert _read(tmp_path / "f.csv") == _ref_fluid_csv(
-        table["x"][:, 0], table["y"][0], parts, table["regime"])
+        table["x"][:, 0], table["y"][0], parts)
 
 
 @st.composite
@@ -690,8 +721,7 @@ def test_writers_match_per_node_reference_across_chunks(monkeypatch):
     eps[::2] = 1
     eps[40:60] = -1
     parts = [eps, *(_mixed_lattice(rng, nx, ny) for _ in range(5))]
-    regimes = np.where(eps > 0, "sub-sonic", "super-sonic")
-    assert check(fluid_csv, _ref_fluid_csv, xs, ys, parts, regimes) >= 1 + 3
+    assert check(fluid_csv, _ref_fluid_csv, xs, ys, parts) >= 1 + 3
     codes = rng.integers(0, 4, (nx, ny))
     codes[::3] = codes[::3, :1]
     codes[40:60] = 3
@@ -713,8 +743,7 @@ def test_writers_match_per_node_reference_across_chunks(monkeypatch):
         assert obj_text(a, b, v) == _ref_obj_text(a, b, v)
         e = np.where(v > 0, 1, -1)
         p = [e, *(v * k for k in range(1, 6))]
-        r = np.where(e > 0, "sub-sonic", "super-sonic")
-        assert fluid_csv(a, b, p, r) == _ref_fluid_csv(a, b, p, r)
+        assert fluid_csv(a, b, p) == _ref_fluid_csv(a, b, p)
         X, Y = np.meshgrid(a, b, indexing="ij")
         s = CausalSamples(X.ravel(), Y.ravel(), v.ravel(), -v.ravel(),
                           2.0 * v.ravel(), np.arange(v.size) % 4)
@@ -840,8 +869,41 @@ def test_writers_refuse_values_off_the_lattice(shape):
         with pytest.raises((ValueError, TypeError)):
             write(xs, ys, values)
     with pytest.raises((ValueError, TypeError)):
-        fluid_csv(xs, ys, [values.astype(int), *[values] * 5],
-                  np.full(shape, "sub"))
+        fluid_csv(xs, ys, [values.astype(int), *[values] * 5])
+
+
+@pytest.mark.parametrize("bad", [0, 2, np.nan])
+def test_fluid_csv_refuses_an_epsilon_other_than_plus_or_minus_one(bad):
+    xs, ys = np.arange(3.0), np.arange(2.0)
+    eps = np.ones((3, 2))
+    eps[2, 1] = bad
+    with pytest.raises(ValueError, match=r"at node \(2, 1\)"):
+        fluid_csv(xs, ys, [eps, *np.ones((5, 3, 2))])
+
+
+def test_fluid_csv_prints_a_float_epsilon_as_an_integer():
+    xs, ys = np.arange(3.0), np.arange(2.0)
+    eps = np.array([[1, -1], [-1, -1], [1, 1]])
+    floats = list(np.random.default_rng(3).normal(size=(5, 3, 2)))
+    text = fluid_csv(xs, ys, [eps.astype(float), *floats])
+    assert text == fluid_csv(xs, ys, [eps, *floats])
+    assert text == _ref_fluid_csv(xs, ys, [eps, *floats])
+
+
+def test_fluid_text_sorts_nothing(monkeypatch):
+    # the regime and the printed epsilon are read from epsilon's sign
+    def unique(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    xs = ys = np.linspace(-1.0, 1.0, 9)
+    eps = np.where(np.add.outer(xs, ys) > 0, 1, -1)
+    parts = [eps, *np.random.default_rng(4).normal(size=(5, 9, 9))]
+    monkeypatch.setattr(np, "unique", unique)
+    csv = fluid_text("csv", xs, ys, parts)
+    doc = fluid_text("json", xs, ys, parts)
+    monkeypatch.undo()
+    assert csv == _ref_fluid_csv(xs, ys, parts)
+    assert doc == _ref_fluid_json(xs, ys, parts)
 
 
 def test_grid_csv_memory_is_bounded_by_its_output():
@@ -877,10 +939,9 @@ def test_fluid_csv_memory_is_bounded_by_its_output():
     xs = ys = np.linspace(1.0, 2.0, 257)
     eps = np.where(rng.normal(size=(257, 257)) > 0, 1, -1)
     parts = [eps, *rng.normal(size=(5, 257, 257))]
-    regimes = np.where(eps > 0, "sub-sonic", "super-sonic")
     tracemalloc.start()
     try:
-        text = fluid_csv(xs, ys, parts, regimes)
+        text = fluid_csv(xs, ys, parts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -901,8 +962,7 @@ def test_writers_format_in_few_passes(monkeypatch):
     assert len(calls) <= 6
     calls.clear()
     eps = np.where(rng.normal(size=(129, 129)) > 0, 1, -1)
-    fluid_csv(xs, ys, [eps, *rng.normal(size=(5, 129, 129))],
-              np.where(eps > 0, "sub-sonic", "super-sonic"))
+    fluid_csv(xs, ys, [eps, *rng.normal(size=(5, 129, 129))])
     assert len(calls) <= 24
 
 
