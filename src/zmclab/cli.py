@@ -208,23 +208,14 @@ def _field_of(ns):
     return field_from_text(ns.field, ns.domain, _parse_params(ns.param))
 
 
-def _lightlike_set(ns, f):
-    return geometry.detect_lightlike_set(f, *ns.res, tau_light=ns.tol_light,
-                                         tau_grad=ns.tol_grad)
-
-
 def _cmd_classify(ns):
-    f = _field_of(ns)
-    nx, ny = ns.res
-    xs, ys = f.domain.lattice(nx, ny)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    samples = geometry.classify_grid(f, X, Y, tau_light=ns.tol_light,
-                                     tau_grad=ns.tol_grad)
-    refined = _lightlike_set(ns, f)
-    on_lattice = np.isin(refined.x, xs) & np.isin(refined.y, ys)
-    samples = geometry.CausalSamples.concat(samples, refined[~on_lattice])
+    f, X, Y, tau = _lattice(ns)
+    lattice = geometry.classify_grid(f, X, Y, tau, ns.tol_grad)
+    light, node = geometry._lightlike_scan(f, *ns.res, lattice.columns[:5],
+                                           tau, ns.tol_grad)
+    samples = geometry.CausalSamples.concat(lattice, light[~node])
     _emit(ns, gridio.samples_text(ns.format, samples),
-          {"nodes": nx * ny, "refined": len(refined)})
+          {"nodes": X.size, "refined": len(light)})
 
 
 def _cmd_residual(ns):
@@ -268,14 +259,16 @@ def _cmd_fluid(ns):
 
 
 def _cmd_detect(ns):
-    samples = _lightlike_set(ns, _field_of(ns))
+    samples = geometry.detect_lightlike_set(_field_of(ns), *ns.res,
+                                            ns.tol_light, ns.tol_grad)
     _emit(ns, gridio.samples_text(ns.format, samples),
           {"count": len(samples)})
 
 
 def _cmd_verify_lines(ns):
     f = _field_of(ns)
-    samples = _lightlike_set(ns, f)
+    samples = geometry.detect_lightlike_set(f, *ns.res, ns.tol_light,
+                                            ns.tol_grad)
     lines = geometry.verify_line_theorem(samples, f)
     _emit(ns, gridio.lines_text(lines),
           {"degenerate_samples": int(np.count_nonzero(samples.in_class(

@@ -333,9 +333,9 @@ def classify_grid(f: GraphField, X, Y,
     _check_tolerances(tau_light, tau_grad)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    X, Y, *bs = np.broadcast_arrays(X, Y, *causal_b_grid(f, X, Y))
-    code = _class_codes(*(a.ravel() for a in bs), tau_light, tau_grad)
-    return CausalSamples(X, Y, *bs, code)
+    rows = np.stack(np.broadcast_arrays(X, Y, *causal_b_grid(f, X, Y)))
+    code = _class_codes(*rows[2:].reshape(3, -1), tau_light, tau_grad)
+    return CausalSamples._adopt([*rows, code])
 
 
 def zmc_residual(f: GraphField, x: float, y: float) -> float:
@@ -348,9 +348,8 @@ def minimal_residual(f: GraphField, x: float, y: float) -> float:
     return minimal_residual_of_jet(f.jet2(x, y))
 
 
-def timelike_residual(f: GraphField, x: float, y: float) -> float:
-    """Time-like branch of the dual equation; same form as zmc_residual."""
-    return zmc_residual_of_jet(f.jet2(x, y))
+#: the time-like branch of the dual equation has the ZMC operator's form
+timelike_residual = zmc_residual
 
 
 def mean_curvature(f: GraphField, x: float, y: float,
@@ -386,16 +385,15 @@ def lightlike_identity_check(f: GraphField, nx: int = 101,
 # light-like set detection
 # --------------------------------------------------------------------------
 
-def _refine_edges(f: GraphField, coords, nodes, n0, n1, comp, g_tol,
-                  tol: float):
+def _refine_edges(f: GraphField, rows, n0, n1, comp, g_tol, tol: float):
     """Refine a zero of g on each of an array of lattice edges, one lattice
     jet per pass at one new point on each edge still open.
 
     Edge k runs along one axis from node ``n0[k]`` to node ``n1[k]``, flat
-    indices into the (x, y) rows of ``coords`` and the (B, Bx, By) rows of
-    ``nodes``; g is component ``comp[k]`` of (B, Bx, By), of opposite signs
-    at the two ends.  Each pass keeps the sign bracket [lo, hi] and puts
-    the new point at the weight w along it given by
+    indices into the (x, y, B, Bx, By) rows of ``rows``; g is component
+    ``comp[k]`` of (B, Bx, By), of opposite signs at the two ends.  Each
+    pass keeps the sign bracket [lo, hi] and puts the new point at the
+    weight w along it given by
       - false position, w = g_lo / (g_lo - g_hi), on stored ends whose g
         is halved when that end is kept twice running (Illinois);
       - moved to at least tol/2 inside each end, so that a zero on a node
@@ -407,14 +405,14 @@ def _refine_edges(f: GraphField, coords, nodes, n0, n1, comp, g_tol,
         ``g_tol[k]``: there g is rounding noise with no zero to refine.
     An edge closes when its bracket is within ``tol`` and the smallest |g|
     seen within ``g_tol[k]``, at float resolution, at an exact zero or
-    after 200 passes.  Returns the points of the smallest |g| seen and B
-    there.
+    after 200 passes.  Returns the (x, y, B, Bx, By) rows of the points of
+    the smallest |g| seen: an end node's own row where no pass improved.
     """
-    lo, hi = coords[:, n0], coords[:, n1]
-    g_lo, g_hi = nodes[comp, n0], nodes[comp, n1]
+    lo, hi = rows[:2, n0], rows[:2, n1]
+    g_lo, g_hi = rows[2 + comp, n0], rows[2 + comp, n1]
     top = np.abs(g_hi) < np.abs(g_lo)
-    best, best_g = np.where(top, hi, lo), np.abs(np.where(top, g_hi, g_lo))
-    best_b = nodes[0, np.where(top, n1, n0)]
+    best = rows[:, np.where(top, n1, n0)]
+    best_g = np.abs(np.where(top, g_hi, g_lo))
     # ceil(log2(span0 / tol)) from the binary exponent, exact
     frac, exp = np.frexp((hi - lo).sum(axis=0) / tol)
     n_max = exp - (frac == 0.5) + 2
@@ -439,8 +437,8 @@ def _refine_edges(f: GraphField, coords, nodes, n0, n1, comp, g_tol,
         bm = np.stack(causal_b_grid(f, *t))
         g = bm[comp[k], np.arange(k.size)]
         better = np.abs(g) < best_g[k]
-        best[:, k[better]], best_g[k[better]] = t[:, better], np.abs(g[better])
-        best_b[k[better]] = bm[0, better]
+        best[:, k[better]] = np.concatenate([t, bm])[:, better]
+        best_g[k[better]] = np.abs(g[better])
         left = (a < 0.0) != (g < 0.0)
         g_lo[k[left & (kept[k] == -1)]] *= 0.5
         g_hi[k[~left & (kept[k] == 1)]] *= 0.5
@@ -448,11 +446,11 @@ def _refine_edges(f: GraphField, coords, nodes, n0, n1, comp, g_tol,
         lo[:, k[~left]], g_lo[k[~left]] = t[:, ~left], g[~left]
         kept[k] = np.where(left, -1, 1)
         open_[k[g == 0.0]] = False
-    return best, best_b
+    return best
 
 
 def _distinct_points(x, y):
-    """The points (x, y) in (x, y) order, less each point that lies within
+    """Indices of the points (x, y) in (x, y) order, less each one within
     DUP_TOL in both x and y of an earlier point kept (the greedy rule: the
     first of a chain is kept, the second dropped, the third kept when it is
     further than DUP_TOL from the first, and so on)."""
@@ -477,7 +475,41 @@ def _distinct_points(x, y):
     for p, q in zip(i[by_later].tolist(), j[by_later].tolist()):
         if keep[p]:  # settled: every pair ending at p came earlier
             keep[q] = False
-    return x[keep], y[keep]
+    return order[keep]
+
+
+def _lightlike_scan(f: GraphField, nx: int, ny: int, cols, tau_light: float,
+                    tau_grad: float):
+    """``detect_lightlike_set`` from the (x, y, B, Bx, By) columns of the
+    nx x ny lattice, row-major in x, and a mask of its node members; each
+    member is classified with the B, Bx, By it was found with."""
+    rows = np.stack(cols).reshape(5, -1)
+    hits = [rows[:, np.abs(rows[2]) <= tau_light]]
+
+    if f.jet_mode == "exact":
+        # every edge where B changes sign, else where B's derivative along
+        # it does (g), as the flat indices of its ends, x-edges first
+        b = rows[2:].reshape(3, nx, ny)
+        edges = []
+        for d, step, e0, e1 in ((1, ny, b[:, :-1], b[:, 1:]),
+                                (2, 1, b[:, :, :-1], b[:, :, 1:])):
+            zero = e0[0] * e1[0] < 0.0
+            i, j = np.nonzero(zero | (e0[d] * e1[d] < 0.0))
+            first = i * ny + j
+            edges.append((first, first + step, np.where(zero[i, j], 0, d)))
+        n0, n1, comp = map(np.concatenate, zip(*edges))
+        best = _refine_edges(f, rows, n0, n1, comp,
+                             np.where(comp == 0, tau_light, tau_grad),
+                             REFINE_TOL)
+        hits.append(best[:, (comp == 0) | (np.abs(best[2]) <= tau_light)])
+
+    # node hits and refined edge hits of one point land within REFINE_TOL
+    # of each other; a node hit comes first among equal points
+    rows = np.concatenate(hits, axis=1)
+    keep = _distinct_points(rows[0], rows[1])
+    code = _class_codes(*rows[2:, keep], tau_light, tau_grad)
+    keep, code = keep[code >= 2], code[code >= 2]  # the light-like classes
+    return CausalSamples._adopt([*rows[:, keep], code]), keep < len(hits[0][0])
 
 
 def detect_lightlike_set(f: GraphField, nx: int, ny: int,
@@ -501,34 +533,9 @@ def detect_lightlike_set(f: GraphField, nx: int, ny: int,
     """
     tau_light = f.default_tau_light() if tau_light is None else tau_light
     _check_tolerances(tau_light, tau_grad)
-    X, Y = np.meshgrid(*f.domain.lattice(nx, ny), indexing="ij")
-    nodes = np.stack(causal_b_grid(f, X, Y)).reshape(3, -1)
-    coords = np.stack([X.ravel(), Y.ravel()])
-    hits = [coords[:, np.abs(nodes[0]) <= tau_light]]
-
-    if f.jet_mode == "exact":
-        # every edge where B changes sign, else where B's derivative along
-        # it does (g), as the flat indices of its ends, x-edges first
-        b = nodes.reshape(3, nx, ny)
-        edges = []
-        for d, step, e0, e1 in ((1, ny, b[:, :-1], b[:, 1:]),
-                                (2, 1, b[:, :, :-1], b[:, :, 1:])):
-            zero = e0[0] * e1[0] < 0.0
-            i, j = np.nonzero(zero | (e0[d] * e1[d] < 0.0))
-            first = i * ny + j
-            edges.append((first, first + step, np.where(zero[i, j], 0, d)))
-        n0, n1, comp = map(np.concatenate, zip(*edges))
-        pts, b_at = _refine_edges(f, coords, nodes, n0, n1, comp,
-                                  np.where(comp == 0, tau_light, tau_grad),
-                                  REFINE_TOL)
-        hits.append(pts[:, (comp == 0) | (np.abs(b_at) <= tau_light)])
-
-    # node hits and refined edge hits of one point land within REFINE_TOL
-    # of each other
-    x, y = _distinct_points(*np.concatenate(hits, axis=1))
-    samples = classify_grid(f, x, y, tau_light=tau_light, tau_grad=tau_grad)
-    return samples[samples.in_class(CausalClass.LIGHT_NONDEGENERATE,
-                                    CausalClass.LIGHT_DEGENERATE)]
+    X, Y = f.domain.meshgrid(nx, ny)
+    return _lightlike_scan(f, nx, ny, (X, Y, *causal_b_grid(f, X, Y)),
+                           tau_light, tau_grad)[0]
 
 
 # --------------------------------------------------------------------------

@@ -58,6 +58,47 @@ def test_detect_csv(tmp_path):
     assert all(abs(float(r.split(",")[0])) < 1e-9 for r in rows)
 
 
+@pytest.mark.parametrize("field, domain, res", [
+    ("-asinh(sqrt(x^2 + y^2))", "1,2,1,2", (129, 129)),
+    ("y + sin(x)", "0,6.3,-1,1", (257, 65)),
+])
+def test_classify_evaluates_its_lattice_once(monkeypatch, tmp_path, field,
+                                             domain, res):
+    # the light-like scan reuses the lattice's values: one lattice jet at
+    # the lattice's shape, however many refinement passes follow
+    shapes = []
+
+    def counted(self, X, Y, _method=zmclab.ExpressionField.jet2_grid):
+        shapes.append(np.shape(X))
+        return _method(self, X, Y)
+    monkeypatch.setattr(zmclab.ExpressionField, "jet2_grid", counted)
+    assert run(["classify", "--field", field, f"--domain={domain}",
+                "--res", ",".join(map(str, res)),
+                "--out", str(tmp_path / "c.csv")]) == 0
+    assert shapes.count(res) == 1
+
+
+def _csv_rows(path):
+    """The rows of a samples CSV as the hex of their floats and the class."""
+    return [(*(float(v).hex() for v in r.split(",")[:5]), r.split(",")[5])
+            for r in _read(path).splitlines()[1:]]
+
+
+@pytest.mark.parametrize("field, domain", [
+    ("y + sin(4*x)", "0,6.283185307179586,-1,1"),  # zeros on nodes
+    ("atan2(y, x)", "0.5,2,0.5,2"),  # sign changes refined along edges
+])
+def test_detect_rows_are_rows_of_classify(tmp_path, field, domain):
+    rows = {}
+    for verb in ("detect", "classify"):
+        out = tmp_path / f"{verb}.csv"
+        assert run([verb, "--field", field, f"--domain={domain}",
+                    "--res", "129,129", "--out", str(out)]) == 0
+        rows[verb] = _csv_rows(out)
+    assert rows["detect"]
+    assert set(rows["detect"]) <= set(rows["classify"])
+
+
 def test_verify_lines_json(tmp_path):
     out = tmp_path / "lines.json"
     assert run(["verify-lines", "--field", "y + x^2",
@@ -1104,7 +1145,8 @@ def test_traced_mode_binds_and_counts(tmp_path):
     # the benchmark's tracer wraps functions by name in every module that
     # binds them; it refuses to install if one is gone.  It counts the
     # degenerate samples that verify_line_theorem gets by iterating them
-    # as samples with a class
+    # as samples with a class.  classify runs its own light-like scan on
+    # its one classify_grid lattice, so only verify-lines detects
     bench = Path(__file__).parents[1] / "perfbench"
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import tracing\n"
@@ -1120,7 +1162,8 @@ def test_traced_mode_binds_and_counts(tmp_path):
         "                    sys.argv[2] + '/' + verb]) == 0\n"
         "m = t.metrics()\n"
         "assert m['duality.dualize.calls'] == 1, m\n"
-        "assert m['geometry.detect_lightlike_set.calls'] == 2, m\n"
+        "assert m['geometry.detect_lightlike_set.calls'] == 1, m\n"
+        "assert m['geometry.classify_grid.calls'] == 1, m\n"
         "assert m['geometry.verify_line_theorem.samples'] > 0, m\n")
     env = dict(os.environ, PYTHONPATH=str(Path(zmclab.__file__).parents[1]))
     proc = subprocess.run(

@@ -456,6 +456,25 @@ def test_detect_sign_change_refinement():
             assert s.cls is CausalClass.LIGHT_NONDEGENERATE
 
 
+@pytest.mark.parametrize("text, dom", [
+    ("x", SQ),  # light-like at every node
+    ("y + sin(x)", Rect(0, 2 * math.pi, -1, 1)),
+    ("sqrt(x^2 + y^2)", Rect(0.5, 2.0, 0.5, 2.0)),
+    ("0.5*x^2 - 0.5*y^2", SQ),
+    ("y + x^2", SQ),
+])
+def test_lattice_field_detection_is_its_light_like_nodes(text, dom):
+    # a lattice-backed field has no values between nodes: its light-like
+    # set is the nodes with |B| <= 10 h^2, as classify_grid gives them
+    f = GridField(field_from_text(text, dom).sample(33, 17))
+    got = detect_lightlike_set(f, 33, 17)
+    nodes = classify_grid(f, *f.domain.meshgrid(33, 17))
+    want = nodes[np.abs(nodes.b) <= f.default_tau_light()]
+    assert len(want)
+    assert [c.tobytes() for c in got.columns] == [
+        c.tobytes() for c in want.columns]
+
+
 def _ref_distinct_points(x, y):
     """The greedy de-duplication that _distinct_points replaced, kept as
     its reference: sorted points, each dropped when a point kept before it
@@ -489,7 +508,8 @@ _NEAR = st.builds(lambda a, k, h: a + k * h,
 @settings(max_examples=300, deadline=None)
 def test_distinct_points_is_the_greedy_rule(points):
     x, y = np.array(points, dtype=float).reshape(-1, 2).T
-    got, ref = _distinct_points(x, y), _ref_distinct_points(x, y)
+    idx = _distinct_points(x, y)
+    got, ref = (x[idx], y[idx]), _ref_distinct_points(x, y)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
 
 
@@ -578,11 +598,11 @@ def test_extremum_hits_lie_on_the_zeros_of_g_prime(a, b, nx):
     assert np.abs(x[:, None] - zeros).min(axis=1).max() <= REFINE_TOL
 
 
-def _halving_passes(f, coords, nodes, n0, n1, comp, g_tol, tol):
+def _halving_passes(f, rows, n0, n1, comp, g_tol, tol):
     """Lattice-jet passes of the plain bisection that ``_refine_edges``
     replaced, on the same edges: the reference for its pass bound."""
-    lo, hi = coords[:, n0], coords[:, n1]
-    g_lo, g_hi = nodes[comp, n0], nodes[comp, n1]
+    lo, hi = rows[:2, n0], rows[:2, n1]
+    g_lo, g_hi = rows[2 + comp, n0], rows[2 + comp, n1]
     best_g = np.abs(np.where(np.abs(g_hi) < np.abs(g_lo), g_hi, g_lo))
     open_ = np.ones(len(comp), dtype=bool)
     for passes in range(200):
@@ -628,7 +648,7 @@ def test_refinement_takes_at_most_two_passes_more_than_halving(
     monkeypatch.setattr(f, "jet2_grid", counted)
     monkeypatch.setattr(geometry, "_refine_edges", refine)
     detect_lightlike_set(f, nx, ny)
-    passes = jets[0] - 2  # less the lattice and the classify of the hits
+    passes = jets[0] - 1  # less the lattice
     assert passes <= _halving_passes(*edges[0]) + 2
 
 
@@ -668,7 +688,7 @@ def test_detection_makes_no_point_jets(monkeypatch):
         monkeypatch.setattr(f, name, counted)
     assert len(detect_lightlike_set(f, 257, 129)) == 1032
     assert calls["jet2"] == 0
-    assert calls["jet2_grid"] == 3  # lattice, one pass, classify
+    assert calls["jet2_grid"] == 2  # lattice and one pass
 
 
 def test_verify_lines_memory_is_linear_in_samples():
