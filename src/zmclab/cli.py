@@ -361,15 +361,13 @@ def _cmd_examples(ns):
         if not ns.name:
             raise UsageError("examples emit needs a name")
         payload = gridio.dump_json(catalog.emit(ns.name))
-    if ns.out is not None:
-        Path(ns.out).write_text(payload)
-    else:
-        sys.stdout.write(payload)
+    _emit(ns, payload, {})
 
 
 def _cmd_export(ns):
     grid = gridio.read_grid_csv(Path(ns.infile).read_text())
-    Path(ns.out).write_text(gridio.obj_text(grid.xs, grid.ys, grid.values))
+    _emit(ns, gridio.grid_text(ns.format, grid.xs, grid.ys, grid.values),
+          {"resolution": [grid.nx, grid.ny]})
 
 
 class UsageError(Exception):
@@ -401,14 +399,11 @@ def run(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
-    except ZmcError as exc:
-        sys.stderr.write(gridio.dump_json({"error": exc.code,
-                                           "message": str(exc)}))
-        return 1
-    except (ValueError, KeyError, OSError) as exc:
+    except (ZmcError, ValueError, KeyError, OSError) as exc:
+        code = exc.code if isinstance(exc, ZmcError) else "invalid-input"
         # str() of a KeyError quotes its argument; the message is its text
         text = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        sys.stderr.write(gridio.dump_json({"error": "invalid-input",
+        sys.stderr.write(gridio.dump_json({"error": code,
                                            "message": str(text)}))
         return 1
 

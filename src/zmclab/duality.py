@@ -461,9 +461,9 @@ def dualize(f: GraphField, res: tuple, base: tuple,
     over ``DEFECT_NODES`` pseudo-random nodes (fixed seed, deterministic).
     The segments of all paths are integrated together, a block at a time,
     by nested Simpson (lattice-backed sources: corrected trapezoid).  A
-    defect above 100x the quadrature tolerance raises NonExactFormError:
-    the source does not solve the PDE matching the requested direction.
-    A base value that is not finite raises ValueError.
+    defect above 100x the result's ``quad_tol`` (QUAD_TOL; on a lattice,
+    max(hx, hy)**2) raises NonExactFormError: the source does not solve
+    the matching PDE.  A base value that is not finite raises ValueError.
     """
     epsilon = _check_epsilon(epsilon)
     if not math.isfinite(base_value):
@@ -525,7 +525,7 @@ def dualize(f: GraphField, res: tuple, base: tuple,
     grid = SampledGrid(xs, ys, values)
     out_field = DualField(f, grid, direction, epsilon, tau)
     return DualResult(out_field, (bx, by), float(base_value), direction,
-                      epsilon, "L-paths, x-first", float(defect), QUAD_TOL)
+                      epsilon, "L-paths, x-first", float(defect), quad_eff)
 
 
 # --------------------------------------------------------------------------

@@ -448,6 +448,23 @@ def test_export_roundtrip(tmp_path):
     text = _read(obj_out)
     assert sum(1 for ln in text.splitlines() if ln.startswith("v ")) == 9
     assert sum(1 for ln in text.splitlines() if ln.startswith("f ")) == 8
+    # the record names the grid the mesh came from
+    meta = json.loads(_read(tmp_path / "g.obj.meta.json"))
+    assert meta == {"schema": 1, "verb": "export", "resolution": [3, 3],
+                    "config": {"infile": str(csv_out), "out": str(obj_out),
+                               "format": "obj"}}
+
+
+def test_export_of_a_nan_grid_writes_nothing(tmp_path, capsys):
+    csv_in = tmp_path / "nan.csv"
+    csv_in.write_text(grid_csv(np.arange(3.0), np.arange(3.0),
+                               np.where(np.eye(3) > 0, np.nan, 1.0)))
+    obj_out = tmp_path / "nan.obj"
+    assert run(["export", "--in", str(csv_in), "--out", str(obj_out)]) == 1
+    assert capsys.readouterr().err == dump_json({
+        "error": "non-finite-values",
+        "message": "refusing OBJ export: non-finite value at node (0, 0)"})
+    assert list(tmp_path.iterdir()) == [csv_in]
 
 
 def test_package_runs_without_scipy(tmp_path):
@@ -498,7 +515,7 @@ def test_export_bad_grid_csv_is_invalid_input(tmp_path, capsys, text):
     obj_out = tmp_path / "g.obj"
     assert run(["export", "--in", str(csv_in), "--out", str(obj_out)]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "invalid-input"
-    assert not obj_out.exists()
+    assert list(tmp_path.iterdir()) == [csv_in]  # no mesh and no record
 
 
 def test_read_grid_csv_round_trips_bit_for_bit():
@@ -1038,12 +1055,66 @@ def test_examples_list_and_emit(tmp_path, capsys):
     assert doc["field"]["expr"] == "y + log(tan(x))"
 
 
-def test_examples_emit_unknown_name(capsys):
+def test_examples_emit_unknown_name(tmp_path, capsys):
     assert run(["examples", "emit", "nope"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err == {"schema": 1, "error": "invalid-input",
                    "message": "unknown catalog entry 'nope'; known: "
                    + ", ".join(sorted(catalog.CATALOG))}
+    # with --out: the same document, and no payload and no record
+    assert run(["examples", "emit", "nope",
+                "--out", str(tmp_path / "e.json")]) == 1
+    assert capsys.readouterr() == ("", dump_json(err))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_examples_list_streams_its_record_to_stderr(capsys):
+    assert run(["examples", "list"]) == 0
+    streams = capsys.readouterr()
+    assert streams.out == "\n".join(sorted(catalog.CATALOG)) + "\n"
+    assert streams.err == dump_json({"verb": "examples",
+                                     "config": {"action": "list"}})
+
+
+_VERB_RUNS = {
+    "classify": ["--field", "y + sin(x)", "--domain", "0,6.4,-1,1",
+                 "--res", "17,9"],
+    "residual": ["--field=-asinh(sqrt(x^2+y^2))", "--domain", "1,2,1,2",
+                 "--res", "9,9"],
+    "curvature": ["--field=-asinh(sqrt(x^2+y^2))", "--domain", "1,2,1,2",
+                  "--res", "9,9"],
+    "fluid": ["--field=-asinh(sqrt(x^2+y^2))", "--domain", "1,2,1,2",
+              "--res", "9,9"],
+    "detect": ["--field", "y + sin(x)", "--domain", "0,6.4,-1,1",
+               "--res", "17,9"],
+    "verify-lines": ["--field", "y + x^2", "--domain=-1,1,-1,1",
+                     "--res", "41,9"],
+    "dualize": ["--field", "atan2(y, x)", "--domain", "1,2,1,2",
+                "--res", "9,9", "--base", "1,1"],
+    "solve": ["--equation", "maximal", "--boundary=-asinh(sqrt(x^2+y^2))",
+              "--domain", "1,2,1,2", "--res", "9,9"],
+    "examples": ["emit", "helicoid"],
+    "export": None,  # reads the grid CSV that residual writes
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_VERB_RUNS))
+def test_every_verb_writes_its_record_beside_its_output(tmp_path, verb):
+    assert set(_VERB_RUNS) == set(cli._COMMANDS)
+    args = _VERB_RUNS[verb]
+    if args is None:
+        grid = tmp_path / "grid.csv"
+        assert run(["residual", *_VERB_RUNS["residual"],
+                    "--out", str(grid)]) == 0
+        args = ["--in", str(grid)]
+    out = tmp_path / "fresh" / "payload"
+    out.parent.mkdir()
+    assert run([verb, *args, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.parent.iterdir()) == [
+        "payload", "payload.meta.json"]
+    meta = json.loads(_read(out.parent / "payload.meta.json"))
+    assert (meta["schema"], meta["verb"]) == (1, verb)
+    assert meta["config"]["out"] == str(out)
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 from zmclab import (
     CausalClass,
     DegenerateDenominatorError,
+    DirichletProblem,
     DualDirection,
+    EquationKind,
     FlowRegime,
     GridField,
     NonExactFormError,
@@ -26,6 +28,7 @@ from zmclab import (
     dualize,
     field_from_text,
     one_form_curl,
+    solve,
 )
 from zmclab import duality, exprfield
 from zmclab.catalog import entire_graph_pair
@@ -478,6 +481,28 @@ def test_batched_matches_per_segment_lattice(n, base):
                                   DualDirection.TO_STREAM, 1)
     assert np.array_equal(back.field.grid.values, values)
     assert back.defect == defect
+
+
+@pytest.mark.parametrize("source, n", [
+    ("exact-helicoid", 33),
+    ("sampled-catenoid", 33),
+    ("solved-catenoid", 129),
+])
+def test_defect_is_within_the_reported_tolerance(source, n):
+    # quad_tol is the tolerance the defect was judged against: QUAD_TOL
+    # for exact jets, max(hx, hy)^2 for lattice-backed sources
+    if source == "exact-helicoid":
+        f, quad_tol = field_from_text(HELICOID, ANNULUS_BOX), duality.QUAD_TOL
+    else:
+        if source == "sampled-catenoid":
+            f = GridField(field_from_text(CATENOID, ANNULUS_BOX).sample(n, n))
+        else:
+            f = solve(DirichletProblem(EquationKind.MAXIMAL, ANNULUS_BOX, n, n,
+                                       CATENOID)).field()
+        quad_tol = (1.0 / (n - 1)) ** 2
+    out = dualize(f, (n, n), (1.5, 1.5), 0.0, DualDirection.TO_POTENTIAL, 1)
+    assert out.quad_tol == quad_tol
+    assert out.defect <= duality.NONEXACT_FACTOR * out.quad_tol
 
 
 @pytest.mark.parametrize("text, base, eps, lattice", [
