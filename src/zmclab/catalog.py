@@ -85,8 +85,7 @@ class ParametricSurface:
     def grid(self, nu: int, nv: int):
         us = np.linspace(self.u_range[0], self.u_range[1], nu)
         vs = np.linspace(self.v_range[0], self.v_range[1], nv)
-        U, V = np.meshgrid(us, vs, indexing="ij")
-        return self.point(U, V)
+        return self.point(*np.ix_(us, vs))
 
 
 @dataclass
@@ -141,22 +140,23 @@ class PotentialField(GraphField):
 
     def _jet2_grid(self, X, Y) -> Jet2:
         X, Y = np.broadcast_arrays(X, Y)
-        # the integrals of 1/g' from x_ref to each distinct abscissa, in
-        # one nested Simpson batch
+        # g's jet and the integrals of 1/g' from x_ref, in one nested
+        # Simpson batch, at each distinct abscissa
         xs, inverse = np.unique(X, return_inverse=True)
         integral = nested_simpson(
             lambda ts, _segs: 1.0 / self._gprime(ts),
             np.full(xs.size, self.x_ref), xs, self.QUAD_TOL,
-            lambda s: f"the integral to x = {xs[s]}")[inverse]
-        j = expression_jet2(self.g_expr, X, 0.0)
-        gp = j.gx
-        return Jet2(Y - integral.reshape(X.shape), -1.0 / gp,
-                    np.ones_like(gp), j.hxx / (gp * gp), np.zeros_like(gp),
-                    np.zeros_like(gp))
+            lambda s: f"the integral to x = {xs[s]}")
+        j = expression_jet2(self.g_expr, xs, 0.0)
+        gp, gpp = j.gx[inverse], j.hxx[inverse]
+        return Jet2(Y - integral[inverse], -1.0 / gp, np.ones_like(gp),
+                    gpp / (gp * gp), np.zeros_like(gp), np.zeros_like(gp))
 
     def _grad_grid(self, X, Y) -> tuple:
         # the gradient needs no value integrals
-        gp = self._gprime(np.broadcast_arrays(X, Y)[0])
+        xs, inverse = np.unique(np.broadcast_arrays(X, Y)[0],
+                                return_inverse=True)
+        gp = self._gprime(xs)[inverse]
         return -1.0 / gp, np.ones_like(gp)
 
 

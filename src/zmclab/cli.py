@@ -209,53 +209,52 @@ def _field_of(ns):
 
 
 def _cmd_classify(ns):
-    f, X, Y, tau = _lattice(ns)
-    lattice = geometry.classify_grid(f, X, Y, tau, ns.tol_grad)
+    f, xs, ys, tau = _lattice(ns)
+    lattice = geometry.classify_grid(f, *np.ix_(xs, ys), tau, ns.tol_grad)
     light, node = geometry._lightlike_scan(f, *ns.res, lattice.columns[:5],
                                            tau, ns.tol_grad)
     samples = geometry.CausalSamples.concat(lattice, light[~node])
     _emit(ns, gridio.samples_text(ns.format, samples),
-          {"nodes": X.size, "refined": len(light)})
+          {"nodes": len(lattice), "refined": len(light)})
 
 
 def _cmd_residual(ns):
     f = _field_of(ns)
-    nx, ny = ns.res
-    X, Y = f.domain.meshgrid(nx, ny)
-    j = f.jet2_grid(X, Y)
+    xs, ys = f.domain.lattice(*ns.res)
+    j = f.jet2_grid(*np.ix_(xs, ys))
     if ns.equation == "minimal":
         vals = geometry.minimal_residual_of_jet(j)
     else:
         vals = geometry.zmc_residual_of_jet(j)
-    _emit(ns, gridio.grid_text(ns.format, *f.domain.lattice(nx, ny), vals),
+    _emit(ns, gridio.grid_text(ns.format, xs, ys, vals),
           {"equation": ns.equation, "max_abs": float(np.max(np.abs(vals)))})
 
 
 def _lattice(ns):
-    """The field, its lattice and its light-like tolerance."""
+    """The field, the axes of its lattice and its light-like tolerance."""
     f = _field_of(ns)
-    X, Y = f.domain.meshgrid(*ns.res)
+    xs, ys = f.domain.lattice(*ns.res)
     tau = f.default_tau_light() if ns.tol_light is None else ns.tol_light
-    return f, X, Y, tau
+    return f, xs, ys, tau
 
 
 def _cmd_curvature(ns):
-    f, X, Y, tau = _lattice(ns)
+    f, xs, ys, tau = _lattice(ns)
+    X, Y = np.ix_(xs, ys)
     j = f.jet2_grid(X, Y)
     if ns.kind == "mean":
         vals = geometry.mean_curvature_of_jet(j, tau, X, Y)
     else:
         vals = geometry.gauss_curvature_of_jet(j)
-    _emit(ns, gridio.grid_text(ns.format, *f.domain.lattice(*ns.res), vals),
-          {"kind": ns.kind})
+    _emit(ns, gridio.grid_text(ns.format, xs, ys, vals), {"kind": ns.kind})
 
 
 def _cmd_fluid(ns):
-    f, X, Y, tau = _lattice(ns)
+    f, xs, ys, tau = _lattice(ns)
+    X, Y = np.ix_(xs, ys)
     parts = duality.chaplygin_of_gradient(*f.grad_grid(X, Y), ns.p0, tau,
                                           X, Y)
-    _emit(ns, gridio.fluid_text(ns.format, *f.domain.lattice(*ns.res), parts),
-          {"p0": ns.p0})
+    _emit(ns, gridio.fluid_text(ns.format, xs, ys, parts), {"p0": ns.p0})
 
 
 def _cmd_detect(ns):

@@ -372,11 +372,19 @@ class DualField(GraphField):
         return self.parent.default_tau_light()
 
 
+def _segment(along_x: bool, fixed) -> str:
+    """The name of the axis segment at the fixed coordinate, for errors."""
+    axis, other = ("x", "y") if along_x else ("y", "x")
+    return f"the {axis}-segment at {other} = {fixed}"
+
+
 def _segment_integrals(f, a, b, fixed, along_x: bool, *form):
     """Integral of the matching one-form component (w1 along x, w2 along y)
     over each axis segment from a to b at its fixed coordinate; a, b and
     fixed broadcast together and the result takes their shape.  ``form``
-    is (direction, epsilon, tau, quad_tol)."""
+    is (direction, epsilon, tau, quad_tol).  A sonic point or a degenerate
+    denominator is refused with the first failing segment in path order
+    named, as a quadrature stall is."""
     a, b, fixed = np.broadcast_arrays(a, b, fixed)
     shape = a.shape
     a, b, fixed = a.ravel(), b.ravel(), fixed.ravel()
@@ -397,7 +405,11 @@ def _segment_integrals(f, a, b, fixed, along_x: bool, *form):
                 hi = mid
             else:
                 lo = mid
-        _integrals(f, a[lo:hi], b[lo:hi], fixed[lo:hi], along_x, *form)
+        try:
+            _integrals(f, a[lo:hi], b[lo:hi], fixed[lo:hi], along_x, *form)
+        except (SonicPointError, DegenerateDenominatorError) as exc:
+            raise type(exc)(f"{exc} on {_segment(along_x, fixed[lo])}, "
+                            f"[{a[lo]}, {b[lo]}]") from None
         raise
 
 
@@ -410,10 +422,8 @@ def _integrals(f, a, b, fixed, along_x, direction, epsilon, tau, quad_tol):
         def w(ts, segs):
             return dual_one_form(f, *points(ts, segs), direction, epsilon,
                                  tau)[0 if along_x else 1]
-        axis, other = ("x", "y") if along_x else ("y", "x")
-        return nested_simpson(
-            w, a, b, quad_tol,
-            lambda s: f"the {axis}-segment at {other} = {fixed[s]}", fixed)
+        return nested_simpson(w, a, b, quad_tol,
+                              lambda s: _segment(along_x, fixed[s]), fixed)
 
     # lattice-backed source, jets at nodes only: endpoint-corrected
     # trapezoid (Euler-Maclaurin, O(h^4))
@@ -548,7 +558,7 @@ def double_dual_check(f: GraphField, res: tuple, epsilon: int) -> dict:
                   else DualDirection.TO_STREAM)
     second = dualize(first.field, res, base, 0.0, second_dir, epsilon)
 
-    X, Y = domain.meshgrid(*res)
+    X, Y = np.ix_(*domain.lattice(*res))
     g0x, g0y = f.grad_grid(X, Y)
     g2x, g2y = second.field.grad_grid(X, Y)
     sign = 1.0 if epsilon > 0 else -1.0

@@ -455,36 +455,19 @@ def _literal(node):
     return sign * node.value if isinstance(node, (Num, Param, Const)) else None
 
 
-def _on_its_axes(p: np.ndarray) -> np.ndarray:
-    """A lattice p (two axes or more) cut to one contiguous slice of
-    length 1 on every axis it is constant along; broadcasting restores it.
-    A batch of points (one axis or none) stays as it is: its points seldom
-    share a coordinate, and the many small batches of the quadrature would
-    pay for the check alone.  (After ``+ 0.0`` no zero carries a sign, so
-    ``==`` compares bits; a NaN never matches and keeps its axis.)"""
-    if p.ndim < 2 or p.size == 0:
-        return p
-    for axis, n in enumerate(p.shape):
-        # the second entry along the axis before the whole array: on a
-        # lattice an axis that varies differs there
-        k = math.prod(p.shape[axis + 1:])
-        if n > 1 and p.item(0) == p.item(k):
-            first = p[(slice(None),) * axis + (slice(0, 1),)]
-            if (p == first).all():
-                p = first.copy()
-    return p
-
-
 class _Taylor:
     """The truncated Taylor jet of order 0, 1 or 2 of an expression at the
     point ``env`` (variable name -> number or array), in one pass: the
     value, one first partial per variable, then the upper-triangle second
     partials.  Components are floats at a single point and arrays of the
-    broadcast shape otherwise.  On a lattice each subexpression is
-    evaluated on the axes it depends on: a variable's array is cut to the
-    axes it varies along, so ``sin(4*x)`` on an nx-by-ny meshgrid runs on
-    nx values and only subexpressions that mix x and y run at full size,
-    with the bits of the node-by-node evaluation.  One walk decides a
+    broadcast shape otherwise.  Each variable is evaluated on the shape it
+    is given and each operation broadcasts: on a lattice's axes
+    ``np.ix_(xs, ys)`` (``xs[:, None], ys[None, :]``) ``sin(4*x)`` runs
+    on nx values and only subexpressions that mix x and y run on all
+    nx * ny nodes, while on a full meshgrid every subexpression runs on
+    every node; the bits are those of the node-by-node evaluation either
+    way.  A coordinate -0.0 reads as +0.0 (``atan2(x, -1)`` at x = -0.0 is
+    pi, not -pi), at a point and on arrays alike.  One walk decides a
     refusal (NonDifferentiablePointError): it names the first node in
     row-major order that breaks any rule, with the first rule the walk met
     at that node; a non-finite component is refused, at its first node,
@@ -496,10 +479,10 @@ class _Taylor:
     def __init__(self, env: Mapping, order: int):
         self.order = order
         self.names = tuple(env)
-        point = [np.asarray(env[name], dtype=float) + 0.0
-                 for name in self.names]
-        self.shape = np.broadcast_shapes(*(p.shape for p in point))
-        self.point = [_on_its_axes(p) for p in point]
+        # + 0.0 turns a coordinate -0.0 into +0.0
+        self.point = [np.asarray(env[name], dtype=float) + 0.0
+                      for name in self.names]
+        self.shape = np.broadcast_shapes(*(p.shape for p in self.point))
         self.first, self.second = _layout(len(self.names), order)
         self.zeros = [0.0] * (len(self.first) + len(self.second))
         self.variables = {
@@ -811,8 +794,8 @@ class GraphField:
         if nx < 3 or ny < 3:
             raise ValueError("sample needs nx, ny >= 3")
         xs, ys = self.domain.lattice(nx, ny)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        return SampledGrid(xs, ys, np.asarray(self.jet2_grid(X, Y).value))
+        return SampledGrid(xs, ys, np.asarray(
+            self.jet2_grid(*np.ix_(xs, ys)).value))
 
     def default_tau_light(self) -> float:
         """Light-like tolerance matched to the jet accuracy of the source."""

@@ -328,7 +328,10 @@ def classify(f: GraphField, x: float, y: float,
 def classify_grid(f: GraphField, X, Y,
                   tau_light: float | None = None,
                   tau_grad: float = DEFAULT_TAU_GRAD) -> CausalSamples:
-    """Classify every lattice node, row-major in the x index."""
+    """Classify every node of the lattice that X and Y broadcast to,
+    row-major.  Given a lattice's axes, ``np.ix_(xs, ys)``, a subexpression
+    of x alone runs on nx values (``exprfield._Taylor``); a full meshgrid
+    gives the same samples, with every subexpression run at every node."""
     tau_light = f.default_tau_light() if tau_light is None else tau_light
     _check_tolerances(tau_light, tau_grad)
     X = np.asarray(X, dtype=float)
@@ -372,8 +375,7 @@ def lightlike_identity_check(f: GraphField, nx: int = 101,
                              ny: int = 101) -> IdentityReport:
     """Lattice maxima of eikonal defect, ZMC residual and Hessian
     determinant; all three vanish together on light-like graphs."""
-    X, Y = f.domain.meshgrid(nx, ny)
-    j = f.jet2_grid(X, Y)
+    j = f.jet2_grid(*np.ix_(*f.domain.lattice(nx, ny)))
     eik = np.abs(j.gx * j.gx + j.gy * j.gy - 1.0)
     res = np.abs(zmc_residual_of_jet(j))
     det = np.abs(j.hxx * j.hyy - j.hxy * j.hxy)
@@ -481,9 +483,10 @@ def _distinct_points(x, y):
 def _lightlike_scan(f: GraphField, nx: int, ny: int, cols, tau_light: float,
                     tau_grad: float):
     """``detect_lightlike_set`` from the (x, y, B, Bx, By) columns of the
-    nx x ny lattice, row-major in x, and a mask of its node members; each
-    member is classified with the B, Bx, By it was found with."""
-    rows = np.stack(cols).reshape(5, -1)
+    nx x ny lattice, arrays that broadcast to its shape, and a mask of its
+    node members; each member is classified with the B, Bx, By it was
+    found with."""
+    rows = np.stack(np.broadcast_arrays(*cols)).reshape(5, -1)
     hits = [rows[:, np.abs(rows[2]) <= tau_light]]
 
     if f.jet_mode == "exact":
@@ -533,7 +536,7 @@ def detect_lightlike_set(f: GraphField, nx: int, ny: int,
     """
     tau_light = f.default_tau_light() if tau_light is None else tau_light
     _check_tolerances(tau_light, tau_grad)
-    X, Y = f.domain.meshgrid(nx, ny)
+    X, Y = np.ix_(*f.domain.lattice(nx, ny))
     return _lightlike_scan(f, nx, ny, (X, Y, *causal_b_grid(f, X, Y)),
                            tau_light, tau_grad)[0]
 

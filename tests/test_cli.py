@@ -64,18 +64,50 @@ def test_detect_csv(tmp_path):
 ])
 def test_classify_evaluates_its_lattice_once(monkeypatch, tmp_path, field,
                                              domain, res):
-    # the light-like scan reuses the lattice's values: one lattice jet at
-    # the lattice's shape, however many refinement passes follow
+    # the light-like scan reuses the lattice's values: one lattice jet
+    # whose points broadcast to the lattice's shape, however many
+    # refinement passes follow
     shapes = []
 
     def counted(self, X, Y, _method=zmclab.ExpressionField.jet2_grid):
-        shapes.append(np.shape(X))
+        shapes.append(np.broadcast_shapes(np.shape(X), np.shape(Y)))
         return _method(self, X, Y)
     monkeypatch.setattr(zmclab.ExpressionField, "jet2_grid", counted)
     assert run(["classify", "--field", field, f"--domain={domain}",
                 "--res", ",".join(map(str, res)),
                 "--out", str(tmp_path / "c.csv")]) == 0
     assert shapes.count(res) == 1
+
+
+def test_lattice_queries_take_the_lattices_axes(monkeypatch, tmp_path):
+    # every lattice query of the verbs and of the library's lattice checks
+    # hands the expression engine the lattice's axes, never a meshgrid: no
+    # variable's array has two axes longer than 1
+    from zmclab import duality, exprfield, geometry
+    shapes = []
+
+    class Recorded(exprfield._Taylor):
+        def __init__(self, env, order):
+            shapes.extend(np.shape(v) for v in env.values())
+            super().__init__(env, order)
+
+    monkeypatch.setattr(exprfield, "_Taylor", Recorded)
+    catenoid = ["--field", "-asinh(sqrt(x^2 + y^2))", "--domain", "1,2,1,2"]
+    shear = ["--field", "y + x^2", "--domain=-1,1,-1,1"]
+    for verb, field in (("classify", shear), ("residual", catenoid),
+                        ("curvature", catenoid), ("fluid", catenoid),
+                        ("detect", shear), ("verify-lines", shear)):
+        assert run([verb, *field, "--res", "17,9",
+                    "--out", str(tmp_path / verb)]) == 0, verb
+    f = zmclab.field_from_text("y + x^2", zmclab.Rect(-1, 1, -1, 1))
+    helicoid = zmclab.field_from_text("atan2(y, x)", zmclab.Rect(1, 2, 1, 2))
+    f.sample(17, 9)
+    assert len(geometry.detect_lightlike_set(f, 17, 9))
+    geometry.lightlike_identity_check(f, 17, 9)
+    duality.double_dual_check(helicoid, (17, 9), 1)
+    assert (17, 1) in shapes and (1, 9) in shapes
+    assert all(sum(n > 1 for n in shape) <= 1 for shape in shapes), \
+        sorted(set(shapes))
 
 
 def _csv_rows(path):

@@ -440,10 +440,12 @@ def _lattice_agrees(tree, X, Y):
        st.lists(st.tuples(_POINT, _POINT), min_size=1, max_size=4))
 @settings(max_examples=30, deadline=None)
 def test_lattice_queries_agree_with_their_nodes(trees, points):
-    # lattice queries evaluate each subexpression on the axes it depends
-    # on; the bits, types and errors stay those of the nodes one by one
+    # lattice queries evaluate each subexpression on the shape its
+    # variables broadcast to; the bits, types and errors stay those of the
+    # nodes one by one
     x, y = (np.array(c) for c in zip(*points))
     lattices = [
+        (x[:, None], y[None, :]),         # a lattice's axes
         # a meshgrid whose first row and column come twice, and again last
         np.meshgrid(np.r_[x[0], x, x[0]], np.r_[y[0], y, y[0]],
                     indexing="ij"),
@@ -468,7 +470,7 @@ def test_lattice_queries_agree_with_their_nodes(trees, points):
 def test_lattice_errors_name_the_first_failing_node(text, rule, first,
                                                     first_transposed):
     # the first node breaking the rule in row-major order, on a meshgrid
-    # and on its transpose, whose inputs are cut along the other axis
+    # and on its transpose
     xs, ys = np.array([2.0, 1.0, 3.0]), np.array([-1.0, 1.0, 2.0])
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     tree = parse(text)
@@ -541,13 +543,32 @@ def test_lattice_jets_run_each_subexpression_on_its_axes(monkeypatch):
 
     counted("sin")
     counted("asinh")
-    # sin(4*x) depends on x alone: 257 values, not the 33,153 nodes
-    shear = expression_jet2(parse("y + sin(4*x)"),
-                            *Rect(0, 2 * math.pi, -1, 1).meshgrid(257, 129))
+    # on a lattice's axes sin(4*x) depends on x alone: 257 values, not the
+    # 33,153 nodes
+    xs, ys = Rect(0, 2 * math.pi, -1, 1).lattice(257, 129)
+    shear = expression_jet2(parse("y + sin(4*x)"), xs[:, None], ys[None, :])
     assert sizes["sin"] == [257] and shear.value.shape == (257, 129)
+    xs, ys = Rect(1, 2, 1, 2).lattice(129, 129)
     catenoid = expression_jet2(parse("-asinh(sqrt(x^2 + y^2))"),
-                               *Rect(1, 2, 1, 2).meshgrid(129, 129))
+                               xs[:, None], ys[None, :])
     assert sizes["asinh"] == [129 * 129] and catenoid.hxy.shape == (129, 129)
+
+
+def test_a_negative_zero_coordinate_reads_as_positive_zero():
+    # atan2(x, -1) is pi at x = +0.0 and -pi at x = -0.0: every query
+    # reads the coordinate -0.0 as +0.0, so y*atan2(x, -1) has value and
+    # y-partial pi at (-0.0, 1), at a point, in a batch and on axes
+    f = field_from_text("y*atan2(x, -1)", Rect(-1, 1, 0, 2))
+    queries = [(-0.0, 1.0),
+               (np.array([-0.0, 0.5]), np.array([1.0, 1.0])),
+               (np.array([-0.0, 0.5])[:, None], np.array([1.0, 2.0])[None, :])]
+    for x, y in queries:  # the node (-0.0, 1) comes first
+        j = f.jet2_grid(x, y)
+        assert np.asarray(j.value).flat[0] == math.pi, (x, y)
+        assert np.asarray(j.gy).flat[0] == math.pi, (x, y)
+        assert np.asarray(f.grad_grid(x, y)[1]).flat[0] == math.pi, (x, y)
+        value = evaluate(parse("atan2(x, -1)"), {"x": x})
+        assert np.asarray(value).flat[0] == math.pi, x
 
 
 def _sweep(tree, x, y):

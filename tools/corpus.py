@@ -2,16 +2,16 @@
 
     python tools/corpus.py --against REV
 
-checks REV out with ``git worktree`` into a temporary directory and runs
-every line of the corpus twice: against this tree's ``src`` and against
-REV's, each tree in one fresh interpreter.  It compares the exit codes,
+unpacks REV's ``src`` from ``git archive`` into a temporary directory and
+runs every line of the corpus twice: against this tree's ``src`` and
+against REV's, each tree in one fresh interpreter.  It compares the exit codes,
 stdout, stderr and every file a run writes (outputs and ``.meta.json``
 sidecars), after replacing the paths of the temporary output, input and
 source directories with ``{out}``, ``{inputs}`` and ``{src}``.  It prints
 one line per run that differs and a count, and exits 1 if any run
-differs.  The worktree, the inputs and the outputs live in the temporary
+differs.  REV's sources, the inputs and the outputs live in the temporary
 directory, which is removed at the end, and no bytecode is written, so
-neither tree gains a file.
+this tree gains no file and nothing is written under ``.git``.
 
 Corpus format: one argv per line, split as a POSIX shell splits it; blank
 lines and lines that start with ``#`` are skipped.  ``{out}`` stands for a
@@ -32,6 +32,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -156,8 +157,10 @@ def _compare(rev: str) -> int:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     try:
-        subprocess.run(["git", "-C", str(root), "worktree", "add", "--quiet",
-                        "--detach", str(tree), rev], check=True)
+        archive = subprocess.run(["git", "-C", str(root), "archive", rev,
+                                  "src"], check=True, capture_output=True)
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tree, filter="data")
         (temp / "inputs").mkdir()
         write_inputs(temp / "inputs")
         results = {}
@@ -171,10 +174,6 @@ def _compare(rev: str) -> int:
         ours, theirs = (json.loads(results[k].read_text())
                         for k in ("ours", "theirs"))
     finally:
-        subprocess.run(["git", "-C", str(root), "worktree", "remove",
-                        "--force", str(tree)], capture_output=True)
-        subprocess.run(["git", "-C", str(root), "worktree", "prune"],
-                       capture_output=True)
         shutil.rmtree(temp, ignore_errors=True)
     differ = 0
     for a, b in zip(ours, theirs, strict=True):
