@@ -296,6 +296,12 @@ def _is_list_of(value, count: int, kinds) -> bool:
         isinstance(v, kinds) and not isinstance(v, bool) for v in value)
 
 
+def _are_floats(values: list) -> bool:
+    """Every value a JSON number that a float holds: no bool, no huge int."""
+    return _is_list_of(values, len(values), (int, float)) and all(
+        isinstance(v, float) or abs(v) <= sys.float_info.max for v in values)
+
+
 def _problem_from_file(path: Path) -> DirichletProblem:
     """Read a problem JSON file.  ``tolerances.linear`` is accepted and
     ignored: the Krylov tolerance of a Newton step is a fixed constant."""
@@ -308,9 +314,8 @@ def _problem_from_file(path: Path) -> DirichletProblem:
             and _is_list_of(doc.get("domain"), 4, (int, float))
             and isinstance(doc.get("boundary"), str)
             and isinstance(params, dict)
-            and _is_list_of([*params.values()], len(params), (int, float))
-            and _is_list_of([tol.get("newton", solver.NEWTON_TOL)], 1,
-                            (int, float))):
+            and _are_floats([*params.values(),
+                             tol.get("newton", solver.NEWTON_TOL)])):
         raise ValueError("a problem file is a JSON object with 'equation' "
                          "'minimal' or 'maximal', 'resolution' two integers, "
                          "'domain' four numbers, 'boundary' a string, "

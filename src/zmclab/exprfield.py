@@ -20,8 +20,11 @@ Expression grammar (EBNF)::
 
 ``NAME`` resolves, in order, to a declared variable (default ``x``, ``y``),
 a function (sin cos tan exp log sqrt sinh cosh tanh atan atan2 asinh acosh
-abs), a constant (``pi``, ``e``), or a bound parameter.  Precedence is
-``^`` > unary minus > ``*`` ``/`` > ``+`` ``-``, so ``-x^2`` is ``-(x^2)``.
+abs), a constant (``pi``, ``e``), or a bound parameter; a ``Param`` node
+holds a constant and a parameter alike.  Precedence is ``^`` > unary
+minus > ``*`` ``/`` > ``+`` ``-``, so ``-x^2`` is ``-(x^2)``.  One operator
+table (``_OPERATORS``) gives these levels to both the parser, which climbs
+them, and the printer ``to_text``, which parenthesizes by them.
 """
 
 from __future__ import annotations
@@ -67,12 +70,6 @@ class Num:
 
 
 @dataclass(frozen=True)
-class Const:
-    name: str
-    value: float
-
-
-@dataclass(frozen=True)
 class Var:
     name: str
 
@@ -101,7 +98,7 @@ class Call:
     args: tuple
 
 
-Expression = Union[Num, Const, Var, Param, Neg, BinOp, Call]
+Expression = Union[Num, Var, Param, Neg, BinOp, Call]
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
@@ -112,7 +109,7 @@ _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # num | name | op | lparen | rparen | comma | end
+    kind: str  # num | name | op | end
     text: str
     pos: int
 
@@ -152,26 +149,30 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token("name", text[i:j], i))
             i = j
             continue
-        if c in "+-*/^":
-            tokens.append(_Token("op", c, i))
-        elif c == "(":
-            tokens.append(_Token("lparen", c, i))
-        elif c == ")":
-            tokens.append(_Token("rparen", c, i))
-        elif c == ",":
-            tokens.append(_Token("comma", c, i))
-        else:
+        if c not in "+-*/^(),":
             raise ExpressionSyntaxError(f"unexpected character {c!r}", i)
+        tokens.append(_Token("op", c, i))
         i += 1
     tokens.append(_Token("end", "", n))
     return tokens
+
+
+# The grammar: a binary operator's level and the least levels of its left
+# and right operands; a negation has level _NEG, any other operand _ATOM.
+# The parser climbs these levels and to_text parenthesizes an operand below
+# its least level, so text prints as it parses: "+ - * /" associate to the
+# left, and "^" takes an atom on its left and a possibly negated power on
+# its right, so x^y^z = x^(y^z) and -x^2 = -(x^2).
+_OPERATORS = {"+": (1, 1, 2), "-": (1, 1, 2), "*": (2, 2, 3), "/": (2, 2, 3),
+              "^": (4, 5, 3)}
+_NEG, _ATOM = 3, 5
 
 
 class _Parser:
     def __init__(self, tokens, params, variables):
         self.tokens = tokens
         self.k = 0
-        self.params = params
+        self.values = {**params, **_CONSTANTS}  # a constant outranks a param
         self.variables = variables
 
     def peek(self) -> _Token:
@@ -182,72 +183,51 @@ class _Parser:
         self.k += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
+    def expect(self, text: str) -> None:
         tok = self.next()
-        if tok.kind != kind:
-            raise ExpressionSyntaxError(f"expected {what}", tok.pos)
-        return tok
+        if tok.text != text:
+            raise ExpressionSyntaxError(f"expected {text!r}", tok.pos)
 
-    def parse_expr(self) -> Expression:
-        node = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.next().text
-            node = BinOp(op, node, self.parse_term())
-        return node
-
-    def parse_term(self) -> Expression:
-        node = self.parse_factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.next().text
-            node = BinOp(op, node, self.parse_factor())
-        return node
-
-    def parse_factor(self) -> Expression:
-        if self.peek().kind == "op" and self.peek().text == "-":
-            self.next()
-            return Neg(self.parse_factor())
-        return self.parse_power()
-
-    def parse_power(self) -> Expression:
-        base = self.parse_atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.next()
-            # exponent re-enters factor: right-associative, may carry a sign
-            return BinOp("^", base, self.parse_factor())
-        return base
-
-    def parse_atom(self) -> Expression:
+    def climb(self, least: int = 1) -> Expression:
+        """The expression at the cursor of level ``least`` or more: an
+        operand, then each operator of that level or more with its right
+        operand."""
         tok = self.next()
-        if tok.kind == "num":
-            return Num(float(tok.text))
-        if tok.kind == "lparen":
-            node = self.parse_expr()
-            self.expect("rparen", "')'")
-            return node
-        if tok.kind == "name":
-            name = tok.text
-            if self.peek().kind == "lparen":
-                if name not in _FUNCTIONS:
-                    raise ExpressionSyntaxError(f"unknown function {name!r}", tok.pos)
+        if tok.text == "-":
+            node = Neg(self.climb(_NEG))
+        elif tok.text == "(":
+            node = self.climb()
+            self.expect(")")
+        elif tok.kind == "num":
+            node = Num(float(tok.text))
+        elif tok.kind != "name":
+            raise ExpressionSyntaxError("expected a value", tok.pos)
+        elif self.peek().text == "(":
+            if tok.text not in _FUNCTIONS:
+                raise ExpressionSyntaxError(
+                    f"unknown function {tok.text!r}", tok.pos)
+            self.next()
+            args = [self.climb()]
+            while self.peek().text == ",":
                 self.next()
-                args = [self.parse_expr()]
-                while self.peek().kind == "comma":
-                    self.next()
-                    args.append(self.parse_expr())
-                self.expect("rparen", "')'")
-                arity = _FUNCTIONS[name][3]
-                if len(args) != arity:
-                    raise ExpressionSyntaxError(
-                        f"{name} takes {arity} argument(s)", tok.pos)
-                return Call(name, tuple(args))
-            if name in self.variables:
-                return Var(name)
-            if name in _CONSTANTS:
-                return Const(name, _CONSTANTS[name])
-            if name in self.params:
-                return Param(name, float(self.params[name]))
-            raise UnboundParameterError(name, tok.pos)
-        raise ExpressionSyntaxError("expected a value", tok.pos)
+                args.append(self.climb())
+            self.expect(")")
+            arity = _FUNCTIONS[tok.text][3]
+            if len(args) != arity:
+                raise ExpressionSyntaxError(
+                    f"{tok.text} takes {arity} argument(s)", tok.pos)
+            node = Call(tok.text, tuple(args))
+        elif tok.text in self.variables:
+            node = Var(tok.text)
+        elif tok.text in self.values:
+            node = Param(tok.text, float(self.values[tok.text]))
+        else:
+            raise UnboundParameterError(tok.text, tok.pos)
+        while ((op := self.peek().text) in _OPERATORS
+               and _OPERATORS[op][0] >= least):
+            self.next()
+            node = BinOp(op, node, self.climb(_OPERATORS[op][2]))
+        return node
 
 
 def parse(text: str,
@@ -255,24 +235,27 @@ def parse(text: str,
           variables: Sequence[str] = ("x", "y")) -> Expression:
     """Parse expression text into an AST; every free name must be a declared
     variable, a known function/constant, or a key of ``params``."""
-    parser = _Parser(_tokenize(text), dict(params or {}), tuple(variables))
-    node = parser.parse_expr()
+    parser = _Parser(_tokenize(text), params or {}, tuple(variables))
+    node = parser.climb()
     tail = parser.peek()
     if tail.kind != "end":
         raise ExpressionSyntaxError("trailing input", tail.pos)
     return node
 
 
-# precedence levels for printing: add=1, mul=2, unary=3, pow=4, atom=5
-_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-
-
 def _level(expr: Expression) -> int:
     if isinstance(expr, BinOp):
-        return _LEVEL[expr.op]
-    if isinstance(expr, Neg):
-        return 3
-    return 5
+        return _OPERATORS[expr.op][0]
+    # a negative number prints with its sign, as a negation does
+    if isinstance(expr, Neg) or (isinstance(expr, Num)
+                                 and math.copysign(1.0, expr.value) < 0):
+        return _NEG
+    return _ATOM
+
+
+def _operand(expr: Expression, least: int) -> str:
+    text = to_text(expr)
+    return f"({text})" if _level(expr) < least else text
 
 
 def to_text(expr: Expression) -> str:
@@ -282,36 +265,16 @@ def to_text(expr: Expression) -> str:
     """
     if isinstance(expr, Num):
         return repr(expr.value)
-    if isinstance(expr, Const):
-        return expr.name
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Param):
+    if isinstance(expr, (Var, Param)):
         return expr.name
     if isinstance(expr, Neg):
-        inner = to_text(expr.arg)
-        if _level(expr.arg) < 3:
-            inner = f"({inner})"
-        return f"-{inner}"
+        return f"-{_operand(expr.arg, _NEG)}"
     if isinstance(expr, Call):
-        return f"{expr.func}({', '.join(to_text(a) for a in expr.args)})"
+        return f"{expr.func}({', '.join(map(to_text, expr.args))})"
     if isinstance(expr, BinOp):
-        lv = _LEVEL[expr.op]
-        lhs, rhs = to_text(expr.lhs), to_text(expr.rhs)
-        if expr.op == "^":
-            # left operand binds tighter than ^ only at atom level
-            if _level(expr.lhs) <= 4:
-                lhs = f"({lhs})"
-            if _level(expr.rhs) < 3:
-                rhs = f"({rhs})"
-            return f"{lhs}^{rhs}"
-        if _level(expr.lhs) < lv:
-            lhs = f"({lhs})"
-        # all four are parsed left-associatively, so a same-level right
-        # child only arises from a right-nested tree and needs parentheses
-        if _level(expr.rhs) <= lv:
-            rhs = f"({rhs})"
-        return f"{lhs} {expr.op} {rhs}"
+        _, left, right = _OPERATORS[expr.op]
+        op = "^" if expr.op == "^" else f" {expr.op} "
+        return _operand(expr.lhs, left) + op + _operand(expr.rhs, right)
     raise TypeError(f"not an expression node: {expr!r}")
 
 
@@ -447,12 +410,12 @@ _NON_FINITE = ("expression value is non-finite",
 
 
 def _literal(node):
-    """Value of a number, parameter or constant node, possibly negated;
+    """Value of a number or parameter node under any number of negations;
     None for any other node."""
     sign = 1.0
-    if isinstance(node, Neg):
-        node, sign = node.arg, -1.0
-    return sign * node.value if isinstance(node, (Num, Param, Const)) else None
+    while isinstance(node, Neg):
+        node, sign = node.arg, -sign
+    return sign * node.value if isinstance(node, (Num, Param)) else None
 
 
 class _Taylor:
@@ -564,7 +527,7 @@ class _Taylor:
                 raise NonDifferentiablePointError(
                     f"no value for variable {e.name!r}")
             return self.variables[e.name]
-        if isinstance(e, (Num, Const, Param)):
+        if isinstance(e, (Num, Param)):
             return [np.float64(e.value), *self.zeros]  # no float exceptions
         if isinstance(e, Neg):
             return _jneg(self.walk(e.arg))

@@ -32,6 +32,7 @@ and not offered.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -107,7 +108,7 @@ class DirichletProblem:
             raise ValueError("Dirichlet lattice needs nx, ny >= 5")
         if self.initial_guess not in ("harmonic", "flat"):
             raise ValueError("initial_guess must be 'harmonic' or 'flat'")
-        if not (np.isfinite(self.newton_tol) and self.newton_tol > 0):
+        if not 0.0 < self.newton_tol <= sys.float_info.max:
             raise ValueError("newton_tol must be finite and greater than 0")
 
     def lattice(self):

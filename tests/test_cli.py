@@ -436,6 +436,8 @@ _PROBLEM = {"equation": "minimal", "domain": [1, 2, 1, 2],
     dict(_PROBLEM, boundary="a*x", params={"a": [1]}),
     dict(_PROBLEM, boundary="a*x", params={"a": "2"}),
     dict(_PROBLEM, boundary="a*x", params={"a": True}),
+    dict(_PROBLEM, boundary="a*x", params={"a": 10**400}),
+    dict(_PROBLEM, tolerances={"newton": 10**400}),
     {k: v for k, v in _PROBLEM.items() if k != "equation"},
     {k: v for k, v in _PROBLEM.items() if k != "domain"},
     {k: v for k, v in _PROBLEM.items() if k != "resolution"},
@@ -446,6 +448,7 @@ _PROBLEM = {"equation": "minimal", "domain": [1, 2, 1, 2],
         "domain-infinity",
         "boundary-number", "boundary-list", "params-number",
         "params-null", "params-list", "params-string", "params-bool",
+        "params-huge-integer", "newton-huge-integer",
         "no-equation", "no-domain", "no-resolution", "no-boundary",
         "equation-timelike"])
 def test_malformed_problem_file_is_invalid_input(tmp_path, capsys, doc):

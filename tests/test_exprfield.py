@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zmclab import (
     DualDirection,
@@ -87,6 +87,64 @@ def test_syntax_errors_carry_offsets():
         parse("x $ y")
 
 
+@pytest.mark.parametrize("text, error, message, offset", [
+    ("(x + y", ExpressionSyntaxError, "expected ')'", 6),
+    ("sin(x y)", ExpressionSyntaxError, "expected ')'", 6),
+    ("x + ", ExpressionSyntaxError, "expected a value", 4),
+    ("x +* y", ExpressionSyntaxError, "expected a value", 3),
+    ("x y", ExpressionSyntaxError, "trailing input", 2),
+    ("(x) (y)", ExpressionSyntaxError, "trailing input", 4),
+    ("1.2.3", ExpressionSyntaxError, "bad numeric literal '1.2.3'", 0),
+    ("x + 1..5", ExpressionSyntaxError, "bad numeric literal '1..5'", 4),
+    ("x $ y", ExpressionSyntaxError, "unexpected character '$'", 2),
+    ("#x", ExpressionSyntaxError, "unexpected character '#'", 0),
+    ("y + g", UnboundParameterError, "unbound parameter 'g'", 4),
+    ("k", UnboundParameterError, "unbound parameter 'k'", 0),
+])
+def test_parser_refusals_keep_message_and_offset(text, error, message,
+                                                 offset):
+    with pytest.raises(error) as err:
+        parse(text)
+    assert type(err.value) is error and err.value.offset == offset
+    assert str(err.value) == f"{message} (at offset {offset})"
+
+
+@pytest.mark.parametrize("text, printed", [
+    # left operands one level below, at and above their operator
+    ("(x + y) * z", "(x + y) * z"),
+    ("x / y * z", "x / y * z"),
+    ("x^y * z", "x^y * z"),
+    ("x - y - z", "x - y - z"),
+    ("x * y - z", "x * y - z"),
+    # right operands one level below, at and above their operator
+    ("x * (y + z)", "x * (y + z)"),
+    ("x * (y / z)", "x * (y / z)"),
+    ("x * -y", "x * -y"),
+    ("x - (y + z)", "x - (y + z)"),
+    ("x - y * z", "x - y * z"),
+    ("x - -y", "x - -y"),
+    # both sides of ^
+    ("(x * y)^z", "(x * y)^z"),
+    ("(-x)^y", "(-x)^y"),
+    ("sin(x)^y", "sin(x)^y"),
+    ("x^(y * z)", "x^(y * z)"),
+    ("x^-y", "x^-y"),
+    ("x^y^z", "x^y^z"),
+    ("(x^y)^z", "(x^y)^z"),
+    # unary minus over each level
+    ("-(x + y)", "-(x + y)"),
+    ("-(x * y)", "-(x * y)"),
+    ("-(-x)", "--x"),
+    ("--x", "--x"),
+    ("-x^2", "-x^2.0"),
+    ("-sin(x)", "-sin(x)"),
+    ("2^-x^2", "2.0^-x^2.0"),
+    ("((x)) + atan2(y, -x)", "x + atan2(y, -x)"),
+])
+def test_to_text_parenthesizes_by_level(text, printed):
+    assert to_text(parse(text, {"z": 1.0})) == printed
+
+
 _UNARY = ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh", "tanh",
           "atan", "asinh", "acosh", "abs")
 
@@ -115,6 +173,9 @@ def test_parameters_bound_at_parse_time():
 def test_constants_pi_e():
     assert float(evaluate(parse("pi"), {"x": 0, "y": 0})) == math.pi
     assert float(evaluate(parse("e"), {"x": 0, "y": 0})) == math.e
+    # a constant is a parameter node, and outranks a parameter of its name
+    assert parse("pi", {"pi": 3.0}) == Param("pi", math.pi)
+    assert parse("e*x") == BinOp("*", Param("e", math.e), Var("x"))
 
 
 @pytest.mark.parametrize("text,params", [(t, p) for t, p, _ in EXPRESSION_CORPUS])
@@ -146,6 +207,31 @@ def _node(children):
 def test_round_trip_random_trees(tree):
     text = to_text(tree)
     assert parse(text, {"a": 2.5, "b": -0.75}) == tree
+
+
+def _outcome(tree):
+    """The bits of the tree's value at one point, or its refusal."""
+    try:
+        return float(evaluate(tree, {"x": 0.7, "y": -1.3})).hex()
+    except NonDifferentiablePointError as exc:
+        return str(exc)
+
+
+# the parser makes no negative Num, so a tree that holds one prints as a
+# negation; its text must still mean what the tree means
+@given(st.recursive(st.one_of(
+    _leaf, st.just(Num(-0.0)),
+    st.builds(Num, st.floats(min_value=-100.0, max_value=-0.0,
+                             allow_nan=False, allow_infinity=False))),
+    _node, max_leaves=12))
+@example(BinOp("^", Num(-2.0), Num(2.0)))
+@example(BinOp("^", Num(-0.5), Neg(Num(-2.0))))
+@settings(max_examples=300, deadline=None)
+def test_negative_numbers_print_as_what_they_mean(tree):
+    text = to_text(tree)
+    again = parse(text, {"a": 2.5, "b": -0.75})
+    assert to_text(again) == text
+    assert _outcome(again) == _outcome(tree)
 
 
 # --------------------------------------------------------------------------

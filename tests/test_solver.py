@@ -589,7 +589,7 @@ def test_steep_minimal_data_converges_at_65():
 def test_problem_validation():
     with pytest.raises(ValueError):
         DirichletProblem("minimal", DOM, 4, 9, "x")
-    for tol in (0.0, -1.0, float("nan"), float("inf")):
+    for tol in (0.0, -1.0, float("nan"), float("inf"), 10**400):
         with pytest.raises(ValueError, match="newton_tol"):
             DirichletProblem("minimal", DOM, 9, 9, "x", newton_tol=tol)
     with pytest.raises(ValueError):

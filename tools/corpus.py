@@ -83,6 +83,11 @@ def write_inputs(directory) -> None:
         {k: v for k, v in problem.items() if k != "boundary"}))
     (d / "infinite-domain.json").write_text(json.dumps(
         {**problem, "domain": [1, math.inf, 1, 2]}))
+    # integers too large for a float, as a parameter and as a tolerance
+    (d / "huge-param.json").write_text(json.dumps(
+        {**problem, "boundary": "a*x", "params": {"a": 10**400}}))
+    (d / "huge-newton.json").write_text(json.dumps(
+        {**problem, "tolerances": {"newton": 10**400}}))
     (d / "not-json.json").write_text("{equation: maximal")
 
 
