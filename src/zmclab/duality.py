@@ -224,12 +224,7 @@ def _check_tol(quad_tol: float) -> None:
         raise ValueError("quad_tol must be finite and above 0")
 
 
-def _same_bits(u, v):
-    return u.view(np.int64) == v.view(np.int64)
-
-
-def nested_simpson(g, a, b, tol: float, where=lambda s: f"segment {s}",
-                   runs=None):
+def nested_simpson(g, a, b, tol: float, where=lambda s: f"segment {s}"):
     """Integrals of ``g`` over the segments [a[s], b[s]] by composite
     Simpson with doubling refinement, each segment until two successive
     refinements differ by less than tol (relative once the integral
@@ -240,13 +235,9 @@ def nested_simpson(g, a, b, tol: float, where=lambda s: f"segment {s}",
     the five nodes of every segment's 2- and 4-panel sums at once and
     makes the first check; each doubling after it evaluates only the new
     midpoints of the segments still open.  No call of ``g`` passes more
-    than JET_POINTS points.  ``runs``, if given, holds a key per segment
-    that names the line it lies on (its fixed coordinate): a segment that
-    starts where the one before it ends, on the same line, both bit for
-    bit, takes that end's value instead of evaluating it again.  Nodes and
-    sums are those of a per-segment np.linspace refinement, bit for bit.
-    A segment still open past 2^18 panels raises QuadratureError, named
-    by ``where(s)``.
+    than JET_POINTS points.  Nodes and sums are those of a per-segment
+    np.linspace refinement, bit for bit.  A segment still open past 2^18
+    panels raises QuadratureError, named by ``where(s)``.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -281,17 +272,7 @@ def nested_simpson(g, a, b, tol: float, where=lambda s: f"segment {s}",
     segs = np.flatnonzero(a != b)
     ts = np.arange(5) * ((b[segs] - a[segs]) / 4)[:, None] + a[segs, None]
     ts[:, -1] = b[segs]
-    chained = np.zeros(segs.size, dtype=bool)
-    if runs is not None:
-        runs = np.asarray(runs, dtype=float)
-        chained[1:] = (_same_bits(a[segs[1:]], b[segs[:-1]])
-                       & _same_bits(runs[segs[1:]], runs[segs[:-1]]))
-    fresh = np.ones(ts.shape, dtype=bool)
-    fresh[:, 0] = ~chained
-    vals = np.empty(ts.shape)
-    vals[fresh] = sample(ts[fresh],
-                         np.broadcast_to(segs[:, None], ts.shape)[fresh])
-    vals[chained, 0] = vals[np.flatnonzero(chained) - 1, -1]
+    vals = sample(ts.ravel(), np.repeat(segs, 5)).reshape(ts.shape)
     prev = (b[segs] - a[segs]) / 2 / 3.0 * (vals[:, 0] + 4.0 * vals[:, 2]
                                             + vals[:, 4])
     groups = settle(segs, vals, prev, 4)
@@ -423,7 +404,7 @@ def _integrals(f, a, b, fixed, along_x, direction, epsilon, tau, quad_tol):
             return dual_one_form(f, *points(ts, segs), direction, epsilon,
                                  tau)[0 if along_x else 1]
         return nested_simpson(w, a, b, quad_tol,
-                              lambda s: _segment(along_x, fixed[s]), fixed)
+                              lambda s: _segment(along_x, fixed[s]))
 
     # lattice-backed source, jets at nodes only: endpoint-corrected
     # trapezoid (Euler-Maclaurin, O(h^4))

@@ -220,7 +220,11 @@ class _Parser:
         elif tok.text in self.variables:
             node = Var(tok.text)
         elif tok.text in self.values:
-            node = Param(tok.text, float(self.values[tok.text]))
+            try:
+                node = Param(tok.text, float(self.values[tok.text]))
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"parameter {tok.text!r} is not a number "
+                                 "that a float holds") from None
         else:
             raise UnboundParameterError(tok.text, tok.pos)
         while ((op := self.peek().text) in _OPERATORS

@@ -106,6 +106,13 @@ class DirichletProblem:
             self.equation = EquationKind(self.equation)
         if self.nx < 5 or self.ny < 5:
             raise ValueError("Dirichlet lattice needs nx, ny >= 5")
+        # hx * hx overflows to inf and underflows to 0 without raising
+        hx, hy = self.spacing()
+        big = sys.float_info.max
+        if not (0.0 < hx * hx <= big and 0.0 < hy * hy <= big
+                and 2.0 / (hx * hx) + 2.0 / (hy * hy) <= big):
+            raise ValueError(f"lattice spacing hx = {hx!r}, hy = {hy!r} is "
+                             "out of the difference stencil's range")
         if self.initial_guess not in ("harmonic", "flat"):
             raise ValueError("initial_guess must be 'harmonic' or 'flat'")
         if not 0.0 < self.newton_tol <= sys.float_info.max:
@@ -399,6 +406,9 @@ def _check_causal(problem: DirichletProblem, j: Jet2, iteration: int,
     return bmin
 
 
+# values that overflow show up as non-finite residuals or steps, which
+# the Newton loop reports as typed errors; numpy need not warn too
+@np.errstate(all="ignore")
 def solve(problem: DirichletProblem) -> GridSolution:
     """Damped Newton iteration on the interior unknowns.
 

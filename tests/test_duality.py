@@ -575,56 +575,39 @@ def test_nested_simpson_stall_names_segment():
                                where=lambda s: "the probe")
 
 
-def _keyed_simpson(a, b, runs, integrand):
-    """nested_simpson of integrand(ts, key) with the keys ``runs``, and the
-    number of points of each call of the integrand."""
+def _keyed_simpson(a, b, keys, integrand):
+    """nested_simpson of integrand(ts, key), each segment with its key, and
+    the number of points of each call of the integrand."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    keys = np.zeros(a.size) if runs is None else np.asarray(runs, float)
+    keys = np.asarray(keys, dtype=float)
     sizes = []
 
     def g(ts, segs):
         sizes.append(ts.size)
         return integrand(ts, keys[segs])
 
-    return duality.nested_simpson(g, a, b, 1e-10, runs=runs), sizes
+    return duality.nested_simpson(g, a, b, 1e-10), sizes
 
 
 @pytest.mark.parametrize("n", [1, 1000, 5000])
 def test_nested_simpson_shares_the_ends_of_chained_segments(n):
-    # a quadratic settles at the first check: a chained run of n segments
-    # costs 4n + 1 evaluations, in one call per JET_POINTS of them (two
-    # calls for 1,000 segments when the first pass sampled 3 nodes and the
-    # first doubling 2 more); unchained segments still cost 5 each
+    # a quadratic settles at the first check: a run of n segments, each
+    # starting where the one before it ends, costs 5n evaluations (the
+    # shared ends are evaluated in both segments), in one call per
+    # JET_POINTS of them
     xs = np.linspace(0.0, 1.0, n + 1)
+    keys = np.full(n, 0.25)
 
     def quadratic(ts, keys):
         return ts * ts + keys
 
-    for runs, points in ((np.full(n, 0.25), 4 * n + 1), (None, 5 * n)):
-        got, sizes = _keyed_simpson(xs[:-1], xs[1:], runs, quadratic)
-        assert sum(sizes) == points
-        assert len(sizes) == -(-points // duality.JET_POINTS)
-        assert max(sizes) <= duality.JET_POINTS
-        for s in range(0, n, 97):
-            key = 0.0 if runs is None else runs[s]
-            ref = _ref_simpson(lambda ts: quadratic(ts, key), xs[s],
-                               xs[s + 1], 1e-10)
-            assert got[s] == ref
-
-
-@pytest.mark.parametrize("runs, points", [
-    ([0.5, 0.5], 9),      # one line: the shared end is evaluated once
-    ([0.5, 1.5], 10),     # they meet in t on different lines
-    ([0.0, -0.0], 10),    # the keys differ in their bits alone
-])
-def test_nested_simpson_chains_only_segments_on_one_line(runs, points):
-    def quadratic(ts, keys):
-        return ts * ts + keys
-
-    got, sizes = _keyed_simpson([0.0, 1.0], [1.0, 2.0], runs, quadratic)
-    assert sum(sizes) == points
-    for s, key in enumerate(runs):
-        ref = _ref_simpson(lambda ts: quadratic(ts, key), s, s + 1.0, 1e-10)
+    got, sizes = _keyed_simpson(xs[:-1], xs[1:], keys, quadratic)
+    assert sum(sizes) == 5 * n
+    assert len(sizes) == -(-5 * n // duality.JET_POINTS)
+    assert max(sizes) <= duality.JET_POINTS
+    for s in range(0, n, 97):
+        ref = _ref_simpson(lambda ts: quadratic(ts, keys[s]), xs[s],
+                           xs[s + 1], 1e-10)
         assert got[s] == ref
 
 
@@ -633,15 +616,15 @@ def test_nested_simpson_chained_refinement_matches_per_segment():
     # gap on the second: every sum is the per-segment reference's
     a = np.array([0.0, 0.3, 0.7, 0.0, 0.5, 0.6])
     b = np.array([0.3, 0.7, 1.0, 0.5, 0.55, 0.9])
-    runs = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+    keys = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
 
     def wave(ts, keys):
         return np.sin(40.0 * ts * keys)
 
-    got, sizes = _keyed_simpson(a, b, runs, wave)
-    assert sizes[0] == 5 * 6 - 3
+    got, sizes = _keyed_simpson(a, b, keys, wave)
+    assert sizes[0] == 5 * 6
     for s in range(a.size):
-        ref = _ref_simpson(lambda ts: wave(ts, runs[s]), a[s], b[s], 1e-10)
+        ref = _ref_simpson(lambda ts: wave(ts, keys[s]), a[s], b[s], 1e-10)
         assert got[s] == ref
 
 
@@ -683,10 +666,9 @@ def test_dualize_batches_one_form_calls(monkeypatch):
 
 
 def test_dualize_one_form_counts_are_pinned(monkeypatch):
-    # the 129^2 helicoid to-stream: 5 column blocks, one first pass per
-    # block, the shared end of two chained segments evaluated once (before
-    # the five-node first pass, 4,096-segment blocks and shared ends: 49
-    # calls and 84,848 points)
+    # the 129^2 helicoid to-stream: 5 column blocks, one first pass of five
+    # nodes per segment per block (before the five-node first pass and
+    # 4,096-segment blocks: 49 calls and the same 84,848 points)
     sizes = []
     real = duality.dual_one_form
 
@@ -697,7 +679,7 @@ def test_dualize_one_form_counts_are_pinned(monkeypatch):
     monkeypatch.setattr(duality, "dual_one_form", counted)
     phi = field_from_text(HELICOID, ANNULUS_BOX)
     dualize(phi, (129, 129), (1.25, 1.75), 0.0, DualDirection.TO_STREAM, 1)
-    assert (len(sizes), sum(sizes)) == (17, 68342)
+    assert (len(sizes), sum(sizes)) == (21, 84848)
     assert max(sizes) <= duality.JET_POINTS
 
 

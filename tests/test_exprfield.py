@@ -58,6 +58,12 @@ def test_unbound_parameter_reports_name():
     assert err.value.name == "g"
 
 
+@pytest.mark.parametrize("value", [10 ** 400, None, "two", [1.0, 2.0]])
+def test_parameter_that_is_no_float_is_named(value):
+    with pytest.raises(ValueError, match="parameter 'a' is not a number"):
+        parse("a*x", {"a": value})
+
+
 def test_unary_minus_binds_looser_than_power():
     tree = parse("-x^2")
     assert tree == Neg(BinOp("^", Var("x"), Num(2.0)))

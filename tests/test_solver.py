@@ -594,10 +594,23 @@ def test_problem_validation():
             DirichletProblem("minimal", DOM, 9, 9, "x", newton_tol=tol)
     with pytest.raises(ValueError):
         DirichletProblem("minimal", DOM, 9, 9, "x", initial_guess="zeros")
+    # hx^2 underflows to 0, overflows to inf, leaves 2 / hx^2 infinite;
+    # then hy^2 overflows
+    for dom in (Rect(-1e-300, 1e-300, 0, 1), Rect(0, 1e300, 0, 1),
+                Rect(-1e-160, 1e-160, 0, 1), Rect(0, 1, 0, 1e300)):
+        with pytest.raises(ValueError, match="lattice spacing"):
+            DirichletProblem("minimal", dom, 9, 9, "x")
     bad = np.zeros((9, 9))
     bad[0, 3] = np.nan
     with pytest.raises(ValueError):
         solve(DirichletProblem("minimal", DOM, 9, 9, bad))
+
+
+def test_parameter_that_is_no_float_refused_at_solve():
+    problem = DirichletProblem("minimal", DOM, 9, 9, "a*x",
+                               params={"a": 10**400})
+    with pytest.raises(ValueError, match="parameter 'a' is not a number"):
+        solve(problem)
 
 
 def test_iteration_budget_respected(monkeypatch):
